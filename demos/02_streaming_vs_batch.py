@@ -20,11 +20,10 @@ from medcov import (
     ScenarioConfig,
     calibrated_schedules,
     draw_sample,
-    eigh_descending,
     eigenspace_error,
     frob_norm,
-    projector,
     save_snapshot,
+    top_q_projector,
     weiszfeld_mcm,
     weiszfeld_median,
 )
@@ -50,9 +49,7 @@ print(f"MCM gap         |V_stream - V_batch|F = "
       f"(|V_batch|F = {frob_norm(g_batch):.3f})")
 
 q = 2
-_, vs = eigh_descending(stream.estimate)
-_, vb = eigh_descending(g_batch)
-r = eigenspace_error(projector(vs[:, :q].T), projector(vb[:, :q].T))
+r = eigenspace_error(top_q_projector(stream.estimate, q), top_q_projector(g_batch, q))
 print(f"top-{q} eigenspace disagreement R     = {r:.6f}  (max possible {2*q})")
 
 # --- the whole streaming state fits in a small flat file -------------------

@@ -38,16 +38,7 @@ from .geomedian import (
     median_objective,
     weiszfeld_median,
 )
-from .linalg import (
-    EigenPair,
-    eigh_descending,
-    frob_inner,
-    frob_norm,
-    min_eigenvalue,
-    outer,
-    projector,
-    sym_eigen,
-)
+from .linalg import eigh_descending, frob_norm
 from .mcm import MedianCovariationSGD, mcm_objective, weiszfeld_mcm
 from .metrics import SummaryStats, eigenspace_error, mc_summary
 from .online_pca import OnlineEigenTracker, pc_scores
@@ -70,7 +61,6 @@ __all__ = [
     "CurvePoint",
     "DataError",
     "ESTIMATORS",
-    "EigenPair",
     "GeometricMedianSGD",
     "MedcovError",
     "MedianCovariationSGD",
@@ -90,7 +80,6 @@ __all__ = [
     "eigenspace_error",
     "eigh_descending",
     "fit_stream",
-    "frob_inner",
     "frob_norm",
     "gaussian_factor",
     "iter_csv_rows",
@@ -98,15 +87,11 @@ __all__ = [
     "mc_summary",
     "mcm_objective",
     "median_objective",
-    "min_eigenvalue",
-    "outer",
     "pc_scores",
-    "projector",
     "reverse_brownian_cov",
     "run_benchmark",
     "save_snapshot",
     "singular_gaussian_factor",
-    "sym_eigen",
     "top_q_projector",
     "weiszfeld_mcm",
     "weiszfeld_median",

@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, DataError, MedcovError
-from .geomedian import StepSchedule, weiszfeld_median
+from .geomedian import RowUpdates, StepSchedule, weiszfeld_median
 from .linalg import eigh_descending
 from .mcm import MedianCovariationSGD, weiszfeld_mcm
 from .metrics import SummaryStats, eigenspace_error, mc_summary
@@ -119,7 +119,7 @@ def iter_csv_rows(path, *, skip_header=False):
 # ---------------------------------------------------------------------------
 # Classical PCA baseline
 
-class StreamingCovariance:
+class StreamingCovariance(RowUpdates):
     """One-pass mean and covariance (Welford update).
 
     ``covariance`` divides the scatter by n (population convention);
@@ -155,11 +155,6 @@ class StreamingCovariance:
         delta = x - self._mean
         self._mean += delta / self._n
         self._scatter += np.outer(delta, x - self._mean)
-        return self
-
-    def update_many(self, xs):
-        for row in np.asarray(xs, dtype=np.float64):
-            self.update(row)
         return self
 
 

@@ -37,19 +37,50 @@ def _onoff(value):
     raise ConfigError(f"expected on/off, got {value!r}")
 
 
-_CONVERTERS = {
-    "d": int, "n": int, "reps": int, "seed": int, "q": int,
-    "eigen_seed": int, "eigen_lag": int, "max_iter": int,
-    "delta": float, "alpha": float, "c_median": float, "c_mcm": float,
-    "eps": float,
-    "scenario": str, "estimators": str, "out": str, "input": str,
-    "scores_out": str, "resume": str, "checkpoints": str,
-    "psd_mode": _onoff, "header": _onoff,
+def _step_help(what, calibrated):
+    return lambda base: (f"{what} step constant (default "
+                         f"{calibrated if base is None else base})")
+
+
+# key -> (flag, converter, help[, argparse keywords]), in --help order.
+# The converter parses config-file values and is reapplied to flag
+# values; a help entry that is callable gets the command's default.
+_OPTIONS = {
+    "d": ("--d", int, "dimension"),
+    "n": ("--n", int, "sample size"),
+    "delta": ("--delta", float, "contamination rate in [0, 1]"),
+    "scenario": ("--scenario", str, "contamination law",
+                 {"choices": CONTAMINATIONS}),
+    "estimators": ("--estimators", str,
+                   "comma-separated subset of " + ",".join(_bench.ESTIMATORS)),
+    "reps": ("--reps", int, "Monte Carlo replications"),
+    "seed": ("--seed", int, "base seed"),
+    "q": ("--q", int, "eigenspace dimension"),
+    "alpha": ("--alpha", float, "step decay exponent in (0.5, 1)"),
+    "c_median": ("--c-median", float, _step_help("median", "0.5*sqrt(d)")),
+    "c_mcm": ("--c-mcm", float, _step_help("MCM", "0.5*d")),
+    "psd_mode": ("--psd-mode", _onoff, "PSD step clipping",
+                 {"choices": ("on", "off")}),
+    "eigen_seed": ("--eigen-seed", int, "seed for tracker reinits"),
+    "eigen_lag": ("--eigen-lag", int, "MCM updates to absorb before eigen "
+                  "tracking starts (default: one per dimension)"),
+    "input": ("--in", str, "input observations, one row each",
+              {"metavar": "CSV"}),
+    "eps": ("--eps", float, "Weiszfeld stopping displacement"),
+    "max_iter": ("--max-iter", int, "Weiszfeld iteration cap"),
+    "resume": ("--resume", str, "snapshot JSON to continue from",
+               {"metavar": "SNAPSHOT"}),
+    "scores_out": ("--scores-out", str, "per-row score sidecar",
+                   {"metavar": "CSV"}),
+    "checkpoints": ("--checkpoints", str,
+                    "comma-separated increasing sample sizes"),
+    "header": ("--header", _onoff, "emit/expect a header line x1..xd",
+               {"action": "store_true"}),
+    "out": ("--out", str, "output path ('-' for stdout where supported)"),
 }
 
-_KEY_ALIASES = {"in": "input"}
-
-_SCHEDULE_KEYS = ("alpha", "c_median", "c_mcm")
+# config-file keys: every option key plus its flag spelled as a key
+_KEY_ALIASES = {spec[0][2:].replace("-", "_"): key for key, spec in _OPTIONS.items()}
 
 _DEFAULTS = {
     "simulate": {
@@ -91,79 +122,13 @@ def _build_parser():
         p = sub.add_parser(cmd, help=help_text)
         p.add_argument("--config", default=None, metavar="FILE",
                        help="key=value file supplying defaults for any flag")
-        keys = _DEFAULTS[cmd]
-        if "d" in keys:
-            p.add_argument("--d", type=int, default=None, help="dimension")
-        if "n" in keys:
-            p.add_argument("--n", type=int, default=None, help="sample size")
-        if "delta" in keys:
-            p.add_argument("--delta", type=float, default=None,
-                           help="contamination rate in [0, 1]")
-        if "scenario" in keys:
-            p.add_argument("--scenario", default=None, choices=CONTAMINATIONS,
-                           help="contamination law")
-        if "estimators" in keys:
-            p.add_argument("--estimators", default=None,
-                           help="comma-separated subset of "
-                                + ",".join(_bench.ESTIMATORS))
-        if "reps" in keys:
-            p.add_argument("--reps", type=int, default=None,
-                           help="Monte Carlo replications")
-        if "seed" in keys:
-            p.add_argument("--seed", type=int, default=None, help="base seed")
-        if "q" in keys:
-            p.add_argument("--q", type=int, default=None,
-                           help="eigenspace dimension")
-        if "alpha" in keys:
-            p.add_argument("--alpha", type=float, default=None,
-                           help="step decay exponent in (0.5, 1)")
-        if "c_median" in keys:
-            base = keys["c_median"]
-            p.add_argument("--c-median", dest="c_median", type=float,
-                           default=None,
-                           help="median step constant (default "
-                                + ("0.5*sqrt(d)" if base is None else str(base))
-                                + ")")
-        if "c_mcm" in keys:
-            base = keys["c_mcm"]
-            p.add_argument("--c-mcm", dest="c_mcm", type=float, default=None,
-                           help="MCM step constant (default "
-                                + ("0.5*d" if base is None else str(base)) + ")")
-        if "psd_mode" in keys:
-            p.add_argument("--psd-mode", dest="psd_mode", default=None,
-                           choices=("on", "off"), help="PSD step clipping")
-        if "eigen_seed" in keys:
-            p.add_argument("--eigen-seed", dest="eigen_seed", type=int,
-                           default=None, help="seed for tracker reinits")
-        if "eigen_lag" in keys:
-            p.add_argument("--eigen-lag", dest="eigen_lag", type=int,
-                           default=None,
-                           help="MCM updates to absorb before eigen tracking"
-                                " starts (default: one per dimension)")
-        if "input" in keys:
-            p.add_argument("--in", dest="input", default=None, metavar="CSV",
-                           help="input observations, one row each")
-        if "eps" in keys:
-            p.add_argument("--eps", type=float, default=None,
-                           help="Weiszfeld stopping displacement")
-        if "max_iter" in keys:
-            p.add_argument("--max-iter", dest="max_iter", type=int,
-                           default=None, help="Weiszfeld iteration cap")
-        if "resume" in keys:
-            p.add_argument("--resume", default=None, metavar="SNAPSHOT",
-                           help="snapshot JSON to continue from")
-        if "scores_out" in keys:
-            p.add_argument("--scores-out", dest="scores_out", default=None,
-                           metavar="CSV", help="per-row score sidecar")
-        if "checkpoints" in keys:
-            p.add_argument("--checkpoints", default=None,
-                           help="comma-separated increasing sample sizes")
-        if "header" in keys:
-            p.add_argument("--header", action="store_true", default=False,
-                           help="emit/expect a header line x1..xd")
-        if "out" in keys:
-            p.add_argument("--out", default=None,
-                           help="output path ('-' for stdout where supported)")
+        defaults = _DEFAULTS[cmd]
+        for key, (flag, convert, text, *extra) in _OPTIONS.items():
+            if key in defaults:
+                if callable(text):
+                    text = text(defaults[key])
+                p.add_argument(flag, dest=key, default=None, help=text,
+                               **(extra[0] if extra else {"type": convert}))
         return p
 
     add("simulate", "draw a synthetic contaminated sample and write CSV")
@@ -206,18 +171,15 @@ def _merge_options(args):
                     f"(expected one of: {', '.join(sorted(opts))})"
                 )
             try:
-                opts[key] = _CONVERTERS[key](raw)
+                opts[key] = _OPTIONS[key][1](raw)
             except (ValueError, TypeError):
                 raise ConfigError(
                     f"config key {key!r}: cannot parse {raw!r}"
                 ) from None
     for key in opts:
-        cli_value = getattr(args, key, None)
-        if key == "header":
-            if cli_value:  # flag given; config may still enable it
-                opts[key] = True
-        elif cli_value is not None:
-            opts[key] = _onoff(cli_value) if key == "psd_mode" else cli_value
+        cli_value = getattr(args, key)
+        if cli_value is not None:
+            opts[key] = _OPTIONS[key][1](cli_value)
     return opts
 
 
@@ -362,16 +324,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](_merge_options(args))
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"medcov: config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"medcov: config error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"medcov: data error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"medcov: data error: {exc}", file=sys.stderr)
         return 3
     except (NumericalError, FloatingPointError, np.linalg.LinAlgError) as exc:

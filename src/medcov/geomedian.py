@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .linalg import as_vector
+from .linalg import as_sample, as_vector
 
 _WEISZFELD_CLAMP = 1e-12
 
@@ -45,7 +45,20 @@ class StepSchedule:
         return self.c * float(n) ** (-self.alpha)
 
 
-class GeometricMedianSGD:
+class RowUpdates:
+    """Mixin giving a streaming estimator ``update_many``: one ``update``
+    per row of a 2-D sample array."""
+
+    def update_many(self, xs):
+        xs = np.asarray(xs, dtype=np.float64)
+        if xs.ndim != 2:
+            raise ValueError(f"expected a 2-D sample array, got shape {xs.shape}")
+        for row in xs:
+            self.update(row)
+        return self
+
+
+class GeometricMedianSGD(RowUpdates):
     """Averaged stochastic gradient iteration for the geometric median.
 
     The first observation seeds both the iterate and its running average
@@ -111,14 +124,6 @@ class GeometricMedianSGD:
         self._mbar += (self._m - self._mbar) / self._n
         return self
 
-    def update_many(self, xs):
-        xs = np.asarray(xs, dtype=np.float64)
-        if xs.ndim != 2:
-            raise ValueError(f"expected a 2-D sample array, got shape {xs.shape}")
-        for row in xs:
-            self.update(row)
-        return self
-
     def state_dict(self):
         return {
             "dim": self._dim,
@@ -151,51 +156,58 @@ def median_objective(points, u):
 def weiszfeld_median(points, eps=1e-8, max_iter=1000):
     """Weiszfeld fixed-point iteration for the sample geometric median.
 
-    Starts from the coordinate-wise median and repeats
+    Runs :func:`weiszfeld` in R^d from the coordinate-wise median.
+    """
+    pts = as_sample(points)
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    return weiszfeld(pts, np.median(pts, axis=0),
+                     lambda x: np.linalg.norm(pts - x, axis=1),
+                     lambda rows, w: w @ rows, eps, max_iter)
+
+
+def weiszfeld(rows, x0, dists, wmean, eps, max_iter):
+    """Weiszfeld iteration with the Vardi-Zhang anchor rule, shared by
+    :func:`weiszfeld_median` and :func:`medcov.mcm.weiszfeld_mcm`.
+
+    ``dists(x)`` gives the distances from ``x`` to the data points and
+    ``wmean(rows, w)`` the ``w``-weighted sum of the data points that
+    ``rows`` describes.  Starting from ``x0``, each sweep repeats
 
         x <- sum_i w_i X_i,   w_i = (1/|X_i - x|) / sum_j (1/|X_j - x|)
 
-    with distances clamped below at 1e-12, until the iterate moves by at
-    most ``eps``.  Each sweep is a majorize-minimize step, so the
-    objective never increases.
+    until the iterate moves by at most ``eps``.  Each sweep is a
+    majorize-minimize step, so the objective never increases.
 
-    When the iterate sits on a data point (within the clamp) the plain
-    weights would pin it there even if it is not the minimizer -- which
-    happens immediately for a 3-point set whose coordinate-wise median
-    is a vertex.  Those steps use the Vardi-Zhang rule instead: leave
-    the anchor only if the unit pull of the other points exceeds the
-    anchor's multiplicity, retreating along the plain step accordingly.
+    When the iterate sits on a data point (distance at most 1e-12) the
+    plain weights would pin it there even if it is not the minimizer --
+    which happens immediately for a 3-point set whose coordinate-wise
+    median is a vertex.  Those steps use the Vardi-Zhang rule instead
+    (PNAS 2000): leave the anchor only if the unit pull of the other
+    points exceeds the anchor's multiplicity, retreating along the plain
+    step accordingly.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] < 1:
-        raise ValueError(f"expected a non-empty 2-D sample array, got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("sample contains non-finite entries")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    x = np.median(pts, axis=0)
+    x = x0
     disp = np.inf
     for _ in range(max_iter):
-        diffs = pts - x
-        dists = np.linalg.norm(diffs, axis=1)
-        anchored = dists <= _WEISZFELD_CLAMP
+        dist = dists(x)
+        anchored = dist <= _WEISZFELD_CLAMP
         if anchored.any():
             free = ~anchored
             if not free.any():
                 return x  # every point coincides with the iterate
-            inv = 1.0 / dists[free]
-            pull = inv @ diffs[free]
+            inv = 1.0 / dist[free]
+            pull = wmean(rows[free], inv) - float(inv.sum()) * x
             pull_norm = float(np.linalg.norm(pull))
             eta = float(anchored.sum())
             if pull_norm <= eta:
                 return x  # the anchor satisfies the optimality condition
-            target = (inv / inv.sum()) @ pts[free]
             lam = min(1.0, eta / pull_norm)
-            x_new = (1.0 - lam) * target + lam * x
+            x_new = (1.0 - lam) * wmean(rows[free], inv / inv.sum()) + lam * x
         else:
-            w = 1.0 / dists
+            w = 1.0 / dist
             w /= w.sum()
-            x_new = w @ pts
+            x_new = wmean(rows, w)
         disp = float(np.linalg.norm(x_new - x))
         x = x_new
         if disp <= eps:

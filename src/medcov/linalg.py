@@ -7,18 +7,11 @@ exact symmetry.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
-from .errors import ConvergenceError, NumericalError
+from .errors import NumericalError
 
 _SIGN_EPS = 1e-12
-
-
-class EigenPair(NamedTuple):
-    value: float
-    vector: np.ndarray
 
 
 def as_vector(x, *, dim=None):
@@ -31,6 +24,16 @@ def as_vector(x, *, dim=None):
     if not np.all(np.isfinite(v)):
         raise ValueError("vector contains non-finite entries")
     return v
+
+
+def as_sample(points):
+    """Coerce ``points`` to a finite, non-empty 2-D float64 array of rows."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[0] < 1:
+        raise ValueError(f"expected a non-empty 2-D sample array, got shape {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("sample contains non-finite entries")
+    return pts
 
 
 def as_sym_matrix(a, *, dim=None, tol=1e-8):
@@ -53,24 +56,8 @@ def as_sym_matrix(a, *, dim=None, tol=1e-8):
     return (m + m.T) / 2.0
 
 
-def frob_inner(a, b):
-    """Frobenius inner product <A, B> = sum_ij A_ij B_ij."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.tensordot(a, b))
-
-
 def frob_norm(a):
     return float(np.linalg.norm(np.asarray(a, dtype=np.float64)))
-
-
-def outer(x, y=None):
-    """Rank-one matrix x y^T (x x^T when ``y`` is omitted)."""
-    x = as_vector(x)
-    y = x if y is None else as_vector(y, dim=x.shape[0])
-    return np.outer(x, y)
 
 
 def _fix_signs(vectors):
@@ -83,82 +70,12 @@ def _fix_signs(vectors):
     return vectors
 
 
-def _sorted_pairs(values, vectors):
-    order = np.argsort(-values, kind="stable")
-    vectors = _fix_signs(vectors[:, order].copy())
-    return [EigenPair(float(values[j]), vectors[:, k].copy()) for k, j in enumerate(order)]
-
-
-def _off_norm(w):
-    od = w.copy()
-    np.fill_diagonal(od, 0.0)
-    return float(np.linalg.norm(od))
-
-
-def sym_eigen(a, tol=1e-10, max_sweeps=60):
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
-
-    Returns eigenpairs sorted by descending eigenvalue.  Each eigenvector
-    is normalized with its first coordinate of magnitude > 1e-12 made
-    positive, which pins the sign deterministically.  Intended as the
-    reference decomposition: slow but transparently correct.
-    """
-    w = as_sym_matrix(a)
-    d = w.shape[0]
-    v = np.eye(d)
-    scale = frob_norm(w)
-    if scale == 0.0:
-        return _sorted_pairs(np.zeros(d), v)
-    target = max(0.1 * tol, 1e-14) * scale
-    skip = target / max(2 * d * d, 4)
-
-    off = _off_norm(w)
-    for _ in range(max_sweeps):
-        if off <= target:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = w[p, q]
-                if abs(apq) <= skip:
-                    continue
-                app, aqq = w[p, p], w[q, q]
-                theta = (aqq - app) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(1.0, theta))
-                if t == 0.0:  # theta overflowed; rotation angle is +-45 deg
-                    t = 1.0 if theta >= 0 else -1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                col_p = w[:, p].copy()
-                col_q = w[:, q].copy()
-                w[:, p] = c * col_p - s * col_q
-                w[:, q] = s * col_p + c * col_q
-                w[p, :] = w[:, p]
-                w[q, :] = w[:, q]
-                w[p, p] = app - t * apq
-                w[q, q] = aqq + t * apq
-                w[p, q] = 0.0
-                w[q, p] = 0.0
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - s * v[:, q]
-                v[:, q] = s * vp + c * v[:, q]
-        off = _off_norm(w)
-    if off > target:
-        raise ConvergenceError(
-            f"Jacobi sweeps did not converge in {max_sweeps} sweeps "
-            f"(off-diagonal norm {off:.3e})",
-            last=w,
-            residual=off,
-        )
-    return _sorted_pairs(np.diag(w).copy(), v)
-
-
 def eigh_descending(a):
-    """LAPACK eigendecomposition with the same ordering and sign conventions
-    as :func:`sym_eigen`.
+    """LAPACK eigendecomposition, eigenvalues descending.
 
-    Returns ``(values, vectors)`` with eigenvalues descending and
-    eigenvectors in the columns of ``vectors``.  Used on hot paths where
-    the Jacobi reference would be too slow.
+    Returns ``(values, vectors)`` with eigenvectors in the columns of
+    ``vectors``, each with its first coordinate of magnitude > 1e-12
+    made positive, which pins the sign deterministically.
     """
     w = as_sym_matrix(a)
     try:
@@ -168,41 +85,3 @@ def eigh_descending(a):
     values = values[::-1].copy()
     vectors = _fix_signs(vectors[:, ::-1].copy())
     return values, vectors
-
-
-def min_eigenvalue(a):
-    """Smallest eigenvalue of a symmetric matrix."""
-    w = as_sym_matrix(a)
-    try:
-        return float(np.linalg.eigvalsh(w)[0])
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericalError(f"eigenvalue computation failed: {exc}") from exc
-
-
-def projector(basis):
-    """Orthogonal projector U U^T onto the span of the given vectors.
-
-    ``basis`` is a sequence of 1-D arrays (or a 2-D array of rows).  The
-    vectors are orthonormalized by modified Gram-Schmidt; a pivot below
-    1e-12 means the family is numerically rank deficient.
-    """
-    rows = np.atleast_2d(np.asarray(basis, dtype=np.float64))
-    if rows.ndim != 2:
-        raise ValueError("basis must be a sequence of vectors")
-    if rows.shape[0] == 0:
-        raise ValueError("basis is empty")
-    if not np.all(np.isfinite(rows)):
-        raise ValueError("basis contains non-finite entries")
-    u = np.empty_like(rows)
-    for i, vec in enumerate(rows):
-        w = vec.copy()
-        for j in range(i):
-            w -= (u[j] @ w) * u[j]
-        piv = float(np.linalg.norm(w))
-        if piv < 1e-12:
-            raise ValueError(
-                f"basis vector {i} is numerically dependent on its "
-                f"predecessors (pivot {piv:.3e})"
-            )
-        u[i] = w / piv
-    return u.T @ u

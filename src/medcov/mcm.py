@@ -15,11 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceError
-from .geomedian import GeometricMedianSGD, StepSchedule
-from .linalg import as_sym_matrix, as_vector
+from .geomedian import GeometricMedianSGD, RowUpdates, StepSchedule, weiszfeld
+from .linalg import as_sample, as_sym_matrix, as_vector
 
-_WEISZFELD_CLAMP = 1e-12
 # Entries above this trigger the rescaled update path; keeps every
 # intermediate product (including squared squared-norms) inside float64.
 _HUGE_ENTRY = 1e70
@@ -28,7 +26,7 @@ _HUGE_ENTRY = 1e70
 _FRO2_REFRESH = 4096
 
 
-class MedianCovariationSGD:
+class MedianCovariationSGD(RowUpdates):
     """One-pass averaged stochastic gradient estimator of the MCM.
 
     Each observation x is centered at the current averaged median
@@ -193,14 +191,6 @@ class MedianCovariationSGD:
                       + 2.0 * t_gain * omt * uvu
                       + t_gain * t_gain * su * su)
 
-    def update_many(self, xs):
-        xs = np.asarray(xs, dtype=np.float64)
-        if xs.ndim != 2:
-            raise ValueError(f"expected a 2-D sample array, got shape {xs.shape}")
-        for row in xs:
-            self.update(row)
-        return self
-
     def state_dict(self):
         state = {
             "dim": self._d,
@@ -236,13 +226,8 @@ class MedianCovariationSGD:
 
 
 def _centered(points, m_hat):
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] < 1:
-        raise ValueError(f"expected a non-empty 2-D sample array, got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("sample contains non-finite entries")
-    m = as_vector(m_hat, dim=pts.shape[1])
-    return pts - m
+    pts = as_sample(points)
+    return pts - as_vector(m_hat, dim=pts.shape[1])
 
 
 def _rank_one_distances(c, s, v, fro2):
@@ -272,55 +257,34 @@ def weiszfeld_mcm(points, m_hat, eps=1e-8, max_iter=1000):
 
     Works on the centered rank-one matrices Y_i = (X_i - m)(X_i - m)^T
     with Frobenius geometry; never materializes the Y_i against the
-    iterate thanks to the rank-one distance identity.  Starts from the
-    entrywise median of the Y_i, clamps inverse distances at 1e-12, and
-    stops when the iterate moves by at most ``eps`` in Frobenius norm.
+    iterate thanks to the rank-one distance identity.  Runs
+    :func:`medcov.geomedian.weiszfeld` from the entrywise median of the
+    Y_i; each weighted mean is symmetrized, so every iterate is exactly
+    symmetric.
 
-    Note: the starting point briefly materializes the (n, d, d) stack of
-    rank-one matrices, so memory is O(n d^2).
+    The start is built one upper-triangle row at a time, so memory is
+    O(n d + d^2).
     """
     c = _centered(points, m_hat)
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     s = np.einsum("ij,ij->i", c, c)
-    outers = c[:, :, None] * c[:, None, :]
-    g = np.median(outers, axis=0)
-    del outers
-    g = (g + g.T) / 2.0
-    disp = np.inf
-    for _ in range(max_iter):
-        fro2 = float(np.tensordot(g, g))
-        dists = _rank_one_distances(c, s, g, fro2)
-        anchored = dists <= _WEISZFELD_CLAMP
-        if anchored.any():
-            # iterate sits on a data matrix: Vardi-Zhang anchor rule,
-            # same logic as the vector Weiszfeld
-            free = ~anchored
-            if not free.any():
-                return g
-            inv = 1.0 / dists[free]
-            cf = c[free]
-            pull = (cf * inv[:, None]).T @ cf - float(inv.sum()) * g
-            pull_norm = float(np.linalg.norm(pull))
-            eta = float(anchored.sum())
-            if pull_norm <= eta:
-                return g
-            wf = inv / inv.sum()
-            target = (cf * wf[:, None]).T @ cf
-            lam = min(1.0, eta / pull_norm)
-            g_new = (1.0 - lam) * target + lam * g
-        else:
-            w = 1.0 / dists
-            w /= w.sum()
-            g_new = (c * w[:, None]).T @ c
-        g_new = (g_new + g_new.T) / 2.0
-        disp = float(np.linalg.norm(g_new - g))
-        g = g_new
-        if disp <= eps:
-            return g
-    raise ConvergenceError(
-        f"Weiszfeld iteration did not converge in {max_iter} sweeps "
-        f"(last displacement {disp:.3e})",
-        last=g,
-        residual=disp,
-    )
+
+    def dists(g):
+        return _rank_one_distances(c, s, g, float(np.tensordot(g, g)))
+
+    def wmean(rows, w):
+        g = (rows * w[:, None]).T @ rows
+        return (g + g.T) / 2.0
+
+    return weiszfeld(c, _entrywise_median(c), dists, wmean, eps, max_iter)
+
+
+def _entrywise_median(c):
+    """Entrywise median of the rank-one matrices c_i c_i^T."""
+    d = c.shape[1]
+    g = np.empty((d, d))
+    for i in range(d):
+        g[i, i:] = np.median(c[:, i, None] * c[:, i:], axis=0)
+        g[i:, i] = g[i, i:]
+    return g

@@ -1,0 +1,118 @@
+"""Reference oracles for the tests: slow, transparently correct versions
+of what the package computes with LAPACK.
+
+``sym_eigen`` is a cyclic Jacobi eigensolver sharing the package's
+eigenvector sign convention, so its pairs compare directly with
+``medcov.linalg.eigh_descending``; ``projector`` builds U U^T from an
+arbitrary basis by Gram-Schmidt.
+"""
+
+from typing import NamedTuple
+
+import numpy as np
+
+from medcov.errors import ConvergenceError
+from medcov.linalg import _fix_signs, as_sym_matrix, frob_norm
+
+
+class EigenPair(NamedTuple):
+    value: float
+    vector: np.ndarray
+
+
+def _sorted_pairs(values, vectors):
+    order = np.argsort(-values, kind="stable")
+    vectors = _fix_signs(vectors[:, order].copy())
+    return [EigenPair(float(values[j]), vectors[:, k].copy()) for k, j in enumerate(order)]
+
+
+def _off_norm(w):
+    od = w.copy()
+    np.fill_diagonal(od, 0.0)
+    return float(np.linalg.norm(od))
+
+
+def sym_eigen(a, tol=1e-10, max_sweeps=60):
+    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
+
+    Returns eigenpairs sorted by descending eigenvalue.  Each eigenvector
+    is normalized with its first coordinate of magnitude > 1e-12 made
+    positive, which pins the sign deterministically.  Intended as the
+    reference decomposition: slow but transparently correct.
+    """
+    w = as_sym_matrix(a)
+    d = w.shape[0]
+    v = np.eye(d)
+    scale = frob_norm(w)
+    if scale == 0.0:
+        return _sorted_pairs(np.zeros(d), v)
+    target = max(0.1 * tol, 1e-14) * scale
+    skip = target / max(2 * d * d, 4)
+
+    off = _off_norm(w)
+    for _ in range(max_sweeps):
+        if off <= target:
+            break
+        for p in range(d - 1):
+            for q in range(p + 1, d):
+                apq = w[p, q]
+                if abs(apq) <= skip:
+                    continue
+                app, aqq = w[p, p], w[q, q]
+                theta = (aqq - app) / (2.0 * apq)
+                t = np.sign(theta) / (abs(theta) + np.hypot(1.0, theta))
+                if t == 0.0:  # theta overflowed; rotation angle is +-45 deg
+                    t = 1.0 if theta >= 0 else -1.0
+                c = 1.0 / np.hypot(1.0, t)
+                s = t * c
+                col_p = w[:, p].copy()
+                col_q = w[:, q].copy()
+                w[:, p] = c * col_p - s * col_q
+                w[:, q] = s * col_p + c * col_q
+                w[p, :] = w[:, p]
+                w[q, :] = w[:, q]
+                w[p, p] = app - t * apq
+                w[q, q] = aqq + t * apq
+                w[p, q] = 0.0
+                w[q, p] = 0.0
+                vp = v[:, p].copy()
+                v[:, p] = c * vp - s * v[:, q]
+                v[:, q] = s * vp + c * v[:, q]
+        off = _off_norm(w)
+    if off > target:
+        raise ConvergenceError(
+            f"Jacobi sweeps did not converge in {max_sweeps} sweeps "
+            f"(off-diagonal norm {off:.3e})",
+            last=w,
+            residual=off,
+        )
+    return _sorted_pairs(np.diag(w).copy(), v)
+
+
+def projector(basis):
+    """Orthogonal projector U U^T onto the span of the given vectors.
+
+    ``basis`` is a sequence of 1-D arrays (or a 2-D array of rows).  The
+    vectors are orthonormalized by modified Gram-Schmidt; a pivot below
+    1e-12 means the family is numerically rank deficient.
+    """
+    rows = np.atleast_2d(np.asarray(basis, dtype=np.float64))
+    if rows.ndim != 2:
+        raise ValueError("basis must be a sequence of vectors")
+    if rows.shape[0] == 0:
+        raise ValueError("basis is empty")
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("basis contains non-finite entries")
+    u = np.empty_like(rows)
+    for i, vec in enumerate(rows):
+        w = vec.copy()
+        for j in range(i):
+            w -= (u[j] @ w) * u[j]
+        piv = float(np.linalg.norm(w))
+        if piv < 1e-12:
+            raise ValueError(
+                f"basis vector {i} is numerically dependent on its "
+                f"predecessors (pivot {piv:.3e})"
+            )
+        u[i] = w / piv
+    return u.T @ u

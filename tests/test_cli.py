@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, config files, exit codes."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from medcov import weiszfeld_median, write_csv
+from medcov import cli
 from medcov.cli import main
 
 
@@ -228,6 +230,73 @@ def test_config_file_in_alias(tmp_path, capsys):
     rc, out, _ = run_cli(capsys, "fit-stream", "--config", str(cfg))
     assert rc == 0
     assert json.loads(out)["rows"] == 12
+
+
+# ---------------------------------------------------------------------------
+# option table: every option reads the same from a flag and a config key
+
+# one valid raw value per option key, none equal to any command's default
+GOOD = {
+    "d": "7", "n": "9", "delta": "0.25", "scenario": "student_t1",
+    "estimators": "pca,mcm_r", "reps": "3", "seed": "5", "q": "1",
+    "alpha": "0.6", "c_median": "1.5", "c_mcm": "2.5", "psd_mode": "off",
+    "eigen_seed": "4", "eigen_lag": "11", "input": "data.csv", "eps": "1e-6",
+    "max_iter": "17", "resume": "snap.json", "scores_out": "scores.csv",
+    "checkpoints": "10,20", "header": "on", "out": "result.csv",
+}
+
+OPTION_PAIRS = [(cmd, key) for cmd, defaults in cli._DEFAULTS.items()
+                for key in defaults]
+
+
+def merged(argv):
+    return cli._merge_options(cli._build_parser().parse_args(argv))
+
+
+def flag_argv(key, raw):
+    flag = cli._OPTIONS[key][0]
+    return [flag] if key == "header" else [flag, raw]
+
+
+def config_argv(tmp_path, key, raw):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{cli._OPTIONS[key][0][2:]} = {raw}\n")
+    return ["--config", str(cfg)]
+
+
+def test_option_table_covers_every_command_option():
+    assert len(cli._OPTIONS) == 22
+    assert set(GOOD) == set(cli._OPTIONS)
+    assert {key for _, key in OPTION_PAIRS} == set(cli._OPTIONS)
+
+
+@pytest.mark.parametrize("cmd,key", OPTION_PAIRS)
+def test_option_flag_and_config_key_agree(tmp_path, cmd, key):
+    by_flag = merged([cmd, *flag_argv(key, GOOD[key])])
+    by_config = merged([cmd, *config_argv(tmp_path, key, GOOD[key])])
+    assert by_flag == by_config
+    assert by_flag[key] != cli._DEFAULTS[cmd][key]
+
+
+@pytest.mark.parametrize("cmd,key", [
+    (cmd, key) for cmd, key in OPTION_PAIRS if cli._OPTIONS[key][1] is not str
+])
+def test_option_bad_value_exits_2_both_ways(tmp_path, capsys, cmd, key):
+    with pytest.raises(SystemExit) as exc:  # "--header bogus" leaves a stray argument
+        main([cmd, cli._OPTIONS[key][0], "bogus"])
+    assert exc.value.code == 2
+    rc, _, err = run_cli(capsys, cmd, *config_argv(tmp_path, key, "bogus"))
+    assert rc == 2
+    assert "config error" in err
+
+
+@pytest.mark.parametrize("cmd", list(cli._DEFAULTS))
+def test_help_lists_exactly_the_table_flags(capsys, cmd):
+    with pytest.raises(SystemExit):
+        main([cmd, "--help"])
+    listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    table = {cli._OPTIONS[key][0] for key in cli._DEFAULTS[cmd]}
+    assert listed == table | {"--help", "--config"}
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,14 @@
-"""Kernel tests: Frobenius geometry, the Jacobi reference eigensolver,
-and projector algebra."""
+"""Kernel tests: coercion helpers, rank-one Frobenius geometry, and the
+reference oracles of ``oracles.py`` (Jacobi eigensolver, Gram-Schmidt
+projector) that the LAPACK paths are checked against."""
 
 import numpy as np
 import pytest
 
-from medcov import (
-    ConvergenceError,
-    eigh_descending,
-    frob_inner,
-    frob_norm,
-    min_eigenvalue,
-    outer,
-    projector,
-    sym_eigen,
-)
+from medcov import ConvergenceError, eigh_descending, frob_norm
 from medcov.linalg import as_sym_matrix, as_vector
+from medcov.mcm import _rank_one_distances
+from oracles import projector, sym_eigen
 
 
 def random_orthogonal(d, rng):
@@ -51,46 +45,39 @@ def test_as_sym_matrix_symmetrizes_and_rejects():
 
 
 # ---------------------------------------------------------------------------
-# Frobenius inner product and rank-one outer products
+# rank-one matrices: the MCM's identity |cc^T - V|_F^2 = |c|^4 - 2c^T V c + |V|_F^2
 
-def test_frob_inner_identity():
-    assert frob_inner(np.eye(2), np.eye(2)) == 2.0
-
-
-def test_frob_inner_zero_annihilates():
-    a = np.array([[1.0, 2.0], [2.0, 3.0]])
-    assert frob_inner(a, np.zeros((2, 2))) == 0.0
-
-
-def test_frob_inner_hand_value():
-    a = np.array([[1.0, 2.0], [2.0, 3.0]])
-    b = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert frob_inner(a, b) == 4.0
-    assert frob_inner(b, a) == 4.0
-
-
-def test_frob_inner_is_squared_norm():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        a = random_symmetric(5, rng)
-        assert frob_inner(a, a) >= 0.0
-        assert frob_inner(a, a) == pytest.approx(frob_norm(a) ** 2, rel=1e-12)
-    assert frob_inner(np.zeros((3, 3)), np.zeros((3, 3))) == 0.0
+def rank_one_distance(c, v):
+    c = np.atleast_2d(np.asarray(c, dtype=np.float64))
+    v = np.asarray(v, dtype=np.float64)
+    s = np.einsum("ij,ij->i", c, c)
+    return float(_rank_one_distances(c, s, v, float(np.tensordot(v, v)))[0])
 
 
 def test_outer_basis_vector():
-    np.testing.assert_array_equal(outer([1.0, 0.0]), [[1.0, 0.0], [0.0, 0.0]])
+    e1 = [1.0, 0.0]
+    np.testing.assert_array_equal(np.outer(e1, e1), [[1.0, 0.0], [0.0, 0.0]])
+    assert rank_one_distance(e1, np.outer(e1, e1)) == 0.0
+    assert rank_one_distance(e1, np.eye(2)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_outer_zero():
-    np.testing.assert_array_equal(outer(np.zeros(3)), np.zeros((3, 3)))
+    v = np.array([[1.0, 2.0], [2.0, 3.0]])
+    assert rank_one_distance(np.zeros(2), v) == pytest.approx(frob_norm(v), rel=1e-12)
 
 
 def test_outer_expansion_and_norm():
-    y = outer([1.0, 2.0])
+    y = np.outer([1.0, 2.0], [1.0, 2.0])
     np.testing.assert_array_equal(y, [[1.0, 2.0], [2.0, 4.0]])
     # |xx^T|_F = |x|^2
     assert frob_norm(y) == pytest.approx(5.0, abs=1e-12)
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        c = rng.standard_normal(5)
+        a = rng.standard_normal((5, 5))
+        v = (a + a.T) / 2.0
+        assert rank_one_distance(c, v) == pytest.approx(
+            frob_norm(np.outer(c, c) - v), rel=1e-10)
 
 
 def test_rank_one_distance_rotation_invariant():
@@ -100,13 +87,13 @@ def test_rank_one_distance_rotation_invariant():
         x = rng.standard_normal(6)
         y = rng.standard_normal(6)
         q = random_orthogonal(6, rng)
-        base = frob_norm(outer(x) - outer(y))
-        rotated = frob_norm(outer(q @ x) - outer(q @ y))
+        base = frob_norm(np.outer(x, x) - np.outer(y, y))
+        rotated = frob_norm(np.outer(q @ x, q @ x) - np.outer(q @ y, q @ y))
         assert rotated == pytest.approx(base, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
-# eigendecomposition
+# eigendecomposition: the Jacobi oracle, and LAPACK checked against it
 
 def test_sym_eigen_diagonal():
     pairs = sym_eigen(np.diag([3.0, 1.0]))
@@ -135,7 +122,7 @@ def test_sym_eigen_reconstructs_random_matrices():
     for d in (2, 7, 33, 64):
         a = random_symmetric(d, rng)
         pairs = sym_eigen(a)
-        recon = sum(p.value * outer(p.vector) for p in pairs)
+        recon = sum(p.value * np.outer(p.vector, p.vector) for p in pairs)
         assert frob_norm(a - recon) <= 1e-9 * max(frob_norm(a), 1.0)
         vecs = np.array([p.vector for p in pairs])
         np.testing.assert_allclose(vecs @ vecs.T, np.eye(d), atol=1e-9)
@@ -170,8 +157,13 @@ def test_eigh_descending_matches_jacobi():
 
 
 def test_min_eigenvalue():
+    # the PSD checks read the smallest eigenvalue as eigvalsh(a)[0]
+    def min_eigenvalue(a):
+        return np.linalg.eigvalsh(a)[0]
+
     assert min_eigenvalue(np.diag([3.0, -2.0])) == pytest.approx(-2.0)
-    assert min_eigenvalue(outer([1.0, 2.0, 2.0])) == pytest.approx(0.0, abs=1e-12)
+    x = [1.0, 2.0, 2.0]
+    assert min_eigenvalue(np.outer(x, x)) == pytest.approx(0.0, abs=1e-12)
     assert min_eigenvalue([[2.0, 1.0], [1.0, 2.0]]) == pytest.approx(1.0)
     rng = np.random.default_rng(6)
     a = random_symmetric(8, rng)
@@ -179,7 +171,7 @@ def test_min_eigenvalue():
 
 
 # ---------------------------------------------------------------------------
-# projectors
+# the Gram-Schmidt projector oracle
 
 def test_projector_single_basis_vector():
     np.testing.assert_allclose(projector([[1.0, 0.0, 0.0]]), np.diag([1.0, 0.0, 0.0]))

@@ -6,20 +6,21 @@ import pytest
 
 from medcov import (
     ConvergenceError,
+    GeometricMedianSGD,
     MedianCovariationSGD,
     StepSchedule,
+    StreamingCovariance,
     brownian_cov,
     eigh_descending,
     gaussian_factor,
     frob_norm,
-    min_eigenvalue,
-    outer,
-    projector,
     eigenspace_error,
     mcm_objective,
     weiszfeld_mcm,
     weiszfeld_median,
 )
+from medcov.mcm import _entrywise_median
+from oracles import projector
 
 # For the symmetric cross {e1, -e1, e2, -e2} centered at 0 the MCM is
 # gamma*I by symmetry; 1e-6-resolution brute force over gamma (objective
@@ -108,7 +109,7 @@ def test_thresholded_step_length():
     for n in range(1, 100):
         prev = est.iterate.copy()
         x = rng.standard_normal(3)
-        dist = frob_norm(outer(x) - prev)
+        dist = frob_norm(np.outer(x, x) - prev)
         est.update(x)
         expected = min(sched.gamma(n), dist)
         assert frob_norm(est.iterate - prev) == pytest.approx(expected, rel=1e-10)
@@ -132,7 +133,7 @@ def test_joint_mode_centers_at_previous_average():
     mbar_before = est.median_estimate.copy()
     est.update([3.0, 0.0])
     c = np.array([3.0, 0.0]) - mbar_before
-    y = outer(c)
+    y = np.outer(c, c)
     expected = StepSchedule().gamma(1) * y / frob_norm(y)
     np.testing.assert_allclose(est.iterate, expected, atol=1e-12)
     assert est.n_updates == 1
@@ -148,8 +149,8 @@ def test_psd_invariant_along_mixed_streams():
             if rng.random() < 0.1:
                 x = x * 50.0  # occasional wild point
             est.update(x)
-            assert min_eigenvalue(est.iterate) >= -1e-8
-        assert min_eigenvalue(est.estimate) >= -1e-8
+            assert np.linalg.eigvalsh(est.iterate)[0] >= -1e-8
+        assert np.linalg.eigvalsh(est.estimate)[0] >= -1e-8
 
 
 def test_known_median_gaussian_isotropy():
@@ -211,13 +212,23 @@ def test_huge_observations_stay_finite():
 
 
 def test_update_many_validates_shape():
-    est = MedianCovariationSGD(3)
-    with pytest.raises(ValueError):
-        est.update_many(np.zeros(3))
+    for est in (GeometricMedianSGD(3), MedianCovariationSGD(3),
+                StreamingCovariance(3)):
+        with pytest.raises(ValueError):
+            est.update_many(np.array([1.0, 2.0, 3.0]))
 
 
 # ---------------------------------------------------------------------------
 # batch Weiszfeld MCM and its objective
+
+def test_weiszfeld_mcm_start_matches_stacked_median():
+    # reference: the entrywise median over the full (n, d, d) stack
+    for n, d in ((1, 3), (40, 7), (201, 20)):
+        for seed in range(5):
+            c = np.random.default_rng(seed).standard_t(2, size=(n, d))
+            stacked = np.median(c[:, :, None] * c[:, None, :], axis=0)
+            assert np.array_equal(_entrywise_median(c), (stacked + stacked.T) / 2.0)
+
 
 def test_weiszfeld_mcm_single_point_at_center():
     g = weiszfeld_mcm([[2.0, 1.0]], [2.0, 1.0])
@@ -227,7 +238,7 @@ def test_weiszfeld_mcm_single_point_at_center():
 def test_weiszfeld_mcm_identical_points():
     x = np.array([3.0, -1.0])
     g = weiszfeld_mcm([x, x, x], np.zeros(2))
-    np.testing.assert_allclose(g, outer(x), atol=1e-8)
+    np.testing.assert_allclose(g, np.outer(x, x), atol=1e-8)
 
 
 def test_weiszfeld_mcm_symmetric_cross():
@@ -240,7 +251,7 @@ def test_weiszfeld_mcm_is_psd():
     rng = np.random.default_rng(7)
     pts = rng.standard_normal((40, 4))
     g = weiszfeld_mcm(pts, weiszfeld_median(pts))
-    assert min_eigenvalue(g) >= -1e-10
+    assert np.linalg.eigvalsh(g)[0] >= -1e-10
 
 
 def test_weiszfeld_mcm_fixed_point():
@@ -248,7 +259,7 @@ def test_weiszfeld_mcm_fixed_point():
     pts = rng.standard_normal((30, 3))
     eps = 1e-10
     g = weiszfeld_mcm(pts, np.zeros(3), eps=eps)
-    ys = np.array([outer(p) for p in pts])
+    ys = np.array([np.outer(p, p) for p in pts])
     w = 1.0 / np.array([frob_norm(y - g) for y in ys])
     w /= w.sum()
     assert frob_norm(g - np.tensordot(w, ys, axes=1)) <= 10.0 * eps
@@ -265,7 +276,7 @@ def test_weiszfeld_mcm_iteration_cap():
 def test_mcm_objective_values():
     pts = np.array([[1.0, 2.0], [0.5, -1.0], [2.0, 0.0]])
     assert mcm_objective(pts, np.zeros(2), np.zeros((2, 2))) == 0.0
-    y1 = outer(pts[0])
+    y1 = np.outer(pts[0], pts[0])
     single = mcm_objective(pts[:1], np.zeros(2), y1)
     assert single == pytest.approx(-frob_norm(y1), rel=1e-12)
 

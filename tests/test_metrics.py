@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from medcov import eigenspace_error, mc_summary, projector
+from medcov import eigenspace_error, mc_summary
+from oracles import projector
 
 
 def random_orthogonal(d, rng):

@@ -11,10 +11,9 @@ from medcov import (
     frob_norm,
     gaussian_factor,
     pc_scores,
-    projector,
-    sym_eigen,
 )
 from medcov.bench import StreamingRobustPCA, calibrated_schedules
+from oracles import projector, sym_eigen
 
 
 def tracker_with_raw(raw, *, n=0, seed=0):
