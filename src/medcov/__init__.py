@@ -12,7 +12,6 @@ from .bench import (
     ReportRow,
     RunConfig,
     StreamingCovariance,
-    StreamingRobustPCA,
     calibrated_schedules,
     convergence_curve,
     fit_stream,
@@ -41,7 +40,7 @@ from .geomedian import (
 from .linalg import eigh_descending, frob_norm
 from .mcm import MedianCovariationSGD, mcm_objective, weiszfeld_mcm
 from .metrics import SummaryStats, eigenspace_error, mc_summary
-from .online_pca import OnlineEigenTracker, pc_scores
+from .online_pca import OnlineEigenTracker, StreamingRobustPCA, pc_scores
 from .simgen import (
     CONTAMINATIONS,
     ScenarioConfig,

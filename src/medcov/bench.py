@@ -1,4 +1,4 @@
-"""Monte Carlo benchmark harness, streaming fit pipeline, and report IO.
+"""Monte Carlo benchmark harness, streaming fit of a CSV file, and file IO.
 
 Estimator names used throughout:
 
@@ -34,12 +34,10 @@ from .geomedian import RowUpdates, StepSchedule, weiszfeld_median
 from .linalg import eigh_descending
 from .mcm import MedianCovariationSGD, weiszfeld_mcm
 from .metrics import SummaryStats, eigenspace_error, mc_summary
-from .online_pca import OnlineEigenTracker
+from .online_pca import StreamingRobustPCA
 from .simgen import ScenarioConfig, brownian_cov, draw_sample
 
 ESTIMATORS = ("pca", "mcm_w", "mcm_r", "mcm_rplus")
-SNAPSHOT_FORMAT = "medcov-snapshot"
-SNAPSHOT_VERSION = 1
 
 REPORT_COLUMNS = (
     "estimator", "scenario", "delta", "d", "n", "q",
@@ -156,110 +154,6 @@ class StreamingCovariance(RowUpdates):
         self._mean += delta / self._n
         self._scatter += np.outer(delta, x - self._mean)
         return self
-
-
-# ---------------------------------------------------------------------------
-# Streaming robust PCA orchestrator (MCM + eigenvector tracking)
-
-class StreamingRobustPCA:
-    """Joint one-pass pipeline: median + MCM recursion feeding the
-    online eigenvector tracker.
-
-    The tracker warms up on the first q numerically distinct centered
-    observations (centered at the running median average), holds until
-    the averaged MCM has absorbed ``eigen_lag`` updates, and then takes
-    one step per observation against the running averaged MCM.
-
-    The lag matters: the tracker's first step has gain 1, i.e. it is a
-    full power step onto the averaged matrix of that moment, and the
-    averaging gain 1/(n+1) forgets the starting basis only like 1/n.
-    Starting against a matrix that has seen too few observations locks
-    noise in for a long stretch of the stream.  The default lag of one
-    update per dimension is a pilot-calibrated compromise; pass 0 to
-    start tracking immediately.
-    """
-
-    def __init__(self, dim, q, *, median_schedule=None, cov_schedule=None,
-                 psd_mode=True, known_median=None, eigen_seed=0,
-                 eigen_lag=None):
-        self.mcm = MedianCovariationSGD(
-            dim,
-            median_schedule=median_schedule,
-            cov_schedule=cov_schedule,
-            psd_mode=psd_mode,
-            known_median=known_median,
-        )
-        self.tracker = OnlineEigenTracker(dim, q, seed=eigen_seed)
-        lag = int(dim) if eigen_lag is None else int(eigen_lag)
-        if lag < 0:
-            raise ConfigError(f"eigen_lag must be >= 0, got {eigen_lag}")
-        self._eigen_lag = lag
-        self._rows = 0
-
-    @property
-    def rows(self):
-        """Observations consumed (including the one that seeds the median)."""
-        return self._rows
-
-    @property
-    def eigen_lag(self):
-        """MCM updates absorbed before the tracker takes its first step."""
-        return self._eigen_lag
-
-    def _center_view(self):
-        med = self.mcm._median
-        return med._mbar if med is not None else self.mcm._known_m
-
-    def update(self, x):
-        self.mcm.update(x)
-        self._rows += 1
-        if self.mcm.n_updates < 1:
-            return self
-        if not self.tracker.ready:
-            self.tracker.offer(np.asarray(x, dtype=np.float64) - self._center_view())
-        elif self.mcm.n_updates > self._eigen_lag:
-            self.tracker.step(self.mcm._vbar)
-        return self
-
-    def state_dict(self):
-        return {
-            "format": SNAPSHOT_FORMAT,
-            "version": SNAPSHOT_VERSION,
-            "rows": self._rows,
-            "eigen_lag": self._eigen_lag,
-            "mcm": self.mcm.state_dict(),
-            "tracker": self.tracker.state_dict(),
-        }
-
-    @classmethod
-    def from_state_dict(cls, state):
-        if state.get("format") != SNAPSHOT_FORMAT:
-            raise DataError(f"not a medcov snapshot: format={state.get('format')!r}")
-        if state.get("version") != SNAPSHOT_VERSION:
-            raise DataError(f"unsupported snapshot version {state.get('version')!r}")
-        model = cls.__new__(cls)
-        model.mcm = MedianCovariationSGD.from_state_dict(state["mcm"])
-        model.tracker = OnlineEigenTracker.from_state_dict(state["tracker"])
-        model._eigen_lag = int(state["eigen_lag"])
-        model._rows = int(state["rows"])
-        return model
-
-
-def save_snapshot(state, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state, fh)
-        fh.write("\n")
-
-
-def load_snapshot(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            state = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(state, dict):
-        raise DataError(f"{path}: snapshot must be a JSON object")
-    return state
 
 
 # ---------------------------------------------------------------------------
@@ -633,6 +527,23 @@ def write_curve(points, path):
 # ---------------------------------------------------------------------------
 # Streaming fit of a CSV file
 
+def save_snapshot(state, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(state, fh)
+        fh.write("\n")
+
+
+def load_snapshot(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            state = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(state, dict):
+        raise DataError(f"{path}: snapshot must be a JSON object")
+    return state
+
+
 def fit_stream(csv_in, *, q=2, median_schedule=None, cov_schedule=None,
                psd_mode=True, eigen_seed=0, eigen_lag=None, resume=None,
                scores_out=None, skip_header=False):
@@ -652,8 +563,12 @@ def fit_stream(csv_in, *, q=2, median_schedule=None, cov_schedule=None,
     """
     model = None
     if resume is not None:
-        state = load_snapshot(resume) if isinstance(resume, (str, os.PathLike)) else resume
-        model = StreamingRobustPCA.from_state_dict(state)
+        from_file = isinstance(resume, (str, os.PathLike))
+        state = load_snapshot(resume) if from_file else resume
+        try:
+            model = StreamingRobustPCA.from_state_dict(state)
+        except DataError as exc:
+            raise DataError(f"{resume if from_file else 'resume'}: snapshot field {exc}") from None
         q = model.tracker.q  # the snapshot's geometry wins over the arguments
         psd_mode = model.mcm.psd_mode
     rows = 0
@@ -678,7 +593,7 @@ def fit_stream(csv_in, *, q=2, median_schedule=None, cov_schedule=None,
             rows += 1
             if sidecar:
                 if model.tracker.ready:
-                    scores, dist = model.tracker.scores(vec, model._center_view())
+                    scores, dist = model.tracker.scores(vec, model.mcm.median_estimate)
                     cells = [_fmt(v) for v in scores] + [_fmt(dist)]
                 else:
                     cells = ["nan"] * (model.tracker.q + 1)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
-from .linalg import as_sample, as_vector
+from .errors import ConvergenceError, DataError, NumericalError
+from .linalg import as_sample, as_vector, state_field
 
 _WEISZFELD_CLAMP = 1e-12
 
@@ -43,6 +43,16 @@ class StepSchedule:
         if n < 1:
             raise ValueError(f"step index must be >= 1, got {n}")
         return self.c * float(n) ** (-self.alpha)
+
+
+def load_schedule(state, c_key, alpha_key):
+    """The :class:`StepSchedule` stored under two snapshot fields."""
+    c = state_field(state, c_key, float)
+    alpha = state_field(state, alpha_key, float)
+    try:
+        return StepSchedule(c, alpha)
+    except ValueError as exc:
+        raise DataError(f"{c_key}/{alpha_key}: {exc}") from None
 
 
 class RowUpdates:
@@ -136,11 +146,12 @@ class GeometricMedianSGD(RowUpdates):
 
     @classmethod
     def from_state_dict(cls, state):
-        est = cls(dim=state["dim"], schedule=StepSchedule(state["c"], state["alpha"]))
-        if state["m"] is not None:
-            est._m = np.asarray(state["m"], dtype=np.float64)
-            est._mbar = np.asarray(state["mbar"], dtype=np.float64)
-        est._n = int(state["n"])
+        dim = state_field(state, "dim", int, low=1, nullable=True)
+        est = cls(dim=dim, schedule=load_schedule(state, "c", "alpha"))
+        est._m = state_field(state, "m", np.ndarray, (dim,), nullable=True)
+        if est._m is not None:
+            est._mbar = state_field(state, "mbar", np.ndarray, (dim,))
+        est._n = state_field(state, "n", int, low=0)
         return est
 
 
@@ -177,7 +188,9 @@ def weiszfeld(rows, x0, dists, wmean, eps, max_iter):
         x <- sum_i w_i X_i,   w_i = (1/|X_i - x|) / sum_j (1/|X_j - x|)
 
     until the iterate moves by at most ``eps``.  Each sweep is a
-    majorize-minimize step, so the objective never increases.
+    majorize-minimize step, so the objective never increases.  A sweep
+    whose displacement is not finite means the iterate overflowed
+    float64; it raises :class:`NumericalError` at once.
 
     When the iterate sits on a data point (distance at most 1e-12) the
     plain weights would pin it there even if it is not the minimizer --
@@ -209,6 +222,8 @@ def weiszfeld(rows, x0, dists, wmean, eps, max_iter):
             w /= w.sum()
             x_new = wmean(rows, w)
         disp = float(np.linalg.norm(x_new - x))
+        if not np.isfinite(disp):
+            raise NumericalError(f"Weiszfeld iterate overflowed (displacement {disp})")
         x = x_new
         if disp <= eps:
             return x

@@ -1,4 +1,5 @@
-"""Dense symmetric-matrix helpers used throughout the package.
+"""Dense symmetric-matrix helpers and input checks used throughout the
+package.
 
 All matrices are plain float64 ``numpy`` arrays.  Symmetric inputs are
 validated and re-symmetrized on entry so downstream code can rely on
@@ -7,9 +8,11 @@ exact symmetry.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
-from .errors import NumericalError
+from .errors import DataError, NumericalError
 
 _SIGN_EPS = 1e-12
 
@@ -34,6 +37,54 @@ def as_sample(points):
     if not np.all(np.isfinite(pts)):
         raise ValueError("sample contains non-finite entries")
     return pts
+
+
+def state_field(state, key, kind, shape=None, *, low=None, nullable=False):
+    """Checked read of ``state[key]`` from a loaded snapshot payload.
+
+    ``kind`` is ``int``, ``float`` (which admits ints), ``bool``, ``str``,
+    ``dict`` or ``np.ndarray``; a bool passes only as ``bool``, numbers
+    must be finite float64 values of at least ``low``, and an array must
+    be numeric, finite and of the given ``shape``.  ``nullable`` admits
+    None.  Values come back unchanged (arrays as float64), so a resumed
+    run stays bitwise.  Raises :class:`DataError` reading
+    ``"<key>: <problem>"``.
+    """
+    if not isinstance(state, dict) or key not in state:
+        raise DataError(f"{key}: missing")
+    value = state[key]
+    if value is None and nullable:
+        return None
+    if kind is np.ndarray:
+        try:
+            arr = np.asarray(value)
+            numeric = arr.dtype.kind in "iuf"
+        except ValueError:  # ragged nesting
+            numeric = False
+        if not numeric:
+            raise DataError(f"{key}: expected a numeric array")
+        if arr.shape != shape:
+            raise DataError(f"{key}: expected shape {shape}, got {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise DataError(f"{key}: non-finite entries")
+        return arr.astype(np.float64)
+    if (not isinstance(value, (int, float) if kind is float else kind)
+            or isinstance(value, bool) != (kind is bool)
+            or kind in (int, float) and not abs(value) <= sys.float_info.max):
+        raise DataError(f"{key}: expected {kind.__name__}, got {value!r}")
+    if low is not None and value < low:
+        raise DataError(f"{key}: must be >= {low}, got {value!r}")
+    return value
+
+
+def load_state_part(state, key, loader):
+    """``loader(state[key])`` for a nested snapshot payload; a
+    :class:`DataError` it raises is renamed to the field ``key.<field>``."""
+    part = state_field(state, key, dict)
+    try:
+        return loader(part)
+    except DataError as exc:
+        raise DataError(f"{key}.{exc}") from None
 
 
 def as_sym_matrix(a, *, dim=None, tol=1e-8):

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geomedian import GeometricMedianSGD, RowUpdates, StepSchedule, weiszfeld
-from .linalg import as_sample, as_sym_matrix, as_vector
+from .errors import DataError
+from .geomedian import GeometricMedianSGD, RowUpdates, StepSchedule, load_schedule, weiszfeld
+from .linalg import as_sample, as_sym_matrix, as_vector, load_state_part, state_field
 
-# Entries above this trigger the rescaled update path; keeps every
+# Above this largest entry the step rescales c by it, which keeps every
 # intermediate product (including squared squared-norms) inside float64.
 _HUGE_ENTRY = 1e70
 # Recompute the cached squared Frobenius norm exactly every so often so
@@ -53,11 +54,13 @@ class MedianCovariationSGD(RowUpdates):
         |c c^T - V|_F^2 = |c|^4 - 2 c^T V c + |V|_F^2
 
     and the squared norm |V|_F^2 is carried incrementally, so one update
-    costs O(d^2).
+    costs O(d^2).  One step serves every scale: past 1e70 it works on
+    c / max|c_i|, so |c|^4 never overflows, and the PSD clip holds there
+    as everywhere else.
     """
 
     def __init__(self, dim, *, median_schedule=None, cov_schedule=None,
-                 psd_mode=True, known_median=None, v0=None):
+                 psd_mode=True, known_median=None):
         d = int(dim)
         if d < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
@@ -70,13 +73,9 @@ class MedianCovariationSGD(RowUpdates):
         else:
             self._known_m = None
             self._median = GeometricMedianSGD(dim=d, schedule=median_schedule)
-        if v0 is None:
-            v = np.zeros((d, d))
-        else:
-            v = as_sym_matrix(v0, dim=d)
-        self._v = v.copy()
-        self._vbar = v.copy()
-        self._fro2 = float(np.tensordot(self._v, self._v))
+        self._v = np.zeros((d, d))
+        self._vbar = np.zeros((d, d))
+        self._fro2 = 0.0
         self._n = 0
         # scratch buffers so the hot loop never allocates
         self._c = np.empty(d)
@@ -91,10 +90,6 @@ class MedianCovariationSGD(RowUpdates):
     def n_updates(self):
         """Number of matrix updates taken so far."""
         return self._n
-
-    @property
-    def joint(self):
-        return self._median is not None
 
     @property
     def iterate(self):
@@ -127,17 +122,12 @@ class MedianCovariationSGD(RowUpdates):
             if not self._median.initialized:
                 self._median.update(x)
                 return self
-            np.subtract(x, self._median._mbar, out=c)
+            np.subtract(x, self._median.estimate, out=c)
             self._median.update(x)
         else:
             np.subtract(x, self._known_m, out=c)
 
-        gamma = self.cov_schedule.gamma(self._n + 1)
-        mx = float(np.abs(c).max()) if self._d else 0.0
-        if mx > _HUGE_ENTRY:
-            self._huge_step(gamma, mx)
-        else:
-            self._plain_step(gamma)
+        self._step(self.cov_schedule.gamma(self._n + 1))
         self._n += 1
         np.subtract(self._v, self._vbar, out=self._buf)
         self._buf /= self._n
@@ -146,43 +136,28 @@ class MedianCovariationSGD(RowUpdates):
             self._fro2 = float(np.tensordot(self._v, self._v))
         return self
 
-    def _plain_step(self, gamma):
+    def _step(self, gamma):
+        # With u = c / scale, |Y - V|_F = scale^2 * D for
+        # D = sqrt(|u|^4 - 2 u^T V u / scale^2 + |V|_F^2 / scale^4), so the
+        # move (1 - t) V + t c c^T, t = step / |Y - V|_F, is
+        # (1 - t) V + (step / D) u u^T, and the PSD clip caps step at
+        # scale^2 * D.  If scale^2 rounds to inf, the clip cannot bind and
+        # t underflows to 0 harmlessly.
         c = self._c
-        np.dot(self._v, c, out=self._vc)
-        cvc = float(c @ self._vc)
-        s = float(c @ c)
-        dist2 = s * s - 2.0 * cvc + self._fro2
-        dist = float(np.sqrt(dist2)) if dist2 > 0.0 else 0.0
-        if dist == 0.0:
-            return  # observation's target coincides with the iterate
-        geff = min(gamma, dist) if self.psd_mode else gamma
-        t = geff / dist
-        omt = 1.0 - t
-        np.outer(c, c, out=self._buf)
-        self._v *= omt
-        self._buf *= t
-        self._v += self._buf
-        self._fro2 = omt * omt * self._fro2 + 2.0 * t * omt * cvc + t * t * s * s
-
-    def _huge_step(self, gamma, mx):
-        # Same update written in terms of u = c / mx so that no product
-        # overflows: |Y - V|_F = mx^2 * D with
-        # D = sqrt(|u|^4 - 2 u^T V u / mx^2 + |V|_F^2 / mx^4) ~ |u|^2 >= 1.
-        c = self._c
-        c /= mx
+        mx = float(np.abs(c).max())
+        scale = mx if mx > _HUGE_ENTRY else 1.0
+        c /= scale
         np.dot(self._v, c, out=self._vc)
         uvu = float(c @ self._vc)
         su = float(c @ c)
-        m2 = mx * mx  # may round to inf; only ever divides
-        inner = su * su - 2.0 * (uvu / m2) + (self._fro2 / m2) / m2
-        dmat = float(np.sqrt(max(inner, 0.0)))
-        if dmat == 0.0:  # only reachable if the iterate itself is astronomical
-            return
-        # the distance mx^2 * dmat >= mx^2 / 2 dwarfs any step size, so
-        # the PSD clip never binds here
-        t_shrink = gamma / (m2 * dmat)  # underflows to 0 harmlessly
-        t_gain = gamma / dmat
-        omt = 1.0 - t_shrink
+        s2 = scale * scale
+        inner = su * su - 2.0 * (uvu / s2) + (self._fro2 / s2) / s2
+        dmat = float(np.sqrt(inner)) if inner > 0.0 else 0.0
+        if dmat == 0.0:
+            return  # the observation's target coincides with the iterate
+        step = min(gamma, s2 * dmat) if self.psd_mode else gamma
+        t_gain = step / dmat
+        omt = 1.0 - step / (s2 * dmat)
         np.outer(c, c, out=self._buf)
         self._v *= omt
         self._buf *= t_gain
@@ -212,16 +187,24 @@ class MedianCovariationSGD(RowUpdates):
 
     @classmethod
     def from_state_dict(cls, state):
-        schedule = StepSchedule(state["cov_c"], state["cov_alpha"])
-        known = state.get("known_median") if state["mode"] == "known" else None
-        est = cls(state["dim"], cov_schedule=schedule,
-                  psd_mode=state["psd_mode"], known_median=known)
-        if state["mode"] == "joint":
-            est._median = GeometricMedianSGD.from_state_dict(state["median"])
-        est._v = np.asarray(state["v"], dtype=np.float64)
-        est._vbar = np.asarray(state["vbar"], dtype=np.float64)
-        est._fro2 = float(state["fro2"])
-        est._n = int(state["n"])
+        d = state_field(state, "dim", int, low=1)
+        mode = state_field(state, "mode", str)
+        if mode not in ("joint", "known"):
+            raise DataError(f"mode: expected 'joint' or 'known', got {mode!r}")
+        known = state_field(state, "known_median", np.ndarray, (d,)) if mode == "known" else None
+        est = cls(d, cov_schedule=load_schedule(state, "cov_c", "cov_alpha"),
+                  psd_mode=state_field(state, "psd_mode", bool), known_median=known)
+        if mode == "joint":
+            est._median = load_state_part(state, "median", GeometricMedianSGD.from_state_dict)
+            if est._median.dim != d:
+                raise DataError(f"median.dim: expected {d}, got {est._median.dim}")
+        est._v = state_field(state, "v", np.ndarray, (d, d))
+        est._vbar = state_field(state, "vbar", np.ndarray, (d, d))
+        for key, mat in (("v", est._v), ("vbar", est._vbar)):
+            if not np.array_equal(mat, mat.T):  # every update keeps exact symmetry
+                raise DataError(f"{key}: not symmetric")
+        est._fro2 = float(state_field(state, "fro2", float))
+        est._n = state_field(state, "n", int, low=0)
         return est
 
 

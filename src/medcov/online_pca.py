@@ -1,5 +1,5 @@
 """Recursive tracking of the leading eigenvectors of an evolving
-symmetric matrix.
+symmetric matrix, and the streaming robust PCA pipeline that drives it.
 
 A full eigendecomposition per observation would cost O(d^3); the tracker
 instead runs one averaged power-type step per observation on q carrier
@@ -11,13 +11,21 @@ followed by a deflation pass (sequential Gram-Schmidt, written back into
 the carriers) that keeps the q directions from collapsing onto the top
 eigenvector.  The carrier u_j converges to lambda_j e_j, so its norm
 estimates the eigenvalue and its direction the eigenvector.
+
+:class:`StreamingRobustPCA` steps the tracker against the averaged MCM;
+its ``state_dict`` is the snapshot that ``fit-stream`` resumes from.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import as_sym_matrix, as_vector
+from .errors import ConfigError, DataError
+from .linalg import as_sym_matrix, as_vector, load_state_part, state_field
+from .mcm import MedianCovariationSGD
+
+SNAPSHOT_FORMAT = "medcov-snapshot"
+SNAPSHOT_VERSION = 1
 
 _COLLAPSE_EPS = 1e-12
 _DISTINCT_EPS = 1e-10
@@ -51,10 +59,12 @@ class OnlineEigenTracker:
     warm-up each call to :meth:`step` performs one update against the
     current matrix.
 
-    A carrier whose norm collapses below 1e-12 is replaced by a fresh
-    random unit vector orthogonal to the carriers before it; the number
-    of such reinitializations is returned by :meth:`step` and tallied in
-    :attr:`n_reinits`.
+    A carrier whose norm collapses below 1e-12 during deflation is
+    replaced by a fresh random unit vector orthogonal to the carriers
+    before it; the number of such reinitializations is returned by
+    :meth:`step` and tallied in :attr:`n_reinits`.  Carriers therefore
+    always enter a step with norm at least 1e-12, and
+    :meth:`from_state_dict` rejects a payload that breaks this.
     """
 
     def __init__(self, dim, q, *, seed=0):
@@ -151,11 +161,6 @@ class OnlineEigenTracker:
         r = self._raw
         reinits = 0
         norms = np.linalg.norm(r, axis=1)
-        for j in range(self._q):
-            if norms[j] < _COLLAPSE_EPS:
-                r[j] = self._fresh_unit(r[:j])
-                norms[j] = 1.0
-                reinits += 1
         g = 1.0 / (self._n + 1)
         w = r / norms[:, None]  # pre-step normalized carriers
         r *= 1.0 - g
@@ -219,11 +224,110 @@ class OnlineEigenTracker:
 
     @classmethod
     def from_state_dict(cls, state):
-        tracker = cls(state["dim"], state["q"], seed=state["seed"])
-        tracker._n = int(state["n"])
-        tracker._rng_draws = int(state["rng_draws"])
-        tracker._reinits = int(state["reinits"])
-        if state["raw"] is not None:
-            tracker._raw = np.asarray(state["raw"], dtype=np.float64)
-        tracker._warmup = [np.asarray(u, dtype=np.float64) for u in state["warmup"]]
+        d = state_field(state, "dim", int, low=1)
+        q = state_field(state, "q", int, low=1)
+        if q > d:
+            raise DataError(f"q: must be <= dim = {d}, got {q}")
+        tracker = cls(d, q, seed=state_field(state, "seed", int))
+        tracker._n = state_field(state, "n", int, low=0)
+        tracker._rng_draws = state_field(state, "rng_draws", int, low=0)
+        tracker._reinits = state_field(state, "reinits", int, low=0)
+        raw = state_field(state, "raw", np.ndarray, (q, d), nullable=True)
+        if raw is not None and np.linalg.norm(raw, axis=1).min() < _COLLAPSE_EPS:
+            raise DataError(f"raw: a carrier has norm below {_COLLAPSE_EPS:g}")
+        tracker._raw = raw
+        warmup = state_field(state, "warmup", list)
+        limit = 0 if raw is not None else q - 1
+        if len(warmup) > limit:
+            raise DataError(f"warmup: expected at most {limit} vectors, got {len(warmup)}")
+        if warmup:
+            tracker._warmup = list(state_field(state, "warmup", np.ndarray, (len(warmup), d)))
         return tracker
+
+
+class StreamingRobustPCA:
+    """Joint one-pass pipeline: median + MCM recursion feeding the
+    online eigenvector tracker.
+
+    The tracker warms up on the first q numerically distinct centered
+    observations (centered at the running median average), holds until
+    the averaged MCM has absorbed ``eigen_lag`` updates, and then takes
+    one step per observation against the running averaged MCM.
+
+    The lag matters: the tracker's first step has gain 1, i.e. it is a
+    full power step onto the averaged matrix of that moment, and the
+    averaging gain 1/(n+1) forgets the starting basis only like 1/n.
+    Starting against a matrix that has seen too few observations locks
+    noise in for a long stretch of the stream.  The default lag of one
+    update per dimension is a pilot-calibrated compromise; pass 0 to
+    start tracking immediately.
+    """
+
+    def __init__(self, dim, q, *, median_schedule=None, cov_schedule=None,
+                 psd_mode=True, known_median=None, eigen_seed=0,
+                 eigen_lag=None):
+        self.mcm = MedianCovariationSGD(
+            dim,
+            median_schedule=median_schedule,
+            cov_schedule=cov_schedule,
+            psd_mode=psd_mode,
+            known_median=known_median,
+        )
+        self.tracker = OnlineEigenTracker(dim, q, seed=eigen_seed)
+        lag = int(dim) if eigen_lag is None else int(eigen_lag)
+        if lag < 0:
+            raise ConfigError(f"eigen_lag must be >= 0, got {eigen_lag}")
+        self._eigen_lag = lag
+        self._rows = 0
+
+    @property
+    def rows(self):
+        """Observations consumed (including the one that seeds the median)."""
+        return self._rows
+
+    @property
+    def eigen_lag(self):
+        """MCM updates absorbed before the tracker takes its first step."""
+        return self._eigen_lag
+
+    def update(self, x):
+        self.mcm.update(x)
+        self._rows += 1
+        if self.mcm.n_updates < 1:
+            return self
+        if not self.tracker.ready:
+            self.tracker.offer(np.asarray(x, dtype=np.float64) - self.mcm.median_estimate)
+        elif self.mcm.n_updates > self._eigen_lag:
+            # the live average: mcm.estimate would copy d x d per row
+            self.tracker.step(self.mcm._vbar)
+        return self
+
+    def state_dict(self):
+        return {
+            "format": SNAPSHOT_FORMAT,
+            "version": SNAPSHOT_VERSION,
+            "rows": self._rows,
+            "eigen_lag": self._eigen_lag,
+            "mcm": self.mcm.state_dict(),
+            "tracker": self.tracker.state_dict(),
+        }
+
+    @classmethod
+    def from_state_dict(cls, state):
+        """Rebuild the pipeline from a snapshot payload.
+
+        Raises :class:`DataError` naming the first field that is missing,
+        mistyped, misshapen or non-finite (``mcm.v``, ``tracker.q``, ...).
+        """
+        if state.get("format") != SNAPSHOT_FORMAT:
+            raise DataError(f"format: not a medcov snapshot: {state.get('format')!r}")
+        if state.get("version") != SNAPSHOT_VERSION:
+            raise DataError(f"version: unsupported snapshot version {state.get('version')!r}")
+        model = cls.__new__(cls)
+        model.mcm = load_state_part(state, "mcm", MedianCovariationSGD.from_state_dict)
+        model.tracker = load_state_part(state, "tracker", OnlineEigenTracker.from_state_dict)
+        if model.tracker.dim != model.mcm.dim:
+            raise DataError(f"tracker.dim: expected {model.mcm.dim}, got {model.tracker.dim}")
+        model._eigen_lag = state_field(state, "eigen_lag", int, low=0)
+        model._rows = state_field(state, "rows", int, low=0)
+        return model

@@ -1,10 +1,12 @@
 """Reference oracles for the tests: slow, transparently correct versions
-of what the package computes with LAPACK.
+of what the package computes with LAPACK or fused updates.
 
 ``sym_eigen`` is a cyclic Jacobi eigensolver sharing the package's
 eigenvector sign convention, so its pairs compare directly with
 ``medcov.linalg.eigh_descending``; ``projector`` builds U U^T from an
-arbitrary basis by Gram-Schmidt.
+arbitrary basis by Gram-Schmidt; ``dense_mcm_recursion`` runs the MCM
+recursion on explicit d x d targets, the reference any faster MCM
+kernel must match.
 """
 
 from typing import NamedTuple
@@ -116,3 +118,43 @@ def projector(basis):
             )
         u[i] = w / piv
     return u.T @ u
+
+
+def dense_mcm_recursion(xs, cov_schedule, *, psd_mode=True, median_schedule=None,
+                        known_median=None):
+    """Reference for ``MedianCovariationSGD``: one pass that materializes
+    each target Y = c c^T and the distance |Y - V|_F, and returns the
+    averaged iterate Vbar.
+
+    With ``known_median`` None the median runs jointly: the first row
+    only seeds it, and each later row is centered at the median average
+    from before that row's own median step.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    d = xs.shape[1]
+    v = np.zeros((d, d))
+    vbar = np.zeros((d, d))
+    m = mbar = None
+    n = k = 0
+    for x in xs:
+        if known_median is not None:
+            c = x - known_median
+        elif m is None:
+            m, mbar = x.copy(), x.copy()
+            continue
+        else:
+            c = x - mbar
+            gap = float(np.linalg.norm(x - m))
+            if gap > 0.0:
+                m = m + median_schedule.gamma(k + 1) / gap * (x - m)
+            k += 1
+            mbar = mbar + (m - mbar) / k
+        y = np.outer(c, c)
+        dist = float(np.linalg.norm(y - v))
+        if dist > 0.0:
+            gamma = cov_schedule.gamma(n + 1)
+            step = min(gamma, dist) if psd_mode else gamma
+            v = v + step / dist * (y - v)
+        n += 1
+        vbar = vbar + (v - vbar) / n
+    return vbar

@@ -1,8 +1,10 @@
 """Benchmark harness: Monte Carlo tables, convergence curves, CSV streaming,
 snapshots, and determinism guarantees."""
 
+import importlib.util
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,3 +314,19 @@ def test_snapshot_rejects_foreign_payload(tmp_path):
     good = StreamingRobustPCA(3, 1).state_dict()
     with pytest.raises(DataError, match="version"):
         StreamingRobustPCA.from_state_dict({**good, "version": 99})
+
+
+# ---------------------------------------------------------------------------
+# benchmark trace points
+
+def test_perfbench_trace_points_resolve():
+    # The tracer silently skips a callable the package no longer has, so
+    # a moved name would zero its per-layer metric without any error.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    patches = tracer.layer_patches()
+    missing = [(owner.__name__, attr) for owner, attr, _, _ in patches
+               if attr not in vars(owner)]
+    assert patches and not missing

@@ -121,6 +121,50 @@ def test_fit_stream_resume_matches_single_pass(tmp_path, capsys):
     assert snap_resumed.read_bytes() == snap_full.read_bytes()
 
 
+_DROP = object()
+
+# (field named in the error, path into the snapshot, corrupt value)
+_CORRUPT_SNAPSHOTS = [
+    ("mcm", ("mcm",), _DROP),
+    ("tracker", ("tracker",), _DROP),
+    ("mcm.n", ("mcm", "n"), "x"),
+    ("mcm.fro2", ("mcm", "fro2"), float("inf")),
+    ("mcm.psd_mode", ("mcm", "psd_mode"), "on"),
+    ("mcm.cov_c/cov_alpha", ("mcm", "cov_alpha"), 2.0),
+    ("mcm.v", ("mcm", "v"), [[1.0, 0.0], [0.0, 1.0]]),
+    ("mcm.vbar", ("mcm", "vbar"), [[float("nan")] * 3] * 3),
+    ("mcm.vbar", ("mcm", "vbar"), [[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    ("mcm.median.mbar", ("mcm", "median", "mbar"), [0.0, 1.0]),
+    ("mcm.median.n", ("mcm", "median", "n"), -1),
+    ("tracker.q", ("tracker", "q"), 5),
+    ("tracker.raw", ("tracker", "raw"), [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+    ("tracker.raw", ("tracker", "raw"), [[1.0, 0.0, 0.0], [0.0, 1.0]]),
+    ("tracker.warmup", ("tracker", "warmup"), [[1.0, 0.0, 0.0]]),
+    ("rows", ("rows",), True),
+]
+
+
+@pytest.mark.parametrize("field,path,value", _CORRUPT_SNAPSHOTS,
+                         ids=[c[0].replace("/", "-") for c in _CORRUPT_SNAPSHOTS])
+def test_fit_stream_corrupt_snapshot_is_data_error(tmp_path, capsys, field, path, value):
+    csv, _ = sample_csv(tmp_path, "d.csv", 20, seed=8)
+    snap = tmp_path / "snap.json"
+    assert run_cli(capsys, "fit-stream", "--in", csv, "--out", str(snap))[0] == 0
+    state = json.loads(snap.read_text())
+    node = state
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    snap.write_text(json.dumps(state))
+    rc, out, err = run_cli(capsys, "fit-stream", "--in", csv, "--resume", str(snap))
+    assert rc == 3
+    assert out == ""
+    assert f"data error: {snap}: snapshot field {field}:" in err
+
+
 # ---------------------------------------------------------------------------
 # fit-weiszfeld
 
@@ -141,6 +185,19 @@ def test_fit_weiszfeld_iteration_cap_is_numerical_failure(tmp_path, capsys):
                          "--max-iter", "1")
     assert rc == 4
     assert "numerical failure" in err
+
+
+def test_fit_weiszfeld_overflow_stops_at_once(tmp_path, capsys):
+    # one row at 1e200 overflows the rank-one distances: the first
+    # non-finite sweep ends the solve instead of 1000 NaN sweeps
+    data = np.random.default_rng(4).standard_normal((200, 5))
+    data[7] *= 1e200
+    path = tmp_path / "wild.csv"
+    write_csv(path, data)
+    with np.errstate(all="ignore"):
+        rc, _, err = run_cli(capsys, "fit-weiszfeld", "--in", str(path))
+    assert rc == 4
+    assert "numerical failure: Weiszfeld iterate overflowed" in err
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,11 @@ from medcov import (
     ConvergenceError,
     GeometricMedianSGD,
     MedianCovariationSGD,
+    ScenarioConfig,
     StepSchedule,
     StreamingCovariance,
     brownian_cov,
+    draw_sample,
     eigh_descending,
     gaussian_factor,
     frob_norm,
@@ -19,8 +21,9 @@ from medcov import (
     weiszfeld_mcm,
     weiszfeld_median,
 )
+from medcov.bench import calibrated_schedules
 from medcov.mcm import _entrywise_median
-from oracles import projector
+from oracles import dense_mcm_recursion, projector
 
 # For the symmetric cross {e1, -e1, e2, -e2} centered at 0 the MCM is
 # gamma*I by symmetry; 1e-6-resolution brute force over gamma (objective
@@ -209,6 +212,55 @@ def test_huge_observations_stay_finite():
     assert np.all(np.isfinite(est.iterate))
     est.update([0.3, -0.2])
     assert np.all(np.isfinite(est.estimate))
+
+
+def _mixed_stream(rng, d, n):
+    """Heavy-tailed rows with a run of repeated rows and a repeated pair."""
+    x = rng.standard_t(2, size=(n, d))
+    start = int(rng.integers(1, n - 12))
+    x[start:start + 10] = x[start]
+    x[n // 2] = x[n // 2 - 1]
+    return x
+
+
+@pytest.mark.parametrize("joint", [True, False], ids=["joint", "known"])
+@pytest.mark.parametrize("psd_mode", [True, False], ids=["psd", "raw"])
+def test_matches_dense_recursion(psd_mode, joint):
+    # the fused O(d^2) step against the recursion on explicit targets
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 12))
+        x = _mixed_stream(rng, d, 300)
+        ms, cs = calibrated_schedules(d) if seed % 2 else (StepSchedule(), StepSchedule())
+        known = None if joint else np.zeros(d)
+        est = MedianCovariationSGD(d, median_schedule=ms, cov_schedule=cs,
+                                   psd_mode=psd_mode, known_median=known)
+        vbar = est.update_many(x).estimate
+        ref = dense_mcm_recursion(x, cs, psd_mode=psd_mode, median_schedule=ms,
+                                  known_median=known)
+        assert frob_norm(vbar - ref) <= 1e-10 * frob_norm(ref), seed
+
+
+def test_rescaled_step_is_the_plain_step_scaled():
+    # Rows times 2^240 pass 1e70 and take the rescaled step; with the
+    # constants scaled to match (2^240 for the median, 2^480 for the MCM)
+    # the recursion is exactly scale-equivariant, PSD clip included, so
+    # Vbar must come out times 2^480 up to the rounding of the rescale.
+    # The clip binds somewhere in seeds 2, 4 (known) and 5 (joint).
+    d, big = 6, 2.0 ** 240
+    ms, cs = calibrated_schedules(d)
+    for seed in range(6):
+        x = draw_sample(ScenarioConfig(d=d, delta=0.1, contamination="student_t2",
+                                       seed=seed), 400)
+        for known in (None, np.zeros(d)):
+            plain = MedianCovariationSGD(d, median_schedule=ms, cov_schedule=cs,
+                                         known_median=known).update_many(x).estimate
+            scaled = MedianCovariationSGD(
+                d, median_schedule=StepSchedule(ms.c * big, ms.alpha),
+                cov_schedule=StepSchedule(cs.c * big * big, cs.alpha), known_median=known,
+            ).update_many(x * big).estimate
+            err = frob_norm(scaled / big / big - plain) / frob_norm(plain)
+            assert err <= 1e-12, (seed, known is None, err)
 
 
 def test_update_many_validates_shape():

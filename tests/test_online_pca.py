@@ -12,7 +12,8 @@ from medcov import (
     gaussian_factor,
     pc_scores,
 )
-from medcov.bench import StreamingRobustPCA, calibrated_schedules
+from medcov.bench import calibrated_schedules
+from medcov.online_pca import StreamingRobustPCA
 from oracles import projector, sym_eigen
 
 
