@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, DataError, MedcovError
+from .errors import ConfigError, DataError, MedcovError, NumericalError
 from .geomedian import RowUpdates, StepSchedule, weiszfeld_median
 from .linalg import eigh_descending
 from .mcm import MedianCovariationSGD, weiszfeld_mcm
@@ -132,10 +132,6 @@ class StreamingCovariance(RowUpdates):
         self._n = 0
         self._mean = np.zeros(d)
         self._scatter = np.zeros((d, d))
-
-    @property
-    def n(self):
-        return self._n
 
     @property
     def mean(self):
@@ -500,7 +496,7 @@ def convergence_curve(cfg, checkpoints, *, psd_mode=True, eigen_lag=None,
              for r in range(cfg.replications)]
     results = [res for res in _pool_map(_curve_replication, tasks, workers) if res is not None]
     if not results:
-        raise MedcovError("every curve replication failed")
+        raise NumericalError("every curve replication failed")
     points = []
     for t in checkpoints:
         for series in CURVE_SERIES:

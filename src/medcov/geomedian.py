@@ -84,17 +84,14 @@ class GeometricMedianSGD(RowUpdates):
     but still advances the counter and the average.
     """
 
-    def __init__(self, dim=None, schedule=None, m0=None):
+    def __init__(self, dim, schedule=None):
+        self._dim = int(dim)
+        if self._dim < 1:
+            raise ValueError(f"dimension must be >= 1, got {dim}")
         self.schedule = schedule if schedule is not None else StepSchedule()
-        self._dim = None if dim is None else int(dim)
         self._m = None
         self._mbar = None
         self._n = 0
-        if m0 is not None:
-            m0 = as_vector(m0, dim=self._dim)
-            self._dim = m0.shape[0]
-            self._m = m0.copy()
-            self._mbar = m0.copy()
 
     @property
     def dim(self):
@@ -121,7 +118,6 @@ class GeometricMedianSGD(RowUpdates):
     def update(self, x):
         x = as_vector(x, dim=self._dim)
         if self._m is None:
-            self._dim = x.shape[0]
             self._m = x.copy()
             self._mbar = x.copy()
             return self
@@ -146,8 +142,8 @@ class GeometricMedianSGD(RowUpdates):
 
     @classmethod
     def from_state_dict(cls, state):
-        dim = state_field(state, "dim", int, low=1, nullable=True)
-        est = cls(dim=dim, schedule=load_schedule(state, "c", "alpha"))
+        dim = state_field(state, "dim", int, low=1)
+        est = cls(dim, schedule=load_schedule(state, "c", "alpha"))
         est._m = state_field(state, "m", np.ndarray, (dim,), nullable=True)
         if est._m is not None:
             est._mbar = state_field(state, "mbar", np.ndarray, (dim,))

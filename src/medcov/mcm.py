@@ -103,12 +103,6 @@ class MedianCovariationSGD(RowUpdates):
         return self._vbar.copy()
 
     @property
-    def median_iterate(self):
-        if self._median is not None:
-            return self._median.iterate
-        return self._known_m.copy()
-
-    @property
     def median_estimate(self):
         """Center used for the next observation (averaged median or the known one)."""
         if self._median is not None:
@@ -203,7 +197,10 @@ class MedianCovariationSGD(RowUpdates):
         for key, mat in (("v", est._v), ("vbar", est._vbar)):
             if not np.array_equal(mat, mat.T):  # every update keeps exact symmetry
                 raise DataError(f"{key}: not symmetric")
-        est._fro2 = float(state_field(state, "fro2", float))
+        est._fro2 = float(state_field(state, "fro2", float, low=0.0))
+        exact = float(np.tensordot(est._v, est._v))
+        if abs(est._fro2 - exact) > 1e-8 * exact + 1e-300:  # drift is ~1e-14; floor for V = 0
+            raise DataError(f"fro2: {est._fro2!r} disagrees with |v|_F^2 = {exact!r}")
         est._n = state_field(state, "n", int, low=0)
         return est
 

@@ -10,7 +10,9 @@ vectors,
 followed by a deflation pass (sequential Gram-Schmidt, written back into
 the carriers) that keeps the q directions from collapsing onto the top
 eigenvector.  The carrier u_j converges to lambda_j e_j, so its norm
-estimates the eigenvalue and its direction the eigenvector.
+estimates the eigenvalue and its direction the eigenvector.  The
+tracker takes Vbar as given and checks only its shape: the MCM owns
+Vbar's exact symmetry (its update keeps it, its loader checks it).
 
 :class:`StreamingRobustPCA` steps the tracker against the averaged MCM;
 its ``state_dict`` is the snapshot that ``fit-stream`` resumes from.
@@ -21,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .linalg import as_sym_matrix, as_vector, load_state_part, state_field
+from .linalg import as_vector, load_state_part, state_field
 from .mcm import MedianCovariationSGD
 
 SNAPSHOT_FORMAT = "medcov-snapshot"
@@ -126,6 +128,8 @@ class OnlineEigenTracker:
         if self.ready:
             raise RuntimeError("tracker is already initialized")
         v = as_vector(centered_x, dim=self._d).copy()
+        if not np.isfinite(np.linalg.norm(v)):  # |v|^2 overflows past ~1e154
+            v /= np.abs(v).max()
         for row in self._warmup:
             v -= (row @ v) * row
         norm = float(np.linalg.norm(v))
@@ -150,14 +154,18 @@ class OnlineEigenTracker:
         self._warmup = []
 
     def step(self, v_bar):
-        """One tracking update against the current matrix.
+        """One tracking update against ``v_bar``: a finite, exactly
+        symmetric (d, d) operand supporting ``w @ v_bar``, used as given
+        (the MCM's average always is; pass ``as_sym_matrix(m)`` for a
+        nearly symmetric ``m``).  Only its shape is checked.
 
         Returns the number of carriers that collapsed and were
         reinitialized during this update (normally 0).
         """
         if not self.ready:
             raise RuntimeError("tracker not initialized: warm-up incomplete")
-        v_bar = as_sym_matrix(v_bar, dim=self._d)
+        if v_bar.shape != (self._d, self._d):
+            raise ValueError(f"expected a {self._d}x{self._d} matrix, got shape {v_bar.shape}")
         r = self._raw
         reinits = 0
         norms = np.linalg.norm(r, axis=1)

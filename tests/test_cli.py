@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from medcov import weiszfeld_median, write_csv
+from medcov import bench as _bench
 from medcov import cli
 from medcov.cli import main
 
@@ -141,11 +142,15 @@ _CORRUPT_SNAPSHOTS = [
     ("tracker.raw", ("tracker", "raw"), [[1.0, 0.0, 0.0], [0.0, 1.0]]),
     ("tracker.warmup", ("tracker", "warmup"), [[1.0, 0.0, 0.0]]),
     ("rows", ("rows",), True),
+    # the carried |V|_F^2 must agree with mcm.v (drift is ~1e-14 at most)
+    pytest.param("mcm.fro2", ("mcm", "fro2"), 1e300, id="mcm.fro2-huge"),
+    pytest.param("mcm.fro2", ("mcm", "fro2"), -5.0, id="mcm.fro2-negative"),
 ]
 
 
 @pytest.mark.parametrize("field,path,value", _CORRUPT_SNAPSHOTS,
-                         ids=[c[0].replace("/", "-") for c in _CORRUPT_SNAPSHOTS])
+                         ids=[getattr(c, "id", None) or c[0].replace("/", "-")
+                              for c in _CORRUPT_SNAPSHOTS])
 def test_fit_stream_corrupt_snapshot_is_data_error(tmp_path, capsys, field, path, value):
     csv, _ = sample_csv(tmp_path, "d.csv", 20, seed=8)
     snap = tmp_path / "snap.json"
@@ -163,6 +168,23 @@ def test_fit_stream_corrupt_snapshot_is_data_error(tmp_path, capsys, field, path
     assert rc == 3
     assert out == ""
     assert f"data error: {snap}: snapshot field {field}:" in err
+
+
+def test_fit_stream_survives_a_huge_warmup_row(tmp_path, capsys):
+    # |x|^2 overflows past ~1e154: the tracker's warm-up must still give a
+    # finite carrier, so the report is finite and the snapshot resumes
+    data = np.random.default_rng(11).standard_normal((40, 4))
+    data[2] *= 1e200
+    path = tmp_path / "huge.csv"
+    write_csv(path, data)
+    snap = tmp_path / "snap.json"
+    with np.errstate(over="ignore"):
+        rc, out, _ = run_cli(capsys, "fit-stream", "--in", str(path), "--q", "2",
+                             "--eigen-lag", "0", "--out", str(snap))
+        assert rc == 0
+        assert np.all(np.isfinite(json.loads(out)["eigenvalues"]))
+        rc, _, err = run_cli(capsys, "fit-stream", "--in", str(path), "--resume", str(snap))
+    assert (rc, err) == (0, "")
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +269,15 @@ def test_curve_prints_table(capsys):
     lines = out.splitlines()
     assert lines[0] == "checkpoint,series,mean_R,reps"
     assert len(lines) == 1 + 2 * 4  # two checkpoints, four series
+
+
+def test_curve_with_every_replication_failed_is_numerical_failure(capsys, monkeypatch):
+    monkeypatch.delenv(_bench.WORKERS_ENV, raising=False)
+    monkeypatch.setattr(_bench, "_curve_replication", lambda task: None)
+    rc, out, err = run_cli(capsys, "curve", "--d", "4", "--n", "50", "--reps", "2",
+                           "--q", "1", "--checkpoints", "20,50")
+    assert (rc, out) == (4, "")
+    assert err == "medcov: numerical failure: every curve replication failed\n"
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ def test_schedule_index_starts_at_one():
 
 def test_single_step_from_origin():
     # from m_0 = 0 with gamma_1 = 2, observing (1,0) lands at (2,0)
-    est = GeometricMedianSGD(m0=np.zeros(2))
+    est = GeometricMedianSGD(2).update(np.zeros(2))
     est.update([1.0, 0.0])
     np.testing.assert_allclose(est.iterate, [2.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(est.estimate, [2.0, 0.0], atol=1e-15)
@@ -79,7 +79,7 @@ def test_single_step_from_origin():
 
 
 def test_degenerate_observation_moves_only_average():
-    est = GeometricMedianSGD(m0=np.array([1.0, 2.0]))
+    est = GeometricMedianSGD(2).update([1.0, 2.0])
     est.update([4.0, 2.0])
     before = est.iterate.copy()
     n = est.n_updates
@@ -90,7 +90,7 @@ def test_degenerate_observation_moves_only_average():
 
 def test_constant_stream_is_fixed_point():
     p = np.array([3.0, -1.0, 2.0])
-    est = GeometricMedianSGD(m0=p)
+    est = GeometricMedianSGD(3).update(p)
     for _ in range(50):
         est.update(p)
     np.testing.assert_array_equal(est.iterate, p)
@@ -106,9 +106,17 @@ def test_first_observation_seeds_without_counting():
     np.testing.assert_array_equal(est.iterate, [1.0, 2.0, 3.0])
 
 
+def test_dimension_is_required_and_positive():
+    with pytest.raises(TypeError):
+        GeometricMedianSGD()
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            GeometricMedianSGD(bad)
+
+
 def test_step_length_equals_gamma():
     rng = np.random.default_rng(0)
-    est = GeometricMedianSGD(m0=np.zeros(4))
+    est = GeometricMedianSGD(4).update(np.zeros(4))
     for n in range(1, 200):
         prev = est.iterate.copy()
         est.update(rng.standard_normal(4))
@@ -118,7 +126,7 @@ def test_step_length_equals_gamma():
 
 def test_average_matches_direct_mean():
     rng = np.random.default_rng(1)
-    est = GeometricMedianSGD(m0=np.zeros(3))
+    est = GeometricMedianSGD(3).update(np.zeros(3))
     iterates = []
     for _ in range(1000):
         est.update(rng.standard_normal(3) + 5.0)

@@ -125,7 +125,7 @@ def test_joint_mode_first_observation_seeds_median():
     est = MedianCovariationSGD(3)
     est.update([1.0, 2.0, 3.0])
     assert est.n_updates == 0
-    np.testing.assert_array_equal(est.median_iterate, [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(est.median_estimate, [1.0, 2.0, 3.0])
 
 
 def test_joint_mode_centers_at_previous_average():

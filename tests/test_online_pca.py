@@ -13,6 +13,7 @@ from medcov import (
     pc_scores,
 )
 from medcov.bench import calibrated_schedules
+from medcov.linalg import as_sym_matrix
 from medcov.online_pca import StreamingRobustPCA
 from oracles import projector, sym_eigen
 
@@ -36,6 +37,19 @@ def test_warmup_requires_distinct_observations():
     assert not t.offer([2.0, 0.0, 0.0])  # dependent: ignored
     assert t.offer([1.0, 1.0, 0.0])
     np.testing.assert_allclose(t.basis, [[1, 0, 0], [0, 1, 0]], atol=1e-12)
+
+
+def test_warmup_normalizes_huge_rows():
+    # |v|^2 overflows once entries pass ~1e154; the carrier must still be
+    # the row's unit direction, not v / inf = 0 (NaN after the first step)
+    t = OnlineEigenTracker(3, 2)
+    with np.errstate(over="ignore"):
+        assert not t.offer([1e200, 0.0, 0.0])
+        assert not t.offer([-3e250, 0.0, 0.0])  # dependent at every scale
+        assert t.offer([3e307, 4e307, 0.0])
+    np.testing.assert_array_equal(t.basis, [[1, 0, 0], [0, 1, 0]])
+    t.step(np.diag([3.0, 2.0, 1.0]))
+    np.testing.assert_allclose(t.eigenvalues, [3.0, 2.0])
 
 
 def test_offer_after_ready_is_an_error():
@@ -100,6 +114,17 @@ def test_collapsed_carrier_is_reinitialized():
     assert t.n_reinits == 1
     b = t.basis
     np.testing.assert_allclose(b @ b.T, np.eye(2), atol=1e-10)
+
+
+@pytest.mark.parametrize("shape", [(3, 1), (1, 3), (3, 4), (4, 4), (3,), (9,)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_step_rejects_wrong_shape_without_changing_state(shape):
+    # a (3, 1) column would otherwise broadcast into every carrier
+    t = tracker_with_raw([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]], n=4)
+    before = t.state_dict()
+    with pytest.raises(ValueError, match="expected a 3x3 matrix"):
+        t.step(np.ones(shape))
+    assert t.state_dict() == before
 
 
 def test_power_iteration_example():
@@ -217,3 +242,40 @@ def test_online_tracks_batch_eigenspace():
     pairs = sym_eigen(vbar)
     jac = projector([p.vector for p in pairs[:3]])
     assert frob_norm(jac - batch) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# the pipeline steps on the live average as it is
+
+def mixed_stream(rng, n, d):
+    """Gaussian rows with every 7th row x1e75 and a run of 12 repeated rows."""
+    xs = rng.standard_normal((n, d)) * rng.uniform(0.5, 3.0, d)
+    xs[::7] *= 1e75
+    xs[n // 2:n // 2 + 12] = xs[n // 2]
+    return xs
+
+
+@pytest.mark.parametrize("known", [False, True], ids=["joint", "known"])
+@pytest.mark.parametrize("psd", [True, False], ids=["psd", "raw"])
+def test_step_on_live_average_matches_symmetrized_copy(psd, known):
+    # a clone of the pipeline's tracker, stepped on as_sym_matrix(Vbar),
+    # stays bitwise equal: Vbar is exactly symmetric, so the check the
+    # tracker no longer makes would change nothing
+    for q in (1, 2, 3):
+        for seed in range(3):
+            rng = np.random.default_rng([q, seed])
+            d = int(rng.integers(q + 1, 9))
+            model = StreamingRobustPCA(d, q, psd_mode=psd, eigen_seed=seed,
+                                       known_median=np.zeros(d) if known else None,
+                                       eigen_lag=int(rng.integers(0, 2 * d)))
+            clone = None
+            for x in mixed_stream(rng, 300, d):
+                model.update(x)
+                if clone is None:
+                    if model.tracker.ready:
+                        clone = OnlineEigenTracker.from_state_dict(model.tracker.state_dict())
+                elif model.tracker.n_steps > clone.n_steps:
+                    clone.step(as_sym_matrix(model.mcm.estimate))
+                    assert np.array_equal(clone.raw, model.tracker.raw)
+            assert clone is not None and clone.n_steps > 200
+            assert np.all(np.isfinite(model.tracker.raw))
