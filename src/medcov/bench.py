@@ -75,7 +75,7 @@ def _write_csv_stream(fh, rows, header):
     if header:
         fh.write(",".join(f"x{j + 1}" for j in range(rows.shape[1])) + "\n")
     for row in rows:
-        fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def iter_csv_rows(path, *, skip_header=False):
@@ -96,22 +96,26 @@ def iter_csv_rows(path, *, skip_header=False):
                 raise DataError(
                     f"{path}: line {line_no}: expected {dim} columns, got {len(cells)}"
                 )
-            vec = np.empty(len(cells))
-            for col, cell in enumerate(cells):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: line {line_no}, column {col + 1}: "
-                        f"not a number: {cell.strip()!r}"
-                    ) from None
-                if not np.isfinite(value):
-                    raise DataError(
-                        f"{path}: line {line_no}, column {col + 1}: "
-                        f"non-finite value {cell.strip()!r}"
-                    )
-                vec[col] = value
+            try:
+                vec = np.array([float(cell) for cell in cells])
+            except ValueError:
+                vec = None
+            if vec is None or not np.isfinite(vec).all():
+                raise _cell_error(path, line_no, cells)
             yield line_no, vec
+
+
+def _cell_error(path, line_no, cells):
+    """The :class:`DataError` naming the first cell of a row that is not a
+    finite float."""
+    for col, cell in enumerate(cells, start=1):
+        try:
+            if np.isfinite(float(cell)):
+                continue
+            problem = f"non-finite value {cell.strip()!r}"
+        except ValueError:
+            problem = f"not a number: {cell.strip()!r}"
+        return DataError(f"{path}: line {line_no}, column {col}: {problem}")
 
 
 # ---------------------------------------------------------------------------
@@ -524,9 +528,9 @@ def write_curve(points, path):
 # Streaming fit of a CSV file
 
 def save_snapshot(state, path):
+    # json.dumps runs the C encoder; json.dump streams through the Python one
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state, fh)
-        fh.write("\n")
+        fh.write(json.dumps(state) + "\n")
 
 
 def load_snapshot(path):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DataError, NumericalError
-from .linalg import as_sample, as_vector, state_field
+from .linalg import as_sample, as_vector, state_field, vector_norm
 
 _WEISZFELD_CLAMP = 1e-12
 
@@ -122,7 +122,7 @@ class GeometricMedianSGD(RowUpdates):
             self._mbar = x.copy()
             return self
         diff = x - self._m
-        dist = float(np.linalg.norm(diff))
+        dist = vector_norm(diff)  # finite for rows past 1e154 too
         if dist > 0.0:
             gamma = self.schedule.gamma(self._n + 1)
             self._m += (gamma / dist) * diff

@@ -8,6 +8,8 @@ exact symmetry.
 
 from __future__ import annotations
 
+import base64
+import math
 import sys
 
 import numpy as np
@@ -39,16 +41,57 @@ def as_sample(points):
     return pts
 
 
+def vector_norm(v):
+    """Euclidean norm of a finite 1-D float64 array, bit for bit
+    ``np.linalg.norm(v)`` wherever that is finite.
+
+    Only when ``v @ v`` overflows (entries past about 1e154) is it
+    recomputed from ``v / max|v_i|``, so the result is finite whenever the
+    norm itself is, and the common path costs one comparison.  ``np.vdot``
+    runs the same BLAS dot as ``np.linalg.norm`` without an overflow
+    warning, and faster.
+    """
+    norm = math.sqrt(np.vdot(v, v))
+    if norm == math.inf:
+        scale = float(np.abs(v).max())
+        norm = scale * math.sqrt(np.vdot(v / scale, v / scale))
+    return norm
+
+
+def pack_array(a):
+    """Snapshot text of a float64 array: base64 of its little-endian bytes
+    in C order.  :func:`state_field` reads it back bit for bit."""
+    raw = np.ascontiguousarray(a, dtype="<f8").tobytes()
+    return base64.b64encode(raw).decode("ascii")
+
+
+def _unpack_array(key, text, shape):
+    size = math.prod(shape)
+    expected = 4 * -(-8 * size // 3)  # checked before decoding anything
+    if len(text) != expected:
+        raise DataError(
+            f"{key}: expected {expected} base64 characters for shape {shape}, got {len(text)}"
+        )
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:  # binascii.Error, or a non-ASCII character
+        raise DataError(f"{key}: not base64 text") from None
+    if len(raw) != 8 * size:  # too few padding characters
+        raise DataError(f"{key}: expected {8 * size} bytes, got {len(raw)}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape)
+
+
 def state_field(state, key, kind, shape=None, *, low=None, nullable=False):
     """Checked read of ``state[key]`` from a loaded snapshot payload.
 
     ``kind`` is ``int``, ``float`` (which admits ints), ``bool``, ``str``,
     ``dict`` or ``np.ndarray``; a bool passes only as ``bool``, numbers
     must be finite float64 values of at least ``low``, and an array must
-    be numeric, finite and of the given ``shape``.  ``nullable`` admits
-    None.  Values come back unchanged (arrays as float64), so a resumed
-    run stays bitwise.  Raises :class:`DataError` reading
-    ``"<key>: <problem>"``.
+    be numeric, finite and of the given ``shape``.  An array is a nested
+    list or the :func:`pack_array` text, whose length is checked before
+    it is decoded.  ``nullable`` admits None.  Values come back unchanged
+    (arrays as float64), so a resumed run stays bitwise.  Raises
+    :class:`DataError` reading ``"<key>: <problem>"``.
     """
     if not isinstance(state, dict) or key not in state:
         raise DataError(f"{key}: missing")
@@ -56,15 +99,18 @@ def state_field(state, key, kind, shape=None, *, low=None, nullable=False):
     if value is None and nullable:
         return None
     if kind is np.ndarray:
-        try:
-            arr = np.asarray(value)
-            numeric = arr.dtype.kind in "iuf"
-        except ValueError:  # ragged nesting
-            numeric = False
-        if not numeric:
-            raise DataError(f"{key}: expected a numeric array")
-        if arr.shape != shape:
-            raise DataError(f"{key}: expected shape {shape}, got {arr.shape}")
+        if isinstance(value, str):
+            arr = _unpack_array(key, value, shape)
+        else:
+            try:
+                arr = np.asarray(value)
+                numeric = arr.dtype.kind in "iuf"
+            except ValueError:  # ragged nesting
+                numeric = False
+            if not numeric:
+                raise DataError(f"{key}: expected a numeric array")
+            if arr.shape != shape:
+                raise DataError(f"{key}: expected shape {shape}, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise DataError(f"{key}: non-finite entries")
         return arr.astype(np.float64)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DataError
 from .geomedian import GeometricMedianSGD, RowUpdates, StepSchedule, load_schedule, weiszfeld
-from .linalg import as_sample, as_sym_matrix, as_vector, load_state_part, state_field
+from .linalg import as_sample, as_sym_matrix, as_vector, load_state_part, pack_array, state_field
 
 # Above this largest entry the step rescales c by it, which keeps every
 # intermediate product (including squared squared-norms) inside float64.
@@ -168,8 +168,8 @@ class MedianCovariationSGD(RowUpdates):
             "cov_alpha": self.cov_schedule.alpha,
             "n": self._n,
             "fro2": self._fro2,
-            "v": self._v.tolist(),
-            "vbar": self._vbar.tolist(),
+            "v": pack_array(self._v),
+            "vbar": pack_array(self._vbar),
         }
         if self._median is not None:
             state["mode"] = "joint"

@@ -23,11 +23,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .linalg import as_vector, load_state_part, state_field
+from .linalg import as_vector, load_state_part, state_field, vector_norm
 from .mcm import MedianCovariationSGD
 
 SNAPSHOT_FORMAT = "medcov-snapshot"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 _COLLAPSE_EPS = 1e-12
 _DISTINCT_EPS = 1e-10
@@ -47,7 +47,7 @@ def pc_scores(x, center, basis):
     z = x - center
     scores = b @ z
     resid = z - b.T @ scores
-    return scores, float(np.linalg.norm(resid))
+    return scores, vector_norm(resid)
 
 
 class OnlineEigenTracker:
@@ -322,14 +322,16 @@ class StreamingRobustPCA:
 
     @classmethod
     def from_state_dict(cls, state):
-        """Rebuild the pipeline from a snapshot payload.
+        """Rebuild the pipeline from a snapshot payload of version 2 or
+        of version 1, which stores ``mcm.v`` and ``mcm.vbar`` as nested
+        lists instead of packed text.
 
         Raises :class:`DataError` naming the first field that is missing,
         mistyped, misshapen or non-finite (``mcm.v``, ``tracker.q``, ...).
         """
         if state.get("format") != SNAPSHOT_FORMAT:
             raise DataError(f"format: not a medcov snapshot: {state.get('format')!r}")
-        if state.get("version") != SNAPSHOT_VERSION:
+        if state.get("version") not in (1, SNAPSHOT_VERSION):
             raise DataError(f"version: unsupported snapshot version {state.get('version')!r}")
         model = cls.__new__(cls)
         model.mcm = load_state_part(state, "mcm", MedianCovariationSGD.from_state_dict)

@@ -6,14 +6,15 @@ eigenvector sign convention, so its pairs compare directly with
 ``medcov.linalg.eigh_descending``; ``projector`` builds U U^T from an
 arbitrary basis by Gram-Schmidt; ``dense_mcm_recursion`` runs the MCM
 recursion on explicit d x d targets, the reference any faster MCM
-kernel must match.
+kernel must match; ``csv_rows_per_cell`` parses a CSV one cell at a
+time, the reference for ``medcov.bench.iter_csv_rows``.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from medcov.errors import ConvergenceError
+from medcov.errors import ConvergenceError, DataError
 from medcov.linalg import _fix_signs, as_sym_matrix, frob_norm
 
 
@@ -158,3 +159,36 @@ def dense_mcm_recursion(xs, cov_schedule, *, psd_mode=True, median_schedule=None
         n += 1
         vbar = vbar + (v - vbar) / n
     return vbar
+
+
+def csv_rows_per_cell(path, *, skip_header=False):
+    """Reference for ``iter_csv_rows``: yields (line_number, vector), each
+    cell parsed and checked on its own; the same DataError messages."""
+    with open(path, "r", encoding="utf-8") as fh:
+        dim = None
+        for line_no, line in enumerate(fh, start=1):
+            if skip_header and line_no == 1:
+                continue
+            cells = line.rstrip("\n").split(",")
+            if dim is None:
+                dim = len(cells)
+            elif len(cells) != dim:
+                raise DataError(
+                    f"{path}: line {line_no}: expected {dim} columns, got {len(cells)}"
+                )
+            vec = np.empty(len(cells))
+            for col, cell in enumerate(cells):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise DataError(
+                        f"{path}: line {line_no}, column {col + 1}: "
+                        f"not a number: {cell.strip()!r}"
+                    ) from None
+                if not np.isfinite(value):
+                    raise DataError(
+                        f"{path}: line {line_no}, column {col + 1}: "
+                        f"non-finite value {cell.strip()!r}"
+                    )
+                vec[col] = value
+            yield line_no, vec

@@ -1,6 +1,7 @@
 """Benchmark harness: Monte Carlo tables, convergence curves, CSV streaming,
 snapshots, and determinism guarantees."""
 
+import base64
 import importlib.util
 import json
 import os
@@ -29,6 +30,9 @@ from medcov import (
     write_csv,
     write_report,
 )
+from oracles import csv_rows_per_cell
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def write_rows(path, rows):
@@ -107,6 +111,60 @@ def test_csv_roundtrip_preserves_values(tmp_path):
     rows = list(iter_csv_rows(path, skip_header=True))
     assert [line for line, _ in rows] == list(range(2, 22))
     np.testing.assert_array_equal(np.array([v for _, v in rows]), data)
+
+
+def test_write_csv_writes_each_value_as_its_shortest_repr(tmp_path):
+    values = np.array([[0.1, -0.0, 5e-324, np.finfo(float).max],
+                       [1e22, -1.5e-7, 3.0, 2.0 / 3.0]])
+    path = tmp_path / "values.csv"
+    write_csv(path, values, header=True)
+    expected = "x1,x2,x3,x4\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in values)
+    assert path.read_text(encoding="utf-8") == expected
+
+
+# (file text, skip_header): rows that parse in one call, and rows whose
+# error must name the same line and column as the per-cell parser
+_CSV_EDGE_CASES = {
+    "underscore": ("1_000,2\n3,4\n", False),
+    "padded": (" 1.5 ,2\n3, 4.5 \n", False),
+    "bare-point": ("+.5,-.5\n", False),
+    "nan": ("1,2\n3,nan\n", False),
+    "inf": ("1,2\n-inf,4\n", False),
+    "overflow": ("1,1e400\n", False),
+    "empty-cell": ("1,2\n3,\n", False),
+    "bad-then-nan": ("oops,nan\n", False),
+    "nan-then-bad": ("nan,oops\n", False),
+    "fullwidth-digits": ("\uff11\uff12,\u0663\n4,5\n", False),
+    "ragged": ("1,2\n3,4,5\n", False),
+    "header-skipped": ("x1,x2\n1,2\n", True),
+    "header-read": ("x1,x2\n1,2\n", False),
+    "trailing-blank": ("1,2\n3,4\n\n", False),
+    "crlf": ("1,2\r\n3,4\r\n", False),
+    "extremes": ("-0.0,5e-324,1.7976931348623157e308\n", False),
+    "single-column": ("1\n2\n", False),
+}
+
+
+def _drain(rows):
+    """Everything a CSV reader yields, then its DataError message if any."""
+    out = []
+    try:
+        for line_no, vec in rows:
+            out.append((line_no, vec.dtype.str, vec.tobytes()))
+    except DataError as exc:
+        out.append(str(exc))
+    return out
+
+
+@pytest.mark.parametrize("text,skip_header", list(_CSV_EDGE_CASES.values()),
+                         ids=list(_CSV_EDGE_CASES))
+def test_iter_csv_rows_matches_the_per_cell_parser(tmp_path, text, skip_header):
+    path = tmp_path / "edge.csv"
+    path.write_bytes(text.encode("utf-8"))
+    ours = _drain(iter_csv_rows(path, skip_header=skip_header))
+    assert ours == _drain(csv_rows_per_cell(path, skip_header=skip_header))
+    assert ours  # every case yields a row or raises
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +357,43 @@ def test_snapshot_roundtrip_and_size_independent_of_n(tmp_path):
     # state is a fixed set of counters/matrices: 10x more rows may only
     # change a few decimal digit widths, never grow with n
     assert sizes[2000] <= 1.05 * sizes[200]
+
+
+def test_snapshot_v2_packs_the_mcm_matrices(tmp_path):
+    est = StreamingRobustPCA(4, 2, eigen_seed=0)
+    for x in np.random.default_rng(6).standard_normal((30, 4)):
+        est.update(x)
+    path = tmp_path / "snap.json"
+    save_snapshot(est.state_dict(), str(path))
+    state = load_snapshot(str(path))
+    assert state["version"] == 2
+    for key, mat in (("v", est.mcm.iterate), ("vbar", est.mcm.estimate)):
+        raw = base64.b64decode(state["mcm"][key], validate=True)
+        assert raw == mat.astype("<f8").tobytes(order="C")
+    assert path.read_text(encoding="utf-8") == json.dumps(est.state_dict()) + "\n"
+
+
+def test_snapshot_v1_resumes_as_its_own_version_did():
+    # tests/data: a d=3 snapshot in format version 1 (nested lists), a
+    # tail CSV, and version 1's own resume of that snapshot on the tail
+    head = load_snapshot(str(DATA / "snapshot_v1_d3.json"))
+    assert head["version"] == 1 and isinstance(head["mcm"]["v"], list)
+    loaded = StreamingRobustPCA.from_state_dict(head)
+    assert np.array_equal(loaded.mcm.iterate, head["mcm"]["v"])
+    assert np.array_equal(loaded.mcm.estimate, head["mcm"]["vbar"])
+
+    snapshot, _ = fit_stream(str(DATA / "snapshot_v1_d3_tail.csv"),
+                             resume=str(DATA / "snapshot_v1_d3.json"))
+    assert snapshot["version"] == 2
+    ours = StreamingRobustPCA.from_state_dict(snapshot)
+    theirs = StreamingRobustPCA.from_state_dict(
+        load_snapshot(str(DATA / "snapshot_v1_d3_resumed.json")))
+    for model in (ours, theirs):
+        assert model.rows == 40 and model.tracker.ready
+    pairs = [(m.mcm.iterate, m.mcm.estimate, m.mcm.median_estimate,
+              m.mcm._median.iterate, m.tracker.raw) for m in (ours, theirs)]
+    assert all(np.array_equal(a, b) for a, b in zip(*pairs))
+    assert ours.state_dict() == theirs.state_dict()
 
 
 def test_snapshot_rejects_foreign_payload(tmp_path):

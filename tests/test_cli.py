@@ -1,17 +1,21 @@
 """Command-line interface: subcommands, config files, exit codes."""
 
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import medcov
 from medcov import weiszfeld_median, write_csv
 from medcov import bench as _bench
 from medcov import cli
 from medcov.cli import main
+from medcov.linalg import pack_array
 
 
 def run_cli(capsys, *argv):
@@ -145,6 +149,14 @@ _CORRUPT_SNAPSHOTS = [
     # the carried |V|_F^2 must agree with mcm.v (drift is ~1e-14 at most)
     pytest.param("mcm.fro2", ("mcm", "fro2"), 1e300, id="mcm.fro2-huge"),
     pytest.param("mcm.fro2", ("mcm", "fro2"), -5.0, id="mcm.fro2-negative"),
+    # snapshot v2 packs mcm.v and mcm.vbar as base64 float64 (96 characters at d=3)
+    pytest.param("mcm.v", ("mcm", "v"), "!" * 96, id="mcm.v-not-base64"),
+    pytest.param("mcm.v", ("mcm", "v"), pack_array(np.eye(2)), id="mcm.v-packed-length"),
+    pytest.param("mcm.vbar", ("mcm", "vbar"), pack_array(np.full((3, 3), np.nan)),
+                 id="mcm.vbar-packed-nan"),
+    pytest.param("mcm.vbar", ("mcm", "vbar"),
+                 pack_array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+                 id="mcm.vbar-packed-asymmetric"),
 ]
 
 
@@ -185,6 +197,21 @@ def test_fit_stream_survives_a_huge_warmup_row(tmp_path, capsys):
         assert np.all(np.isfinite(json.loads(out)["eigenvalues"]))
         rc, _, err = run_cli(capsys, "fit-stream", "--in", str(path), "--resume", str(snap))
     assert (rc, err) == (0, "")
+
+
+def test_fit_stream_scores_of_a_huge_row_are_finite(tmp_path, capsys):
+    # the third row's residual has a squared norm past float64
+    data = np.random.default_rng(11).standard_normal((40, 4))
+    data[2] *= 1e200
+    path = tmp_path / "huge.csv"
+    write_csv(path, data)
+    scores = tmp_path / "scores.csv"
+    with np.errstate(over="ignore"):  # the tracker's warm-up normalizes that row
+        rc, _, _ = run_cli(capsys, "fit-stream", "--in", str(path), "--q", "2",
+                           "--scores-out", str(scores))
+    assert rc == 0
+    third = [float(cell) for cell in scores.read_text().splitlines()[3].split(",")]
+    assert len(third) == 3 and np.all(np.isfinite(third))
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +416,17 @@ def test_help_lists_exactly_the_table_flags(capsys, cmd):
 
 # ---------------------------------------------------------------------------
 # installed entry point
+
+def test_import_does_not_load_scipy():
+    # importing scipy.linalg.blas costs several times all of medcov's import
+    src = str(Path(medcov.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import medcov, sys; assert 'scipy' not in sys.modules"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
 
 def test_console_script_help():
     proc = subprocess.run([sys.executable, "-m", "medcov.cli", "--help"],

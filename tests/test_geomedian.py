@@ -1,5 +1,7 @@
 """Geometric median: streaming averaged-SGD estimator and batch Weiszfeld."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,17 @@ def test_step_length_equals_gamma():
         est.update(rng.standard_normal(4))
         step = np.linalg.norm(est.iterate - prev)
         assert step == pytest.approx(StepSchedule().gamma(n), rel=1e-12)
+
+
+def test_far_row_moves_by_exactly_gamma():
+    # |x - m|^2 overflows past ~1.3e154; the distance is then taken from
+    # the rescaled difference, so the step is still gamma_1 = 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = GeometricMedianSGD(2).update([0.0, 0.0]).update([1e200, 0.0])
+    assert est.n_updates == 1
+    np.testing.assert_array_equal(est.iterate, [2.0, 0.0])
+    np.testing.assert_array_equal(est.estimate, [2.0, 0.0])
 
 
 def test_average_matches_direct_mean():

@@ -1,12 +1,17 @@
-"""Kernel tests: coercion helpers, rank-one Frobenius geometry, and the
-reference oracles of ``oracles.py`` (Jacobi eigensolver, Gram-Schmidt
-projector) that the LAPACK paths are checked against."""
+"""Kernel tests: coercion helpers, overflow-safe norms, packed snapshot
+arrays, rank-one Frobenius geometry, and the reference oracles of
+``oracles.py`` (Jacobi eigensolver, Gram-Schmidt projector) that the
+LAPACK paths are checked against."""
+
+import base64
+import warnings
 
 import numpy as np
 import pytest
 
-from medcov import ConvergenceError, eigh_descending, frob_norm
-from medcov.linalg import as_sym_matrix, as_vector
+from medcov import ConvergenceError, DataError, eigh_descending, frob_norm
+from medcov import linalg
+from medcov.linalg import as_sym_matrix, as_vector, pack_array, state_field, vector_norm
 from medcov.mcm import _rank_one_distances
 from oracles import projector, sym_eigen
 
@@ -42,6 +47,64 @@ def test_as_sym_matrix_symmetrizes_and_rejects():
         as_sym_matrix([[1.0, np.inf], [np.inf, 3.0]])
     with pytest.raises(ValueError):
         as_sym_matrix(np.ones((2, 3)))
+
+
+def test_vector_norm_is_the_numpy_norm_below_overflow():
+    # the common path must not move a single estimate
+    rng = np.random.default_rng(6)
+    for d in (1, 5, 200, 1000):
+        for exponent in (-150, -3, 0, 3, 150):
+            v = rng.standard_normal(d) * 10.0 ** exponent
+            assert vector_norm(v) == float(np.linalg.norm(v))
+    assert vector_norm(np.zeros(3)) == 0.0
+
+
+def test_vector_norm_rescales_when_the_square_overflows():
+    v = np.random.default_rng(7).standard_normal(50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = vector_norm(v * 2.0 ** 600)
+        edge = vector_norm(np.array([1e308, 1e308]))
+    assert big == pytest.approx(float(np.linalg.norm(v)) * 2.0 ** 600, rel=1e-15)
+    assert edge == pytest.approx(np.sqrt(2.0) * 1e308, rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# packed snapshot arrays
+
+def test_pack_array_is_base64_little_endian_float64_bitwise():
+    a = np.random.default_rng(9).standard_normal((4, 4))
+    a[0, 0], a[1, 1], a[2, 2] = -0.0, 5e-324, np.finfo(float).max
+    text = pack_array(a)
+    assert len(text) == 4 * -(-8 * a.size // 3)
+    assert base64.b64decode(text) == a.astype("<f8").tobytes(order="C")
+    back = state_field({"m": text}, "m", np.ndarray, (4, 4))
+    assert back.dtype == np.float64 and back.flags.writeable
+    assert back.tobytes() == a.tobytes()
+    listed = state_field({"m": a.tolist()}, "m", np.ndarray, (4, 4))  # snapshot v1
+    assert listed.tobytes() == a.tobytes()
+
+
+def test_state_field_checks_packed_length_before_decoding(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("decoded a string of the wrong length")
+
+    monkeypatch.setattr(linalg.base64, "b64decode", refuse)
+    with pytest.raises(DataError, match=r"^m: expected 96 base64 characters "
+                                        r"for shape \(3, 3\), got 1000000$"):
+        state_field({"m": "A" * 10 ** 6}, "m", np.ndarray, (3, 3))
+
+
+@pytest.mark.parametrize("text,problem", [
+    ("!" * 24, "not base64 text"),
+    ("AAAA" * 5 + "AA=A", "not base64 text"),
+    (pack_array(np.ones(2))[:-2] + "AA", "expected 16 bytes, got 18"),
+    ("é" * 24, "not base64 text"),
+], ids=["alphabet", "inner-padding", "short-padding", "non-ascii"])
+def test_state_field_rejects_malformed_packed_text(text, problem):
+    assert len(text) == 24
+    with pytest.raises(DataError, match=f"^m: {problem}$"):
+        state_field({"m": text}, "m", np.ndarray, (2,))
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,13 @@ def test_scores_pythagoras():
         assert total == pytest.approx(float((x - c) @ (x - c)), abs=1e-10)
 
 
+def test_scores_of_an_overflowing_residual_are_finite():
+    # the residual's squared norm overflows; its norm does not
+    scores, dist = pc_scores([1e200, 2e200, 3e200, 1e200], np.zeros(4), [[1.0, 0.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(scores, [1e200])
+    assert dist == pytest.approx(np.sqrt(14.0) * 1e200, rel=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # agreement with batch decomposition on a clean stream
 
