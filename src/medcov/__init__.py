@@ -34,11 +34,10 @@ from .errors import (
 from .geomedian import (
     GeometricMedianSGD,
     StepSchedule,
-    median_objective,
     weiszfeld_median,
 )
 from .linalg import eigh_descending, frob_norm
-from .mcm import MedianCovariationSGD, mcm_objective, weiszfeld_mcm
+from .mcm import MedianCovariationSGD, weiszfeld_mcm
 from .metrics import SummaryStats, eigenspace_error, mc_summary
 from .online_pca import OnlineEigenTracker, StreamingRobustPCA, pc_scores
 from .simgen import (
@@ -84,8 +83,6 @@ __all__ = [
     "iter_csv_rows",
     "load_snapshot",
     "mc_summary",
-    "mcm_objective",
-    "median_objective",
     "pc_scores",
     "reverse_brownian_cov",
     "run_benchmark",

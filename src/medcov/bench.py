@@ -129,13 +129,10 @@ class StreamingCovariance(RowUpdates):
     """
 
     def __init__(self, dim):
-        d = int(dim)
-        if d < 1:
-            raise ValueError(f"dimension must be >= 1, got {dim}")
-        self._d = d
+        super().__init__(dim)
         self._n = 0
-        self._mean = np.zeros(d)
-        self._scatter = np.zeros((d, d))
+        self._mean = np.zeros(self._dim)
+        self._scatter = np.zeros((self._dim, self._dim))
 
     @property
     def mean(self):
@@ -147,8 +144,7 @@ class StreamingCovariance(RowUpdates):
             raise ValueError("no observations")
         return self._scatter / self._n
 
-    def update(self, x):
-        x = np.asarray(x, dtype=np.float64)
+    def _update(self, x):
         self._n += 1
         delta = x - self._mean
         self._mean += delta / self._n

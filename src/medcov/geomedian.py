@@ -56,15 +56,37 @@ def load_schedule(state, c_key, alpha_key):
 
 
 class RowUpdates:
-    """Mixin giving a streaming estimator ``update_many``: one ``update``
-    per row of a 2-D sample array."""
+    """Base of the streaming estimators: it owns their row contract.
+
+    ``dim`` is checked once, here.  ``update(x)`` checks one row with
+    :func:`as_vector` (1-D, ``dim`` long, finite) and hands it to the
+    subclass's unchecked ``_update``.  ``update_many(xs)`` checks the
+    whole block (2-D, ``dim`` wide, finite) before any state changes,
+    then runs ``_update`` on each row, so a rejected block leaves the
+    estimator as it was.  An estimator that feeds another one a row it
+    has already checked calls the inner estimator's ``_update``.
+    """
+
+    def __init__(self, dim):
+        self._dim = int(dim)
+        if self._dim < 1:
+            raise ValueError(f"dimension must be >= 1, got {dim}")
+
+    @property
+    def dim(self):
+        return self._dim
+
+    def update(self, x):
+        return self._update(as_vector(x, dim=self._dim))
 
     def update_many(self, xs):
         xs = np.asarray(xs, dtype=np.float64)
-        if xs.ndim != 2:
-            raise ValueError(f"expected a 2-D sample array, got shape {xs.shape}")
+        if xs.shape[1:] != (self._dim,):
+            raise ValueError(f"expected a 2-D sample array {self._dim} wide, got shape {xs.shape}")
+        if not np.isfinite(xs).all():
+            raise ValueError("sample contains non-finite entries")
         for row in xs:
-            self.update(row)
+            self._update(row)
         return self
 
 
@@ -85,17 +107,11 @@ class GeometricMedianSGD(RowUpdates):
     """
 
     def __init__(self, dim, schedule=None):
-        self._dim = int(dim)
-        if self._dim < 1:
-            raise ValueError(f"dimension must be >= 1, got {dim}")
+        super().__init__(dim)
         self.schedule = schedule if schedule is not None else StepSchedule()
         self._m = None
         self._mbar = None
         self._n = 0
-
-    @property
-    def dim(self):
-        return self._dim
 
     @property
     def n_updates(self):
@@ -115,8 +131,9 @@ class GeometricMedianSGD(RowUpdates):
         """Current averaged iterate (the estimator to report)."""
         return None if self._mbar is None else self._mbar.copy()
 
-    def update(self, x):
-        x = as_vector(x, dim=self._dim)
+    update = RowUpdates.update  # its own attribute: tracers wrap vars(cls)["update"]
+
+    def _update(self, x):
         if self._m is None:
             self._m = x.copy()
             self._mbar = x.copy()
@@ -149,15 +166,6 @@ class GeometricMedianSGD(RowUpdates):
             est._mbar = state_field(state, "mbar", np.ndarray, (dim,))
         est._n = state_field(state, "n", int, low=0)
         return est
-
-
-def median_objective(points, u):
-    """Summed Euclidean distances from ``u`` to the sample points."""
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2:
-        raise ValueError(f"expected a 2-D sample array, got shape {pts.shape}")
-    u = as_vector(u, dim=pts.shape[1])
-    return float(np.linalg.norm(pts - u, axis=1).sum())
 
 
 def weiszfeld_median(points, eps=1e-8, max_iter=1000):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DataError
 from .geomedian import GeometricMedianSGD, RowUpdates, StepSchedule, load_schedule, weiszfeld
-from .linalg import as_sample, as_sym_matrix, as_vector, load_state_part, pack_array, state_field
+from .linalg import as_sample, as_vector, load_state_part, pack_array, state_field
 
 # Above this largest entry the step rescales c by it, which keeps every
 # intermediate product (including squared squared-norms) inside float64.
@@ -61,10 +61,8 @@ class MedianCovariationSGD(RowUpdates):
 
     def __init__(self, dim, *, median_schedule=None, cov_schedule=None,
                  psd_mode=True, known_median=None):
-        d = int(dim)
-        if d < 1:
-            raise ValueError(f"dimension must be >= 1, got {dim}")
-        self._d = d
+        super().__init__(dim)
+        d = self._dim
         self.psd_mode = bool(psd_mode)
         self.cov_schedule = cov_schedule if cov_schedule is not None else StepSchedule()
         if known_median is not None:
@@ -83,10 +81,6 @@ class MedianCovariationSGD(RowUpdates):
         self._buf = np.empty((d, d))
 
     @property
-    def dim(self):
-        return self._d
-
-    @property
     def n_updates(self):
         """Number of matrix updates taken so far."""
         return self._n
@@ -103,21 +97,30 @@ class MedianCovariationSGD(RowUpdates):
         return self._vbar.copy()
 
     @property
+    def estimate_view(self):
+        """Read-only view of the live Vbar: no d x d copy, and it follows
+        later updates (``estimate`` is the copy to keep)."""
+        view = self._vbar.view()
+        view.flags.writeable = False
+        return view
+
+    @property
     def median_estimate(self):
         """Center used for the next observation (averaged median or the known one)."""
         if self._median is not None:
             return self._median.estimate
         return self._known_m.copy()
 
-    def update(self, x):
-        x = as_vector(x, dim=self._d)
+    update = RowUpdates.update  # its own attribute: tracers wrap vars(cls)["update"]
+
+    def _update(self, x):
         c = self._c
         if self._median is not None:
             if not self._median.initialized:
-                self._median.update(x)
+                self._median._update(x)
                 return self
-            np.subtract(x, self._median.estimate, out=c)
-            self._median.update(x)
+            np.subtract(x, self._median._mbar, out=c)  # the live average: estimate copies
+            self._median._update(x)
         else:
             np.subtract(x, self._known_m, out=c)
 
@@ -162,7 +165,7 @@ class MedianCovariationSGD(RowUpdates):
 
     def state_dict(self):
         state = {
-            "dim": self._d,
+            "dim": self._dim,
             "psd_mode": self.psd_mode,
             "cov_c": self.cov_schedule.c,
             "cov_alpha": self.cov_schedule.alpha,
@@ -215,21 +218,6 @@ def _rank_one_distances(c, s, v, fro2):
     q = np.einsum("ij,ij->i", c @ v, c)
     d2 = s * s - 2.0 * q + fro2
     return np.sqrt(np.maximum(d2, 0.0))
-
-
-def mcm_objective(points, m_hat, v):
-    """Empirical MCM objective sum_i (|Y_i - V|_F - |Y_i|_F) with
-    Y_i = (X_i - m)(X_i - m)^T.
-
-    The subtraction of |Y_i|_F keeps the population version finite for
-    heavy-tailed laws; it is a constant shift for fixed data, so the
-    minimizer is the sample MCM either way.  Note |Y_i|_F = |X_i - m|^2.
-    """
-    c = _centered(points, m_hat)
-    v = as_sym_matrix(v, dim=c.shape[1])
-    s = np.einsum("ij,ij->i", c, c)
-    fro2 = float(np.tensordot(v, v))
-    return float((_rank_one_distances(c, s, v, fro2) - s).sum())
 
 
 def weiszfeld_mcm(points, m_hat, eps=1e-8, max_iter=1000):

@@ -128,11 +128,11 @@ class OnlineEigenTracker:
         if self.ready:
             raise RuntimeError("tracker is already initialized")
         v = as_vector(centered_x, dim=self._d).copy()
-        if not np.isfinite(np.linalg.norm(v)):  # |v|^2 overflows past ~1e154
+        if np.isinf(np.vdot(v, v)):  # |v|^2 overflows past ~1e154
             v /= np.abs(v).max()
         for row in self._warmup:
             v -= (row @ v) * row
-        norm = float(np.linalg.norm(v))
+        norm = vector_norm(v)
         if norm > _DISTINCT_EPS:
             self._warmup.append(v / norm)
             if len(self._warmup) == self._q:
@@ -306,8 +306,7 @@ class StreamingRobustPCA:
         if not self.tracker.ready:
             self.tracker.offer(np.asarray(x, dtype=np.float64) - self.mcm.median_estimate)
         elif self.mcm.n_updates > self._eigen_lag:
-            # the live average: mcm.estimate would copy d x d per row
-            self.tracker.step(self.mcm._vbar)
+            self.tracker.step(self.mcm.estimate_view)
         return self
 
     def state_dict(self):

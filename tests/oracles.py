@@ -7,7 +7,9 @@ eigenvector sign convention, so its pairs compare directly with
 arbitrary basis by Gram-Schmidt; ``dense_mcm_recursion`` runs the MCM
 recursion on explicit d x d targets, the reference any faster MCM
 kernel must match; ``csv_rows_per_cell`` parses a CSV one cell at a
-time, the reference for ``medcov.bench.iter_csv_rows``.
+time, the reference for ``medcov.bench.iter_csv_rows``;
+``median_objective`` and ``mcm_objective`` are the sums the batch
+Weiszfeld solvers minimize.
 """
 
 from typing import NamedTuple
@@ -15,7 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 from medcov.errors import ConvergenceError, DataError
-from medcov.linalg import _fix_signs, as_sym_matrix, frob_norm
+from medcov.linalg import _fix_signs, as_sym_matrix, as_vector, frob_norm
+from medcov.mcm import _centered, _rank_one_distances
 
 
 class EigenPair(NamedTuple):
@@ -192,3 +195,27 @@ def csv_rows_per_cell(path, *, skip_header=False):
                     )
                 vec[col] = value
             yield line_no, vec
+
+
+def median_objective(points, u):
+    """Summed Euclidean distances from ``u`` to the sample points."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2:
+        raise ValueError(f"expected a 2-D sample array, got shape {pts.shape}")
+    u = as_vector(u, dim=pts.shape[1])
+    return float(np.linalg.norm(pts - u, axis=1).sum())
+
+
+def mcm_objective(points, m_hat, v):
+    """Empirical MCM objective sum_i (|Y_i - V|_F - |Y_i|_F) with
+    Y_i = (X_i - m)(X_i - m)^T.
+
+    The subtraction of |Y_i|_F keeps the population version finite for
+    heavy-tailed laws; it is a constant shift for fixed data, so the
+    minimizer is the sample MCM either way.  Note |Y_i|_F = |X_i - m|^2.
+    """
+    c = _centered(points, m_hat)
+    v = as_sym_matrix(v, dim=c.shape[1])
+    s = np.einsum("ij,ij->i", c, c)
+    fro2 = float(np.tensordot(v, v))
+    return float((_rank_one_distances(c, s, v, fro2) - s).sum())

@@ -23,14 +23,13 @@ from medcov import (
     convergence_curve,
     draw_sample,
     frob_norm,
-    median_objective,
-    mcm_objective,
     run_benchmark,
     save_snapshot,
     weiszfeld_mcm,
     weiszfeld_median,
 )
 from medcov.bench import report_lines
+from oracles import mcm_objective, median_objective
 
 # Frozen from a 1e-4 grid search plus local polish: the Fermat point of
 # the triangle {(0,0),(4,0),(0,3)} (objective value 6.766433).

@@ -180,6 +180,17 @@ def test_streaming_covariance_matches_batch():
     np.testing.assert_allclose(sc.covariance, np.cov(xs.T, bias=True), atol=1e-10)
 
 
+def test_streaming_covariance_rejects_bad_rows():
+    sc = StreamingCovariance(2)
+    sc.update([1.0, 5.0]).update([3.0, 5.0])
+    for bad in ([np.nan, 5.0], [2.0], [[2.0, 5.0]]):
+        with pytest.raises(ValueError):
+            sc.update(bad)
+        assert sc._n == 2
+        np.testing.assert_array_equal(sc.mean, [2.0, 5.0])
+        np.testing.assert_array_equal(sc.covariance, [[1.0, 0.0], [0.0, 0.0]])
+
+
 def test_top_q_projector_of_diagonal():
     p = top_q_projector(np.diag([5.0, 1.0, 3.0]), 2)
     np.testing.assert_allclose(p, np.diag([1.0, 0.0, 1.0]), atol=1e-12)

@@ -182,23 +182,25 @@ def test_fit_stream_corrupt_snapshot_is_data_error(tmp_path, capsys, field, path
     assert f"data error: {snap}: snapshot field {field}:" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_fit_stream_survives_a_huge_warmup_row(tmp_path, capsys):
     # |x|^2 overflows past ~1e154: the tracker's warm-up must still give a
-    # finite carrier, so the report is finite and the snapshot resumes
+    # finite carrier, so the report is finite and the snapshot resumes,
+    # all without an overflow warning
     data = np.random.default_rng(11).standard_normal((40, 4))
     data[2] *= 1e200
     path = tmp_path / "huge.csv"
     write_csv(path, data)
     snap = tmp_path / "snap.json"
-    with np.errstate(over="ignore"):
-        rc, out, _ = run_cli(capsys, "fit-stream", "--in", str(path), "--q", "2",
-                             "--eigen-lag", "0", "--out", str(snap))
-        assert rc == 0
-        assert np.all(np.isfinite(json.loads(out)["eigenvalues"]))
-        rc, _, err = run_cli(capsys, "fit-stream", "--in", str(path), "--resume", str(snap))
+    rc, out, err = run_cli(capsys, "fit-stream", "--in", str(path), "--q", "2",
+                           "--eigen-lag", "0", "--out", str(snap))
+    assert (rc, err) == (0, "")
+    assert np.all(np.isfinite(json.loads(out)["eigenvalues"]))
+    rc, _, err = run_cli(capsys, "fit-stream", "--in", str(path), "--resume", str(snap))
     assert (rc, err) == (0, "")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_fit_stream_scores_of_a_huge_row_are_finite(tmp_path, capsys):
     # the third row's residual has a squared norm past float64
     data = np.random.default_rng(11).standard_normal((40, 4))
@@ -206,10 +208,9 @@ def test_fit_stream_scores_of_a_huge_row_are_finite(tmp_path, capsys):
     path = tmp_path / "huge.csv"
     write_csv(path, data)
     scores = tmp_path / "scores.csv"
-    with np.errstate(over="ignore"):  # the tracker's warm-up normalizes that row
-        rc, _, _ = run_cli(capsys, "fit-stream", "--in", str(path), "--q", "2",
-                           "--scores-out", str(scores))
-    assert rc == 0
+    rc, _, err = run_cli(capsys, "fit-stream", "--in", str(path), "--q", "2",
+                         "--scores-out", str(scores))
+    assert (rc, err) == (0, "")
     third = [float(cell) for cell in scores.read_text().splitlines()[3].split(",")]
     assert len(third) == 3 and np.all(np.isfinite(third))
 

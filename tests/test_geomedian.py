@@ -9,9 +9,9 @@ from medcov import (
     ConvergenceError,
     GeometricMedianSGD,
     StepSchedule,
-    median_objective,
     weiszfeld_median,
 )
+from oracles import median_objective
 
 # Fermat point of the 3-4-5 triangle {(0,0),(4,0),(0,3)}, frozen from a
 # 1e-4 grid search plus Nelder-Mead polish (objective 6.766433; the unit

@@ -3,6 +3,9 @@ two-timescale), the PSD-preserving step, and batch Weiszfeld."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from medcov import (
     ConvergenceError,
@@ -17,13 +20,12 @@ from medcov import (
     gaussian_factor,
     frob_norm,
     eigenspace_error,
-    mcm_objective,
     weiszfeld_mcm,
     weiszfeld_median,
 )
 from medcov.bench import calibrated_schedules
 from medcov.mcm import _entrywise_median
-from oracles import dense_mcm_recursion, projector
+from oracles import dense_mcm_recursion, mcm_objective, projector
 
 # For the symmetric cross {e1, -e1, e2, -e2} centered at 0 the MCM is
 # gamma*I by symmetry; 1e-6-resolution brute force over gamma (objective
@@ -263,11 +265,65 @@ def test_rescaled_step_is_the_plain_step_scaled():
             assert err <= 1e-12, (seed, known is None, err)
 
 
+def _state(est):
+    """Every stored number of a streaming estimator, as a tuple of arrays."""
+    if isinstance(est, StreamingCovariance):
+        return est._n, est._mean.copy(), est._scatter.copy()
+    if isinstance(est, GeometricMedianSGD):
+        return est.n_updates, est.iterate, est.estimate
+    median = () if est._median is None else _state(est._median)
+    return (est.n_updates, est._fro2, est.iterate, est._vbar.copy()) + median
+
+
+def _same(a, b):
+    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+_ESTIMATORS = (GeometricMedianSGD, MedianCovariationSGD, StreamingCovariance,
+               lambda d: MedianCovariationSGD(d, known_median=np.zeros(d)))
+
+
 def test_update_many_validates_shape():
-    for est in (GeometricMedianSGD(3), MedianCovariationSGD(3),
-                StreamingCovariance(3)):
-        with pytest.raises(ValueError):
-            est.update_many(np.array([1.0, 2.0, 3.0]))
+    good = np.random.default_rng(0).standard_normal((4, 3))
+    nan_last, inf_last = good.copy(), good.copy()
+    nan_last[-1, 1] = np.nan
+    inf_last[-1, 2] = -np.inf
+    bad = (np.array([1.0, 2.0, 3.0]), nan_last, inf_last,
+           good[:, :2], np.hstack([good, good[:, :1]]))
+    for make in _ESTIMATORS:
+        est = make(3).update_many(good)
+        before = _state(est)
+        for xs in bad:
+            with pytest.raises(ValueError):
+                est.update_many(xs)
+            assert _same(_state(est), before), xs  # rejected before any state changes
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_update_many_is_row_by_row_or_rejected_whole(data):
+    d = 3
+    width = data.draw(st.sampled_from([d, d, d, d - 1, d + 1]), label="width")
+    xs = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(0, 6)), width),
+                              elements=st.floats(-1e6, 1e6)), label="xs")
+    if xs.size and data.draw(st.booleans(), label="poison"):
+        i = data.draw(st.integers(0, xs.shape[0] - 1))
+        j = data.draw(st.integers(0, width - 1))
+        xs[i, j] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    valid = width == d and np.isfinite(xs).all()
+    prefix = np.random.default_rng(1).standard_normal((data.draw(st.integers(0, 2)), d))
+    for make in _ESTIMATORS:
+        block, rows = make(d).update_many(prefix), make(d).update_many(prefix)
+        before = _state(block)
+        if not valid:
+            with pytest.raises(ValueError):
+                block.update_many(xs)
+            assert _same(_state(block), before)
+            continue
+        block.update_many(xs)
+        for x in xs:
+            rows.update(x)
+        assert _same(_state(block), _state(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from medcov import (
+    GeometricMedianSGD,
+    MedianCovariationSGD,
     OnlineEigenTracker,
+    StreamingCovariance,
     brownian_cov,
     eigenspace_error,
     eigh_descending,
@@ -12,6 +15,7 @@ from medcov import (
     gaussian_factor,
     pc_scores,
 )
+from medcov import bench, geomedian, linalg, mcm, online_pca
 from medcov.bench import calibrated_schedules
 from medcov.linalg import as_sym_matrix
 from medcov.online_pca import StreamingRobustPCA
@@ -39,14 +43,15 @@ def test_warmup_requires_distinct_observations():
     np.testing.assert_allclose(t.basis, [[1, 0, 0], [0, 1, 0]], atol=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_warmup_normalizes_huge_rows():
     # |v|^2 overflows once entries pass ~1e154; the carrier must still be
-    # the row's unit direction, not v / inf = 0 (NaN after the first step)
+    # the row's unit direction, not v / inf = 0 (NaN after the first step),
+    # and the overflow test itself must not warn
     t = OnlineEigenTracker(3, 2)
-    with np.errstate(over="ignore"):
-        assert not t.offer([1e200, 0.0, 0.0])
-        assert not t.offer([-3e250, 0.0, 0.0])  # dependent at every scale
-        assert t.offer([3e307, 4e307, 0.0])
+    assert not t.offer([1e200, 0.0, 0.0])
+    assert not t.offer([-3e250, 0.0, 0.0])  # dependent at every scale
+    assert t.offer([3e307, 4e307, 0.0])
     np.testing.assert_array_equal(t.basis, [[1, 0, 0], [0, 1, 0]])
     t.step(np.diag([3.0, 2.0, 1.0]))
     np.testing.assert_allclose(t.eigenvalues, [3.0, 2.0])
@@ -286,3 +291,30 @@ def test_step_on_live_average_matches_symmetrized_copy(psd, known):
                     assert np.array_equal(clone.raw, model.tracker.raw)
             assert clone is not None and clone.n_steps > 200
             assert np.all(np.isfinite(model.tracker.raw))
+
+
+def test_a_row_is_checked_once(monkeypatch):
+    # the MCM checks a row where it enters and steps its median unchecked;
+    # update_many checks its block as a whole, not row by row
+    calls = []
+
+    def counted(x, *, dim=None):
+        calls.append(dim)
+        return linalg.as_vector(x, dim=dim)
+
+    for module in (geomedian, mcm, bench, online_pca):
+        if hasattr(module, "as_vector"):
+            monkeypatch.setattr(module, "as_vector", counted)
+    rows = np.random.default_rng(3).standard_normal((30, 4))
+    model = StreamingRobustPCA(4, 2, eigen_lag=0)
+    for x in rows[:10]:
+        model.update(x)
+    assert model.tracker.n_steps > 0
+    calls.clear()
+    for x in rows[10:]:
+        model.update(x)
+    assert len(calls) == 20
+    calls.clear()
+    for est in (GeometricMedianSGD(4), MedianCovariationSGD(4), StreamingCovariance(4)):
+        est.update_many(rows)
+    assert calls == []
