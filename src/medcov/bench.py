@@ -246,9 +246,7 @@ class ReportRow:
 
 @lru_cache(maxsize=32)
 def _true_projector(d, q):
-    _, vectors = eigh_descending(brownian_cov(d))
-    u = vectors[:, :q]
-    p = u @ u.T
+    p = top_q_projector(brownian_cov(d), q)
     p.setflags(write=False)
     return p
 
@@ -401,7 +399,7 @@ def write_report(rows, path, *, cfg=None, workers=None):
         "format": "medcov-report-meta",
         "version": 1,
         "columns": list(REPORT_COLUMNS),
-        "config": None if cfg is None else _config_dict(cfg),
+        "config": None if cfg is None else dataclasses.asdict(cfg),
         "workers": workers,
         "wall_time_ms": {row.estimator: row.wall_time_ms for row in rows},
         "excluded": {row.estimator: row.excluded for row in rows},
@@ -409,12 +407,6 @@ def write_report(rows, path, *, cfg=None, workers=None):
     with open(path + ".meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")
-
-
-def _config_dict(cfg):
-    out = dataclasses.asdict(cfg)
-    out["estimators"] = list(cfg.estimators)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +542,7 @@ def fit_stream(csv_in, *, q=2, median_schedule=None, cov_schedule=None,
     the row count, the median estimate, and the top-q eigenvalue
     estimates (None until the tracker has warmed up).
 
-    ``resume`` takes a snapshot (dict or path) from a previous partial
+    ``resume`` takes the path of a snapshot from a previous partial
     pass; feeding rows 1..k, snapshotting, then resuming with rows
     k+1..n reproduces the single-pass state bit for bit.  With
     ``scores_out``, per-row principal-component scores and the
@@ -559,12 +551,11 @@ def fit_stream(csv_in, *, q=2, median_schedule=None, cov_schedule=None,
     """
     model = None
     if resume is not None:
-        from_file = isinstance(resume, (str, os.PathLike))
-        state = load_snapshot(resume) if from_file else resume
+        state = load_snapshot(resume)
         try:
             model = StreamingRobustPCA.from_state_dict(state)
         except DataError as exc:
-            raise DataError(f"{resume if from_file else 'resume'}: snapshot field {exc}") from None
+            raise DataError(f"{resume}: snapshot field {exc}") from None
         q = model.tracker.q  # the snapshot's geometry wins over the arguments
         psd_mode = model.mcm.psd_mode
     rows = 0
@@ -586,6 +577,8 @@ def fit_stream(csv_in, *, q=2, median_schedule=None, cov_schedule=None,
                 model.update(vec)
             except ValueError as exc:
                 raise DataError(f"{csv_in}: line {line_no}: {exc}") from exc
+            except NumericalError as exc:
+                raise NumericalError(f"{csv_in}: line {line_no}: {exc}") from exc
             rows += 1
             if sidecar:
                 if model.tracker.ready:

@@ -64,7 +64,9 @@ class RowUpdates:
     whole block (2-D, ``dim`` wide, finite) before any state changes,
     then runs ``_update`` on each row, so a rejected block leaves the
     estimator as it was.  An estimator that feeds another one a row it
-    has already checked calls the inner estimator's ``_update``.
+    has already checked calls the inner estimator's ``_update``.  The
+    median and the MCM raise :class:`NumericalError`, before any state
+    changes, on a row whose difference from their center overflows.
     """
 
     def __init__(self, dim):
@@ -140,6 +142,8 @@ class GeometricMedianSGD(RowUpdates):
             return self
         diff = x - self._m
         dist = vector_norm(diff)  # finite for rows past 1e154 too
+        if dist == np.inf:
+            raise NumericalError("the row minus the median iterate overflows float64")
         if dist > 0.0:
             gamma = self.schedule.gamma(self._n + 1)
             self._m += (gamma / dist) * diff

@@ -49,12 +49,13 @@ def vector_norm(v):
     recomputed from ``v / max|v_i|``, so the result is finite whenever the
     norm itself is, and the common path costs one comparison.  ``np.vdot``
     runs the same BLAS dot as ``np.linalg.norm`` without an overflow
-    warning, and faster.
+    warning, and faster.  An infinite entry gives inf, without a warning.
     """
     norm = math.sqrt(np.vdot(v, v))
     if norm == math.inf:
         scale = float(np.abs(v).max())
-        norm = scale * math.sqrt(np.vdot(v / scale, v / scale))
+        if scale < math.inf:
+            norm = scale * math.sqrt(np.vdot(v / scale, v / scale))
     return norm
 
 
@@ -159,11 +160,10 @@ def frob_norm(a):
 
 def _fix_signs(vectors):
     """Flip column signs so the first coordinate with |v_i| > 1e-12 is positive."""
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        nz = np.nonzero(np.abs(col) > _SIGN_EPS)[0]
-        if nz.size and col[nz[0]] < 0:
-            col *= -1.0
+    big = np.abs(vectors) > _SIGN_EPS
+    cols = np.arange(vectors.shape[1])
+    first = big.argmax(axis=0)  # 0 for a column with no such coordinate
+    vectors[:, big[first, cols] & (vectors[first, cols] < 0)] *= -1.0
     return vectors
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericalError
 from .geomedian import GeometricMedianSGD, RowUpdates, StepSchedule, load_schedule, weiszfeld
 from .linalg import as_sample, as_vector, load_state_part, pack_array, state_field
 
@@ -115,16 +115,18 @@ class MedianCovariationSGD(RowUpdates):
 
     def _update(self, x):
         c = self._c
-        if self._median is not None:
-            if not self._median.initialized:
-                self._median._update(x)
-                return self
-            np.subtract(x, self._median._mbar, out=c)  # the live average: estimate copies
-            self._median._update(x)
-        else:
-            np.subtract(x, self._known_m, out=c)
-
-        self._step(self.cov_schedule.gamma(self._n + 1))
+        median = self._median
+        if median is not None and not median.initialized:
+            median._update(x)
+            return self
+        # center at the median's live average (``estimate`` would copy it)
+        np.subtract(x, self._known_m if median is None else median._mbar, out=c)
+        mx = float(np.abs(c).max())
+        if mx == np.inf:
+            raise NumericalError("the row minus the center overflows float64")
+        if median is not None:
+            median._update(x)
+        self._step(self.cov_schedule.gamma(self._n + 1), mx)
         self._n += 1
         np.subtract(self._v, self._vbar, out=self._buf)
         self._buf /= self._n
@@ -133,15 +135,14 @@ class MedianCovariationSGD(RowUpdates):
             self._fro2 = float(np.tensordot(self._v, self._v))
         return self
 
-    def _step(self, gamma):
-        # With u = c / scale, |Y - V|_F = scale^2 * D for
+    def _step(self, gamma, mx):
+        # With u = c / scale, mx = max|c_i|, |Y - V|_F = scale^2 * D for
         # D = sqrt(|u|^4 - 2 u^T V u / scale^2 + |V|_F^2 / scale^4), so the
         # move (1 - t) V + t c c^T, t = step / |Y - V|_F, is
         # (1 - t) V + (step / D) u u^T, and the PSD clip caps step at
         # scale^2 * D.  If scale^2 rounds to inf, the clip cannot bind and
         # t underflows to 0 harmlessly.
         c = self._c
-        mx = float(np.abs(c).max())
         scale = mx if mx > _HUGE_ENTRY else 1.0
         c /= scale
         np.dot(self._v, c, out=self._vc)
@@ -189,20 +190,23 @@ class MedianCovariationSGD(RowUpdates):
         if mode not in ("joint", "known"):
             raise DataError(f"mode: expected 'joint' or 'known', got {mode!r}")
         known = state_field(state, "known_median", np.ndarray, (d,)) if mode == "known" else None
+        # v and vbar are read before anything d x d is allocated, so a
+        # lying dim is a misshapen v, not a huge allocation
+        v = state_field(state, "v", np.ndarray, (d, d))
+        vbar = state_field(state, "vbar", np.ndarray, (d, d))
+        for key, mat in (("v", v), ("vbar", vbar)):
+            if not np.array_equal(mat, mat.T):  # every update keeps exact symmetry
+                raise DataError(f"{key}: not symmetric")
         est = cls(d, cov_schedule=load_schedule(state, "cov_c", "cov_alpha"),
                   psd_mode=state_field(state, "psd_mode", bool), known_median=known)
         if mode == "joint":
             est._median = load_state_part(state, "median", GeometricMedianSGD.from_state_dict)
             if est._median.dim != d:
                 raise DataError(f"median.dim: expected {d}, got {est._median.dim}")
-        est._v = state_field(state, "v", np.ndarray, (d, d))
-        est._vbar = state_field(state, "vbar", np.ndarray, (d, d))
-        for key, mat in (("v", est._v), ("vbar", est._vbar)):
-            if not np.array_equal(mat, mat.T):  # every update keeps exact symmetry
-                raise DataError(f"{key}: not symmetric")
+        est._v, est._vbar = v, vbar
         est._fro2 = float(state_field(state, "fro2", float, low=0.0))
-        exact = float(np.tensordot(est._v, est._v))
-        if abs(est._fro2 - exact) > 1e-8 * exact + 1e-300:  # drift is ~1e-14; floor for V = 0
+        exact = float(np.vdot(v, v))  # inf, without a warning, if |v|_F^2 overflows
+        if exact == np.inf or abs(est._fro2 - exact) > 1e-8 * exact + 1e-300:  # V = 0 floor
             raise DataError(f"fro2: {est._fro2!r} disagrees with |v|_F^2 = {exact!r}")
         est._n = state_field(state, "n", int, low=0)
         return est

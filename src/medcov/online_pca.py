@@ -79,8 +79,8 @@ class OnlineEigenTracker:
         self._d = d
         self._q = q
         self._seed = int(seed)
-        self._raw = None
-        self._warmup = []  # orthonormal units accumulated before start
+        self._raw = np.zeros((q, d))  # carriers; warm-up fills the rows in turn
+        self._filled = 0
         self._n = 0
         self._rng_draws = 0
         self._reinits = 0
@@ -95,7 +95,7 @@ class OnlineEigenTracker:
 
     @property
     def ready(self):
-        return self._raw is not None
+        return self._filled == self._q
 
     @property
     def n_steps(self):
@@ -112,9 +112,7 @@ class OnlineEigenTracker:
             seq = np.random.SeedSequence([self._seed, self._rng_draws])
             self._rng_draws += 1
             rng = np.random.Generator(np.random.Philox(seq))
-            v = rng.standard_normal(self._d)
-            for row in prefix:
-                v -= (row @ v) / (row @ row) * row
+            v = _orthogonalize(rng.standard_normal(self._d), prefix)
             norm = float(np.linalg.norm(v))
             if norm > 1e-6:
                 return v / norm
@@ -130,28 +128,21 @@ class OnlineEigenTracker:
         v = as_vector(centered_x, dim=self._d).copy()
         if np.isinf(np.vdot(v, v)):  # |v|^2 overflows past ~1e154
             v /= np.abs(v).max()
-        for row in self._warmup:
+        for row in self._raw[:self._filled]:
             v -= (row @ v) * row
         norm = vector_norm(v)
         if norm > _DISTINCT_EPS:
-            self._warmup.append(v / norm)
-            if len(self._warmup) == self._q:
-                self._start()
+            self._raw[self._filled] = v / norm
+            self._filled += 1
         return self.ready
 
     def force_ready(self):
         """Complete the warm-up immediately, filling any open carrier
         slots with seeded random units orthogonal to the buffered ones."""
-        if self.ready:
-            return self
-        while len(self._warmup) < self._q:
-            self._warmup.append(self._fresh_unit(self._warmup))
-        self._start()
+        while not self.ready:
+            self._raw[self._filled] = self._fresh_unit(self._raw[:self._filled])
+            self._filled += 1
         return self
-
-    def _start(self):
-        self._raw = np.array(self._warmup, dtype=np.float64)
-        self._warmup = []
 
     def step(self, v_bar):
         """One tracking update against ``v_bar``: a finite, exactly
@@ -162,11 +153,9 @@ class OnlineEigenTracker:
         Returns the number of carriers that collapsed and were
         reinitialized during this update (normally 0).
         """
-        if not self.ready:
-            raise RuntimeError("tracker not initialized: warm-up incomplete")
+        r = self._carriers()
         if v_bar.shape != (self._d, self._d):
             raise ValueError(f"expected a {self._d}x{self._d} matrix, got shape {v_bar.shape}")
-        r = self._raw
         reinits = 0
         norms = np.linalg.norm(r, axis=1)
         g = 1.0 / (self._n + 1)
@@ -176,9 +165,7 @@ class OnlineEigenTracker:
         # deflation: orthogonalize each carrier against the ones before
         # it, writing the residual back so norms keep tracking lambda_j
         for j in range(self._q):
-            for i in range(j):
-                u = r[i]
-                r[j] -= (u @ r[j]) / (u @ u) * u
+            _orthogonalize(r[j], r[:j])
             if float(np.linalg.norm(r[j])) < _COLLAPSE_EPS:
                 r[j] = self._fresh_unit(r[:j])
                 reinits += 1
@@ -189,27 +176,26 @@ class OnlineEigenTracker:
         self._reinits += reinits
         return reinits
 
+    def _carriers(self):
+        if not self.ready:
+            raise RuntimeError("tracker not initialized: warm-up incomplete")
+        return self._raw
+
     @property
     def raw(self):
         """Unnormalized carriers (rows); row j converges to lambda_j e_j."""
-        if not self.ready:
-            raise RuntimeError("tracker not initialized")
-        return self._raw.copy()
+        return self._carriers().copy()
 
     @property
     def eigenvalues(self):
         """Eigenvalue estimates: carrier norms, non-increasing."""
-        if not self.ready:
-            raise RuntimeError("tracker not initialized")
-        return np.linalg.norm(self._raw, axis=1)
+        return np.linalg.norm(self._carriers(), axis=1)
 
     @property
     def basis(self):
         """Orthonormal eigenvector estimates as rows (q, d)."""
-        if not self.ready:
-            raise RuntimeError("tracker not initialized")
-        norms = np.linalg.norm(self._raw, axis=1)
-        return self._raw / norms[:, None]
+        r = self._carriers()
+        return r / np.linalg.norm(r, axis=1)[:, None]
 
     def projector(self):
         b = self.basis
@@ -226,8 +212,8 @@ class OnlineEigenTracker:
             "n": self._n,
             "rng_draws": self._rng_draws,
             "reinits": self._reinits,
-            "raw": None if self._raw is None else self._raw.tolist(),
-            "warmup": [u.tolist() for u in self._warmup],
+            "raw": self._raw.tolist() if self.ready else None,
+            "warmup": [] if self.ready else self._raw[:self._filled].tolist(),
         }
 
     @classmethod
@@ -236,21 +222,33 @@ class OnlineEigenTracker:
         q = state_field(state, "q", int, low=1)
         if q > d:
             raise DataError(f"q: must be <= dim = {d}, got {q}")
+        # the filled carrier rows (raw, or the warm-up units) are read
+        # before the (q, d) carriers are allocated
+        rows = state_field(state, "raw", np.ndarray, (q, d), nullable=True)
+        if rows is not None and min(map(vector_norm, rows)) < _COLLAPSE_EPS:
+            raise DataError(f"raw: a carrier has norm below {_COLLAPSE_EPS:g}")
+        warmup = state_field(state, "warmup", list)
+        limit = 0 if rows is not None else q - 1
+        if len(warmup) > limit:
+            raise DataError(f"warmup: expected at most {limit} vectors, got {len(warmup)}")
+        if warmup:
+            rows = state_field(state, "warmup", np.ndarray, (len(warmup), d))
         tracker = cls(d, q, seed=state_field(state, "seed", int))
         tracker._n = state_field(state, "n", int, low=0)
         tracker._rng_draws = state_field(state, "rng_draws", int, low=0)
         tracker._reinits = state_field(state, "reinits", int, low=0)
-        raw = state_field(state, "raw", np.ndarray, (q, d), nullable=True)
-        if raw is not None and np.linalg.norm(raw, axis=1).min() < _COLLAPSE_EPS:
-            raise DataError(f"raw: a carrier has norm below {_COLLAPSE_EPS:g}")
-        tracker._raw = raw
-        warmup = state_field(state, "warmup", list)
-        limit = 0 if raw is not None else q - 1
-        if len(warmup) > limit:
-            raise DataError(f"warmup: expected at most {limit} vectors, got {len(warmup)}")
-        if warmup:
-            tracker._warmup = list(state_field(state, "warmup", np.ndarray, (len(warmup), d)))
+        if rows is not None:
+            tracker._filled = len(rows)
+            tracker._raw[:len(rows)] = rows
         return tracker
+
+
+def _orthogonalize(v, rows):
+    """Subtract from ``v``, in place and in turn, its projection on each
+    of ``rows``; returns ``v``."""
+    for u in rows:
+        v -= (u @ v) / (u @ u) * u
+    return v
 
 
 class StreamingRobustPCA:
@@ -293,11 +291,6 @@ class StreamingRobustPCA:
         """Observations consumed (including the one that seeds the median)."""
         return self._rows
 
-    @property
-    def eigen_lag(self):
-        """MCM updates absorbed before the tracker takes its first step."""
-        return self._eigen_lag
-
     def update(self, x):
         self.mcm.update(x)
         self._rows += 1
@@ -334,9 +327,11 @@ class StreamingRobustPCA:
             raise DataError(f"version: unsupported snapshot version {state.get('version')!r}")
         model = cls.__new__(cls)
         model.mcm = load_state_part(state, "mcm", MedianCovariationSGD.from_state_dict)
+        # checked before the tracker allocates its (q, d) carriers
+        dim = load_state_part(state, "tracker", lambda part: state_field(part, "dim", int, low=1))
+        if dim != model.mcm.dim:
+            raise DataError(f"tracker.dim: expected {model.mcm.dim}, got {dim}")
         model.tracker = load_state_part(state, "tracker", OnlineEigenTracker.from_state_dict)
-        if model.tracker.dim != model.mcm.dim:
-            raise DataError(f"tracker.dim: expected {model.mcm.dim}, got {model.tracker.dim}")
         model._eigen_lag = state_field(state, "eigen_lag", int, low=0)
         model._rows = state_field(state, "rows", int, low=0)
         return model

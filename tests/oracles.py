@@ -9,7 +9,8 @@ recursion on explicit d x d targets, the reference any faster MCM
 kernel must match; ``csv_rows_per_cell`` parses a CSV one cell at a
 time, the reference for ``medcov.bench.iter_csv_rows``;
 ``median_objective`` and ``mcm_objective`` are the sums the batch
-Weiszfeld solvers minimize.
+Weiszfeld solvers minimize; ``fix_signs`` is the column loop that
+``medcov.linalg._fix_signs`` vectorizes.
 """
 
 from typing import NamedTuple
@@ -17,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from medcov.errors import ConvergenceError, DataError
-from medcov.linalg import _fix_signs, as_sym_matrix, as_vector, frob_norm
+from medcov.linalg import as_sym_matrix, as_vector, frob_norm
 from medcov.mcm import _centered, _rank_one_distances
 
 
@@ -26,9 +27,20 @@ class EigenPair(NamedTuple):
     vector: np.ndarray
 
 
+def fix_signs(vectors):
+    """Column by column, flip the sign so the first coordinate with
+    |v_i| > 1e-12 is positive: the reference for ``linalg._fix_signs``."""
+    for j in range(vectors.shape[1]):
+        col = vectors[:, j]
+        nz = np.nonzero(np.abs(col) > 1e-12)[0]
+        if nz.size and col[nz[0]] < 0:
+            col *= -1.0
+    return vectors
+
+
 def _sorted_pairs(values, vectors):
     order = np.argsort(-values, kind="stable")
-    vectors = _fix_signs(vectors[:, order].copy())
+    vectors = fix_signs(vectors[:, order].copy())
     return [EigenPair(float(values[j]), vectors[:, k].copy()) for k, j in enumerate(order)]
 
 

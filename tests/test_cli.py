@@ -149,6 +149,8 @@ _CORRUPT_SNAPSHOTS = [
     # the carried |V|_F^2 must agree with mcm.v (drift is ~1e-14 at most)
     pytest.param("mcm.fro2", ("mcm", "fro2"), 1e300, id="mcm.fro2-huge"),
     pytest.param("mcm.fro2", ("mcm", "fro2"), -5.0, id="mcm.fro2-negative"),
+    pytest.param("mcm.fro2", ("mcm", "v"), pack_array(np.full((3, 3), 1e200)),
+                 id="mcm.v-fro2-overflows"),
     # snapshot v2 packs mcm.v and mcm.vbar as base64 float64 (96 characters at d=3)
     pytest.param("mcm.v", ("mcm", "v"), "!" * 96, id="mcm.v-not-base64"),
     pytest.param("mcm.v", ("mcm", "v"), pack_array(np.eye(2)), id="mcm.v-packed-length"),
@@ -157,6 +159,12 @@ _CORRUPT_SNAPSHOTS = [
     pytest.param("mcm.vbar", ("mcm", "vbar"),
                  pack_array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
                  id="mcm.vbar-packed-asymmetric"),
+    # a lying dim or q meets a field of the true size before anything of
+    # the claimed size is allocated (d x d is 7.3 TiB here)
+    pytest.param("mcm.v", ("mcm", "dim"), 1000000, id="mcm.dim-huge"),
+    pytest.param("mcm.median.m", ("mcm", "median", "dim"), 1000000, id="mcm.median.dim-huge"),
+    pytest.param("tracker.dim", ("tracker", "dim"), 1000000, id="tracker.dim-huge"),
+    pytest.param("tracker.q", ("tracker", "q"), 1000000, id="tracker.q-huge"),
 ]
 
 
@@ -213,6 +221,18 @@ def test_fit_stream_scores_of_a_huge_row_are_finite(tmp_path, capsys):
     assert (rc, err) == (0, "")
     third = [float(cell) for cell in scores.read_text().splitlines()[3].split(",")]
     assert len(third) == 3 and np.all(np.isfinite(third))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in subtract:RuntimeWarning")
+def test_fit_stream_overflowing_row_is_numerical_failure(tmp_path, capsys):
+    # every cell is finite, but line 2 minus the running center is not
+    data = np.random.default_rng(12).standard_normal((10, 3))
+    data[0], data[1] = [1e308, -1e308, 1e308], [-1e308, 1e308, -1e308]
+    path = tmp_path / "edge.csv"
+    write_csv(path, data)
+    rc, out, err = run_cli(capsys, "fit-stream", "--in", str(path))
+    assert (rc, out) == (4, "")
+    assert f"numerical failure: {path}: line 2: the row minus the center overflows" in err
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from medcov import (
     ConvergenceError,
     GeometricMedianSGD,
+    NumericalError,
     StepSchedule,
     weiszfeld_median,
 )
@@ -135,6 +136,18 @@ def test_far_row_moves_by_exactly_gamma():
     assert est.n_updates == 1
     np.testing.assert_array_equal(est.iterate, [2.0, 0.0])
     np.testing.assert_array_equal(est.estimate, [2.0, 0.0])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in subtract:RuntimeWarning")
+def test_overflowing_difference_is_a_numerical_error():
+    # x - m overflows although both are finite: the row is refused
+    # before the iterate, the average or the counter moves
+    a = np.array([1e308, -1e308, 1e308])
+    est = GeometricMedianSGD(3).update(a).update(a)
+    before = est.state_dict()
+    with pytest.raises(NumericalError, match="overflows float64"):
+        est.update(-a)
+    assert est.state_dict() == before
 
 
 def test_average_matches_direct_mean():

@@ -13,7 +13,7 @@ from medcov import ConvergenceError, DataError, eigh_descending, frob_norm
 from medcov import linalg
 from medcov.linalg import as_sym_matrix, as_vector, pack_array, state_field, vector_norm
 from medcov.mcm import _rank_one_distances
-from oracles import projector, sym_eigen
+from oracles import fix_signs, projector, sym_eigen
 
 
 def random_orthogonal(d, rng):
@@ -217,6 +217,24 @@ def test_eigh_descending_matches_jacobi():
         np.testing.assert_allclose(values, [p.value for p in pairs], atol=1e-8)
         for j, p in enumerate(pairs):
             np.testing.assert_allclose(vectors[:, j], p.vector, atol=1e-7)
+
+
+def test_fix_signs_matches_the_column_loop():
+    # entries drawn from a set that straddles the 1e-12 threshold, with
+    # signed zeros and all-tiny or all-zero columns; the flip must agree
+    # bit for bit, sign bits of zeros included
+    rng = np.random.default_rng(8)
+    values = np.array([0.0, -0.0, 1e-13, -1e-13, 1e-12, -1e-12, 2e-12, -2e-12, 0.5, -3.0])
+    for _ in range(500):
+        d, k = rng.integers(1, 7, size=2)
+        scale = np.where(rng.random((d, k)) < 0.5, 1.0, rng.uniform(0.5, 1.5, size=(d, k)))
+        a = rng.choice(values, size=(d, k)) * scale
+        a[:, rng.random(k) < 0.2] = rng.choice(values[:6], size=(d, 1))
+        got, want = linalg._fix_signs(a.copy()), fix_signs(a.copy())
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    vectors = np.linalg.eigh(random_symmetric(50, rng))[1]
+    got, want = linalg._fix_signs(vectors.copy()), fix_signs(vectors.copy())
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_min_eigenvalue():

@@ -11,6 +11,7 @@ from medcov import (
     ConvergenceError,
     GeometricMedianSGD,
     MedianCovariationSGD,
+    NumericalError,
     ScenarioConfig,
     StepSchedule,
     StreamingCovariance,
@@ -281,6 +282,21 @@ def _same(a, b):
 
 _ESTIMATORS = (GeometricMedianSGD, MedianCovariationSGD, StreamingCovariance,
                lambda d: MedianCovariationSGD(d, known_median=np.zeros(d)))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in subtract:RuntimeWarning")
+@pytest.mark.parametrize("known", [False, True], ids=["joint", "known"])
+@pytest.mark.parametrize("psd_mode", [True, False], ids=["psd", "raw"])
+def test_overflowing_difference_is_a_numerical_error(psd_mode, known):
+    # every entry is finite, but x - center is not: the row is refused
+    # before the iterate, the average, the median or a counter moves
+    a = np.array([1e308, -1e308, 1e308])
+    est = MedianCovariationSGD(3, psd_mode=psd_mode, known_median=a if known else None)
+    est.update(a).update(a)
+    before = _state(est)
+    with pytest.raises(NumericalError, match="overflows float64"):
+        est.update(-a)
+    assert _same(_state(est), before)
 
 
 def test_update_many_validates_shape():

@@ -1,11 +1,20 @@
 """Online tracking of the leading eigenvectors of the evolving MCM average."""
 
+import base64
+import copy
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from medcov import (
+    DataError,
     GeometricMedianSGD,
     MedianCovariationSGD,
+    NumericalError,
     OnlineEigenTracker,
     StreamingCovariance,
     brownian_cov,
@@ -17,7 +26,7 @@ from medcov import (
 )
 from medcov import bench, geomedian, linalg, mcm, online_pca
 from medcov.bench import calibrated_schedules
-from medcov.linalg import as_sym_matrix
+from medcov.linalg import as_sym_matrix, pack_array
 from medcov.online_pca import StreamingRobustPCA
 from oracles import projector, sym_eigen
 
@@ -170,6 +179,14 @@ def test_basis_spans_match_raw_spans():
         assert frob_norm(projector(raw[:j]) - projector(b[:j])) <= 1e-8
 
 
+def test_readouts_before_ready_are_errors():
+    t = OnlineEigenTracker(3, 2)
+    t.offer([1.0, 0.0, 0.0])
+    for read in (lambda: t.raw, lambda: t.eigenvalues, lambda: t.basis):
+        with pytest.raises(RuntimeError, match="tracker not initialized"):
+            read()
+
+
 def test_state_roundtrip_continues_identically():
     rng = np.random.default_rng(2)
     t = OnlineEigenTracker(4, 2, seed=3)
@@ -293,6 +310,44 @@ def test_step_on_live_average_matches_symmetrized_copy(psd, known):
             assert np.all(np.isfinite(model.tracker.raw))
 
 
+@pytest.mark.parametrize("known", [False, True], ids=["joint", "known"])
+def test_resume_at_every_split_matches_single_pass(known):
+    # the early rows repeat, so the q=3 warm-up spans several rows and
+    # some splits land while it is partly filled
+    xs = np.random.default_rng(12).standard_normal((16, 4))
+    xs[1:4] = xs[0]
+    xs[5:7] = xs[4]
+
+    def fresh():
+        return StreamingRobustPCA(4, 3, eigen_lag=0, known_median=np.ones(4) if known else None)
+
+    full = fresh()
+    for x in xs:
+        full.update(x)
+    warmup_splits = 0
+    for k in range(len(xs) + 1):
+        head = fresh()
+        for x in xs[:k]:
+            head.update(x)
+        state = json.loads(json.dumps(head.state_dict()))
+        warmup_splits += len(state["tracker"]["warmup"]) > 0
+        model = StreamingRobustPCA.from_state_dict(state)
+        for x in xs[k:]:
+            model.update(x)
+        assert model.state_dict() == full.state_dict()
+    assert warmup_splits >= 3
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in subtract:RuntimeWarning")
+def test_overflowing_row_leaves_the_pipeline_unchanged():
+    a = np.array([1e308, -1e308, 1e308])
+    model = StreamingRobustPCA(3, 2, eigen_lag=0).update(a)
+    before = model.state_dict()
+    with pytest.raises(NumericalError, match="overflows float64"):
+        model.update(-a)
+    assert model.rows == 1 and model.state_dict() == before
+
+
 def test_a_row_is_checked_once(monkeypatch):
     # the MCM checks a row where it enters and steps its median unchecked;
     # update_many checks its block as a whole, not row by row
@@ -318,3 +373,67 @@ def test_a_row_is_checked_once(monkeypatch):
     for est in (GeometricMedianSGD(4), MedianCovariationSGD(4), StreamingCovariance(4)):
         est.update_many(rows)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# snapshot loader fuzz
+
+def _fuzz_bases():
+    """Valid snapshots: a ready joint one (d=3, q=2), one mid-warm-up
+    (d=4, q=3) and a known-median one."""
+    rng = np.random.default_rng(9)
+    ready = StreamingRobustPCA(3, 2, eigen_lag=0)
+    warming = StreamingRobustPCA(4, 3, eigen_lag=0)
+    known = StreamingRobustPCA(3, 1, known_median=np.ones(3))
+    for x in rng.standard_normal((20, 3)):
+        ready.update(x)
+        known.update(x)
+    warming.update(np.zeros(4)).update(np.ones(4)).update(np.ones(4))
+    assert ready.tracker.ready and not warming.tracker.ready
+    return [json.loads(json.dumps(m.state_dict())) for m in (ready, warming, known)]
+
+
+_FUZZ_BASES = _fuzz_bases()
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([10**6, -(2**63), 10**400])
+    | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _paths(node, prefix=()):
+    """Paths to every value below the top of a payload, list items included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _values_like(path, original):
+    """Corrupt values of the field's own size: any float64 entries in a
+    packed matrix or a nested list, so the shape checks pass."""
+    if path[-1] in ("v", "vbar") and isinstance(original, str):
+        size = len(base64.b64decode(original)) // 8
+        return hnp.arrays(np.float64, size).map(pack_array)
+    if isinstance(original, list) and original:
+        return hnp.arrays(np.float64, np.shape(original)).map(np.ndarray.tolist)
+    return st.nothing()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_snapshot_loader_raises_only_data_error(data):
+    # one field anywhere in a valid snapshot gets a wrong value: the
+    # loader either accepts it or raises DataError, never anything else
+    state = copy.deepcopy(data.draw(st.sampled_from(_FUZZ_BASES)))
+    path = data.draw(st.sampled_from(list(_paths(state))))
+    node = state
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = data.draw(_JSON_VALUES | _values_like(path, node[path[-1]]))
+    try:
+        StreamingRobustPCA.from_state_dict(state)
+    except DataError:
+        pass
