@@ -8,8 +8,6 @@ generation, and a reproducible Monte Carlo benchmark harness.
 
 from .bench import (
     ESTIMATORS,
-    CurvePoint,
-    ReportRow,
     RunConfig,
     StreamingCovariance,
     calibrated_schedules,
@@ -21,8 +19,6 @@ from .bench import (
     save_snapshot,
     top_q_projector,
     write_csv,
-    write_curve,
-    write_report,
 )
 from .errors import (
     ConfigError,
@@ -36,27 +32,21 @@ from .geomedian import (
     StepSchedule,
     weiszfeld_median,
 )
-from .linalg import eigh_descending, frob_norm
+from .linalg import frob_norm
 from .mcm import MedianCovariationSGD, weiszfeld_mcm
-from .metrics import SummaryStats, eigenspace_error, mc_summary
-from .online_pca import OnlineEigenTracker, StreamingRobustPCA, pc_scores
+from .metrics import eigenspace_error, mc_summary
+from .online_pca import OnlineEigenTracker, StreamingRobustPCA
 from .simgen import (
-    CONTAMINATIONS,
     ScenarioConfig,
     brownian_cov,
     draw_sample,
-    gaussian_factor,
-    reverse_brownian_cov,
-    singular_gaussian_factor,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CONTAMINATIONS",
     "ConfigError",
     "ConvergenceError",
-    "CurvePoint",
     "DataError",
     "ESTIMATORS",
     "GeometricMedianSGD",
@@ -64,35 +54,26 @@ __all__ = [
     "MedianCovariationSGD",
     "NumericalError",
     "OnlineEigenTracker",
-    "ReportRow",
     "RunConfig",
     "ScenarioConfig",
     "StepSchedule",
     "StreamingCovariance",
     "StreamingRobustPCA",
-    "SummaryStats",
     "brownian_cov",
     "calibrated_schedules",
     "convergence_curve",
     "draw_sample",
     "eigenspace_error",
-    "eigh_descending",
     "fit_stream",
     "frob_norm",
-    "gaussian_factor",
     "iter_csv_rows",
     "load_snapshot",
     "mc_summary",
-    "pc_scores",
-    "reverse_brownian_cov",
     "run_benchmark",
     "save_snapshot",
-    "singular_gaussian_factor",
     "top_q_projector",
     "weiszfeld_mcm",
     "weiszfeld_median",
     "write_csv",
-    "write_curve",
-    "write_report",
     "__version__",
 ]

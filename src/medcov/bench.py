@@ -373,33 +373,40 @@ def run_benchmark(cfg, *, workers=None):
     return rows
 
 
-def report_lines(rows):
-    """Report CSV lines (header + one line per row, fixed column order).
+def report_lines(rows, columns=REPORT_COLUMNS):
+    """Table CSV lines: the header, then one line per row holding the
+    row's ``columns`` attributes in order (floats in shortest round-trip
+    form).  Serves the report rows and, with ``CURVE_COLUMNS``, the
+    curve points.
 
-    Timing fields are deliberately absent so the CSV is byte-identical
-    for identical configs regardless of worker count.
+    The report's timing fields are deliberately absent so the CSV is
+    byte-identical for identical configs regardless of worker count.
     """
-    lines = [",".join(REPORT_COLUMNS)]
+    lines = [",".join(columns)]
     for row in rows:
         cells = []
-        for col in REPORT_COLUMNS:
+        for col in columns:
             value = getattr(row, col)
             cells.append(_fmt(value) if isinstance(value, float) else str(value))
         lines.append(",".join(cells))
     return lines
 
 
-def write_report(rows, path, *, cfg=None, workers=None):
+def _write_lines(path, lines):
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in lines:
+            fh.write(line + "\n")
+
+
+def write_report(rows, path, *, cfg, workers):
     """Write report rows as CSV (fixed column order, no timings) plus a
     ``<path>.meta.json`` sidecar with the config and wall-clock times."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in report_lines(rows):
-            fh.write(line + "\n")
+    _write_lines(path, report_lines(rows))
     meta = {
         "format": "medcov-report-meta",
         "version": 1,
         "columns": list(REPORT_COLUMNS),
-        "config": None if cfg is None else dataclasses.asdict(cfg),
+        "config": dataclasses.asdict(cfg),
         "workers": workers,
         "wall_time_ms": {row.estimator: row.wall_time_ms for row in rows},
         "excluded": {row.estimator: row.excluded for row in rows},
@@ -495,21 +502,8 @@ def convergence_curve(cfg, checkpoints, *, psd_mode=True, eigen_lag=None,
             mean = float(np.mean([res[t][series] for res in results]))
             points.append(CurvePoint(t, series, mean, len(results)))
     if cfg.output_path:
-        write_curve(points, cfg.output_path)
+        _write_lines(cfg.output_path, report_lines(points, CURVE_COLUMNS))
     return points
-
-
-def curve_lines(points):
-    lines = [",".join(CURVE_COLUMNS)]
-    for p in points:
-        lines.append(f"{p.checkpoint},{p.series},{_fmt(p.mean_R)},{p.reps}")
-    return lines
-
-
-def write_curve(points, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in curve_lines(points):
-            fh.write(line + "\n")
 
 
 # ---------------------------------------------------------------------------

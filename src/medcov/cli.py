@@ -183,15 +183,6 @@ def _merge_options(args):
     return opts
 
 
-def _schedules(opts):
-    try:
-        median = StepSchedule(opts["c_median"], opts["alpha"])
-        mcm = StepSchedule(opts["c_mcm"], opts["alpha"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return median, mcm
-
-
 def _require_input(opts):
     if not opts["input"]:
         raise ConfigError("an input CSV is required (--in or config key 'in')")
@@ -217,7 +208,8 @@ def _cmd_simulate(opts):
 
 
 def _cmd_fit_stream(opts):
-    median_schedule, cov_schedule = _schedules(opts)
+    median_schedule = StepSchedule(opts["c_median"], opts["alpha"])
+    cov_schedule = StepSchedule(opts["c_mcm"], opts["alpha"])
     snapshot, report = _bench.fit_stream(
         _require_input(opts),
         q=opts["q"],
@@ -261,13 +253,9 @@ def _cmd_fit_weiszfeld(opts):
 def _run_config(opts, *, replications):
     scenario = ScenarioConfig(d=opts["d"], delta=opts["delta"],
                               contamination=opts["scenario"], seed=opts["seed"])
-    try:
-        median_schedule, cov_schedule = _bench.calibrated_schedules(
-            opts["d"], c_median=opts["c_median"], c_mcm=opts["c_mcm"],
-            alpha=opts["alpha"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    median_schedule, cov_schedule = _bench.calibrated_schedules(
+        opts["d"], c_median=opts["c_median"], c_mcm=opts["c_mcm"], alpha=opts["alpha"],
+    )
     estimators = tuple(e.strip() for e in opts.get("estimators", "").split(",") if e.strip()) \
         if "estimators" in opts else _bench.ESTIMATORS
     return _bench.RunConfig(
@@ -305,7 +293,7 @@ def _cmd_curve(opts):
     points = _bench.convergence_curve(cfg, checkpoints, psd_mode=opts["psd_mode"],
                                       eigen_lag=opts["eigen_lag"])
     if not cfg.output_path:
-        for line in _bench.curve_lines(points):
+        for line in _bench.report_lines(points, _bench.CURVE_COLUMNS):
             print(line)
     return 0
 

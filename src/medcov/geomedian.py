@@ -178,8 +178,6 @@ def weiszfeld_median(points, eps=1e-8, max_iter=1000):
     Runs :func:`weiszfeld` in R^d from the coordinate-wise median.
     """
     pts = as_sample(points)
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     return weiszfeld(pts, np.median(pts, axis=0),
                      lambda x: np.linalg.norm(pts - x, axis=1),
                      lambda rows, w: w @ rows, eps, max_iter)
@@ -208,6 +206,8 @@ def weiszfeld(rows, x0, dists, wmean, eps, max_iter):
     points exceeds the anchor's multiplicity, retreating along the plain
     step accordingly.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     x = x0
     disp = np.inf
     for _ in range(max_iter):

@@ -134,7 +134,7 @@ def load_state_part(state, key, loader):
         raise DataError(f"{key}.{exc}") from None
 
 
-def as_sym_matrix(a, *, dim=None, tol=1e-8):
+def as_sym_matrix(a, *, tol=1e-8):
     """Coerce ``a`` to an exactly symmetric float64 matrix.
 
     Asymmetry up to ``tol`` (relative to the largest entry) is folded
@@ -143,8 +143,6 @@ def as_sym_matrix(a, *, dim=None, tol=1e-8):
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if dim is not None and m.shape[0] != dim:
-        raise ValueError(f"dimension mismatch: expected {dim}x{dim}, got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
     scale = max(float(np.abs(m).max()), 1.0)

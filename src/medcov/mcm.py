@@ -238,8 +238,6 @@ def weiszfeld_mcm(points, m_hat, eps=1e-8, max_iter=1000):
     O(n d + d^2).
     """
     c = _centered(points, m_hat)
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     s = np.einsum("ij,ij->i", c, c)
 
     def dists(g):

@@ -102,16 +102,12 @@ def singular_gaussian_factor(cov, *, eig_floor=1e-12):
     return vectors * scaled
 
 
-@lru_cache(maxsize=32)
-def _brownian_factor(d):
-    factor = gaussian_factor(brownian_cov(d))
-    factor.setflags(write=False)
-    return factor
-
-
-@lru_cache(maxsize=32)
-def _reverse_brownian_factor(d):
-    factor = singular_gaussian_factor(reverse_brownian_cov(d))
+@lru_cache(maxsize=64)
+def _factor(d, reverse):
+    """Read-only sampling factor of the core (or, with ``reverse``, the
+    reverse-time Brownian contamination) covariance in dimension d."""
+    factor = (singular_gaussian_factor(reverse_brownian_cov(d)) if reverse
+              else gaussian_factor(brownian_cov(d)))
     factor.setflags(write=False)
     return factor
 
@@ -131,7 +127,7 @@ def draw_sample(config, n):
         raise ConfigError(f"sample size must be >= 1, got {n}")
     rng = np.random.Generator(np.random.Philox(config.seed))
     switches = rng.random(n) < config.delta
-    x = rng.standard_normal((n, config.d)) @ _brownian_factor(config.d).T
+    x = rng.standard_normal((n, config.d)) @ _factor(config.d, False).T
     k = int(switches.sum())
     if k:
         if config.contamination == "student_t1":
@@ -139,5 +135,5 @@ def draw_sample(config, n):
         elif config.contamination == "student_t2":
             x[switches] = _student_t(rng, 2.0, (k, config.d))
         elif config.contamination == "reverse_brownian":
-            x[switches] = rng.standard_normal((k, config.d)) @ _reverse_brownian_factor(config.d).T
+            x[switches] = rng.standard_normal((k, config.d)) @ _factor(config.d, True).T
     return x

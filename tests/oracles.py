@@ -227,7 +227,9 @@ def mcm_objective(points, m_hat, v):
     minimizer is the sample MCM either way.  Note |Y_i|_F = |X_i - m|^2.
     """
     c = _centered(points, m_hat)
-    v = as_sym_matrix(v, dim=c.shape[1])
+    v = as_sym_matrix(v)
+    if v.shape[0] != c.shape[1]:
+        raise ValueError(f"dimension mismatch: expected {c.shape[1]}x{c.shape[1]}, got {v.shape}")
     s = np.einsum("ij,ij->i", c, c)
     fro2 = float(np.tensordot(v, v))
     return float((_rank_one_distances(c, s, v, fro2) - s).sum())

@@ -28,8 +28,8 @@ from medcov import (
     save_snapshot,
     top_q_projector,
     write_csv,
-    write_report,
 )
+from medcov.bench import write_report
 from oracles import csv_rows_per_cell
 
 DATA = Path(__file__).resolve().parent / "data"

@@ -328,6 +328,19 @@ def test_curve_with_every_replication_failed_is_numerical_failure(capsys, monkey
     assert err == "medcov: numerical failure: every curve replication failed\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("fit-stream", "--c-median", "-1"), "step constant must be positive, got -1.0"),
+    (("bench", "--alpha", "1.5"), "step exponent must lie in (0.5, 1), got 1.5"),
+    (("curve", "--alpha", "0.2", "--checkpoints", "10"),
+     "step exponent must lie in (0.5, 1), got 0.2"),
+])
+def test_bad_step_constant_is_config_error(capsys, argv, message):
+    # StepSchedule raises a bare ValueError; main maps it to exit 2
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err == f"medcov: config error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # config files
 

@@ -10,6 +10,7 @@ from medcov import (
     GeometricMedianSGD,
     NumericalError,
     StepSchedule,
+    weiszfeld_mcm,
     weiszfeld_median,
 )
 from oracles import median_objective
@@ -291,5 +292,7 @@ def test_weiszfeld_rejects_bad_input():
         weiszfeld_median(np.empty((0, 2)))
     with pytest.raises(ValueError):
         weiszfeld_median([[1.0, np.nan]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="max_iter must be"):
         weiszfeld_median([[1.0, 2.0]], max_iter=0)
+    with pytest.raises(ValueError, match="max_iter must be"):
+        weiszfeld_mcm([[1.0, 2.0]], [0.0, 0.0], max_iter=0)

@@ -9,9 +9,11 @@ import warnings
 import numpy as np
 import pytest
 
-from medcov import ConvergenceError, DataError, eigh_descending, frob_norm
+from medcov import ConvergenceError, DataError, frob_norm
 from medcov import linalg
-from medcov.linalg import as_sym_matrix, as_vector, pack_array, state_field, vector_norm
+from medcov.linalg import (
+    as_sym_matrix, as_vector, eigh_descending, pack_array, state_field, vector_norm,
+)
 from medcov.mcm import _rank_one_distances
 from oracles import fix_signs, projector, sym_eigen
 

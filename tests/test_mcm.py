@@ -17,15 +17,15 @@ from medcov import (
     StreamingCovariance,
     brownian_cov,
     draw_sample,
-    eigh_descending,
-    gaussian_factor,
     frob_norm,
     eigenspace_error,
     weiszfeld_mcm,
     weiszfeld_median,
 )
 from medcov.bench import calibrated_schedules
+from medcov.linalg import eigh_descending
 from medcov.mcm import _entrywise_median
+from medcov.simgen import gaussian_factor
 from oracles import dense_mcm_recursion, mcm_objective, projector
 
 # For the symmetric cross {e1, -e1, e2, -e2} centered at 0 the MCM is

@@ -19,15 +19,13 @@ from medcov import (
     StreamingCovariance,
     brownian_cov,
     eigenspace_error,
-    eigh_descending,
     frob_norm,
-    gaussian_factor,
-    pc_scores,
 )
 from medcov import bench, geomedian, linalg, mcm, online_pca
 from medcov.bench import calibrated_schedules
-from medcov.linalg import as_sym_matrix, pack_array
-from medcov.online_pca import StreamingRobustPCA
+from medcov.linalg import as_sym_matrix, eigh_descending, pack_array
+from medcov.online_pca import StreamingRobustPCA, pc_scores
+from medcov.simgen import gaussian_factor
 from oracles import projector, sym_eigen
 
 

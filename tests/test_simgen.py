@@ -4,13 +4,9 @@ contamination."""
 import numpy as np
 import pytest
 
-from medcov import (
+from medcov import ConfigError, NumericalError, ScenarioConfig, brownian_cov, draw_sample
+from medcov.simgen import (
     CONTAMINATIONS,
-    ConfigError,
-    NumericalError,
-    ScenarioConfig,
-    brownian_cov,
-    draw_sample,
     gaussian_factor,
     reverse_brownian_cov,
     singular_gaussian_factor,
