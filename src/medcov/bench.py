@@ -82,27 +82,31 @@ def iter_csv_rows(path, *, skip_header=False):
     """Yield (line_number, vector) for each observation row of a CSV.
 
     Raises :class:`DataError` with the offending line (and column) on
-    ragged rows or cells that do not parse to a finite float.
+    ragged rows or cells that do not parse to a finite float, and naming
+    the file on bytes that are not UTF-8.
     """
     with open(path, "r", encoding="utf-8") as fh:
         dim = None
-        for line_no, line in enumerate(fh, start=1):
-            if skip_header and line_no == 1:
-                continue
-            cells = line.rstrip("\n").split(",")
-            if dim is None:
-                dim = len(cells)
-            elif len(cells) != dim:
-                raise DataError(
-                    f"{path}: line {line_no}: expected {dim} columns, got {len(cells)}"
-                )
-            try:
-                vec = np.array([float(cell) for cell in cells])
-            except ValueError:
-                vec = None
-            if vec is None or not np.isfinite(vec).all():
-                raise _cell_error(path, line_no, cells)
-            yield line_no, vec
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                if skip_header and line_no == 1:
+                    continue
+                cells = line.rstrip("\n").split(",")
+                if dim is None:
+                    dim = len(cells)
+                elif len(cells) != dim:
+                    raise DataError(
+                        f"{path}: line {line_no}: expected {dim} columns, got {len(cells)}"
+                    )
+                try:
+                    vec = np.array([float(cell) for cell in cells])
+                except ValueError:
+                    vec = None
+                if vec is None or not np.isfinite(vec).all():
+                    raise _cell_error(path, line_no, cells)
+                yield line_no, vec
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _cell_error(path, line_no, cells):
@@ -145,8 +149,10 @@ class StreamingCovariance(RowUpdates):
         return self._scatter / self._n
 
     def _update(self, x):
-        self._n += 1
         delta = x - self._mean
+        if np.isinf(delta).any():
+            raise NumericalError("the row minus the running mean overflows float64")
+        self._n += 1
         self._mean += delta / self._n
         self._scatter += np.outer(delta, x - self._mean)
         return self
@@ -519,7 +525,9 @@ def load_snapshot(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             state = json.load(fh)
-        except json.JSONDecodeError as exc:
+        # ValueError: bad JSON, bytes that are not UTF-8, or an integer
+        # past Python's digit limit; RecursionError: nesting too deep
+        except (ValueError, RecursionError) as exc:
             raise DataError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(state, dict):
         raise DataError(f"{path}: snapshot must be a JSON object")

@@ -155,7 +155,7 @@ def _read_config_file(path):
                 key = key.strip().replace("-", "_")
                 key = _KEY_ALIASES.get(key, key)
                 data[key] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return data
 

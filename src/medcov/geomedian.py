@@ -64,9 +64,10 @@ class RowUpdates:
     whole block (2-D, ``dim`` wide, finite) before any state changes,
     then runs ``_update`` on each row, so a rejected block leaves the
     estimator as it was.  An estimator that feeds another one a row it
-    has already checked calls the inner estimator's ``_update``.  The
-    median and the MCM raise :class:`NumericalError`, before any state
-    changes, on a row whose difference from their center overflows.
+    has already checked calls the inner estimator's ``_update``.  Each
+    estimator raises :class:`NumericalError`, before any state changes,
+    on a row whose difference from its center (the median, or the PCA
+    baseline's running mean) overflows.
     """
 
     def __init__(self, dim):

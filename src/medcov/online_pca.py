@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericalError
 from .linalg import as_vector, load_state_part, state_field, vector_norm
 from .mcm import MedianCovariationSGD
 
@@ -65,20 +65,24 @@ class OnlineEigenTracker:
     replaced by a fresh random unit vector orthogonal to the carriers
     before it; the number of such reinitializations is returned by
     :meth:`step` and tallied in :attr:`n_reinits`.  Carriers therefore
-    always enter a step with norm at least 1e-12, and
+    always enter a step with norm at least 1e-12 and with a sum of
+    squared norms that fits float64 (eigenvalues up to about 1e154), and
     :meth:`from_state_dict` rejects a payload that breaks this.
     """
 
     def __init__(self, dim, q, *, seed=0):
         d = int(dim)
         q = int(q)
+        seed = int(seed)
         if d < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
         if not (1 <= q <= d):
             raise ValueError(f"q must be in [1, {d}], got {q}")
+        if seed < 0:
+            raise ValueError(f"tracker seed must be >= 0, got {seed}")
         self._d = d
         self._q = q
-        self._seed = int(seed)
+        self._seed = seed
         self._raw = np.zeros((q, d))  # carriers; warm-up fills the rows in turn
         self._filled = 0
         self._n = 0
@@ -151,7 +155,9 @@ class OnlineEigenTracker:
         nearly symmetric ``m``).  Only its shape is checked.
 
         Returns the number of carriers that collapsed and were
-        reinitialized during this update (normally 0).
+        reinitialized during this update (normally 0).  Raises
+        :class:`NumericalError`, leaving the carriers as they were, when
+        the carriers' summed squared norms would overflow float64.
         """
         r = self._carriers()
         if v_bar.shape != (self._d, self._d):
@@ -160,8 +166,11 @@ class OnlineEigenTracker:
         norms = np.linalg.norm(r, axis=1)
         g = 1.0 / (self._n + 1)
         w = r / norms[:, None]  # pre-step normalized carriers
-        r *= 1.0 - g
+        r = r * (1.0 - g)  # a new array: a failed step writes nothing
         r += g * (w @ v_bar)
+        # vdot overflows to inf without a warning; deflation only shrinks
+        if not np.vdot(r, r) < np.inf:
+            raise NumericalError("the tracker carriers' squared norm overflows float64")
         # deflation: orthogonalize each carrier against the ones before
         # it, writing the residual back so norms keep tracking lambda_j
         for j in range(self._q):
@@ -225,6 +234,8 @@ class OnlineEigenTracker:
         # the filled carrier rows (raw, or the warm-up units) are read
         # before the (q, d) carriers are allocated
         rows = state_field(state, "raw", np.ndarray, (q, d), nullable=True)
+        if rows is not None and np.vdot(rows, rows) == np.inf:  # without a warning
+            raise DataError("raw: the carriers' squared norm overflows float64")
         if rows is not None and min(map(vector_norm, rows)) < _COLLAPSE_EPS:
             raise DataError(f"raw: a carrier has norm below {_COLLAPSE_EPS:g}")
         warmup = state_field(state, "warmup", list)
@@ -233,7 +244,7 @@ class OnlineEigenTracker:
             raise DataError(f"warmup: expected at most {limit} vectors, got {len(warmup)}")
         if warmup:
             rows = state_field(state, "warmup", np.ndarray, (len(warmup), d))
-        tracker = cls(d, q, seed=state_field(state, "seed", int))
+        tracker = cls(d, q, seed=state_field(state, "seed", int, low=0))
         tracker._n = state_field(state, "n", int, low=0)
         tracker._rng_draws = state_field(state, "rng_draws", int, low=0)
         tracker._reinits = state_field(state, "reinits", int, low=0)

@@ -9,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import medcov
-from medcov import weiszfeld_median, write_csv
+from medcov import ConfigError, DataError, weiszfeld_median, write_csv
 from medcov import bench as _bench
 from medcov import cli
 from medcov.cli import main
@@ -165,6 +167,10 @@ _CORRUPT_SNAPSHOTS = [
     pytest.param("mcm.median.m", ("mcm", "median", "dim"), 1000000, id="mcm.median.dim-huge"),
     pytest.param("tracker.dim", ("tracker", "dim"), 1000000, id="tracker.dim-huge"),
     pytest.param("tracker.q", ("tracker", "q"), 1000000, id="tracker.q-huge"),
+    # a carrier past ~1e154 would turn into NaN at the next step
+    pytest.param("tracker.raw", ("tracker", "raw"), [[1e160, 0.0, 0.0], [0.0, 1e160, 0.0]],
+                 id="tracker.raw-norm-overflows"),
+    pytest.param("tracker.seed", ("tracker", "seed"), -1, id="tracker.seed-negative"),
 ]
 
 
@@ -233,6 +239,67 @@ def test_fit_stream_overflowing_row_is_numerical_failure(tmp_path, capsys):
     rc, out, err = run_cli(capsys, "fit-stream", "--in", str(path))
     assert (rc, out) == (4, "")
     assert f"numerical failure: {path}: line 2: the row minus the center overflows" in err
+
+
+def test_fit_stream_tracker_overflow_is_numerical_failure(tmp_path, capsys):
+    # with constants scaled to rows of size 1e100 the MCM is fine, but the
+    # tracker's carriers (eigenvalues ~1e200) have squared norms past float64
+    data = np.random.default_rng(1).standard_normal((60, 3)) * 1e100
+    path = tmp_path / "big.csv"
+    write_csv(path, data)
+    rc, out, err = run_cli(capsys, "fit-stream", "--in", str(path), "--q", "2",
+                           "--eigen-lag", "0", "--c-median", "2e100", "--c-mcm", "2e200")
+    assert (rc, out) == (4, "")
+    assert err == (f"medcov: numerical failure: {path}: line 4: "
+                   "the tracker carriers' squared norm overflows float64\n")
+
+
+def test_fit_stream_negative_eigen_seed_is_config_error(tmp_path, capsys):
+    csv, _ = sample_csv(tmp_path, "d.csv", 20)
+    rc, out, err = run_cli(capsys, "fit-stream", "--in", csv, "--eigen-seed", "-1")
+    assert (rc, out) == (2, "")
+    assert err == "medcov: config error: tracker seed must be >= 0, got -1\n"
+
+
+_NOT_UTF8 = b"1,2,3\n4,5,\xff\n"
+
+
+@pytest.mark.parametrize("argv,rc,kind", [
+    (("fit-stream", "--in", "{bad}"), 3, "data error"),
+    (("fit-weiszfeld", "--in", "{bad}"), 3, "data error"),
+    (("fit-stream", "--in", "{csv}", "--resume", "{bad}"), 3, "data error"),
+    (("fit-stream", "--config", "{bad}"), 2, "config error"),
+], ids=["csv", "weiszfeld-csv", "snapshot", "config"])
+def test_undecodable_bytes_name_the_file(tmp_path, capsys, argv, rc, kind):
+    csv, _ = sample_csv(tmp_path, "d.csv", 20)
+    bad = tmp_path / "bad"
+    bad.write_bytes(_NOT_UTF8)
+    code, out, err = run_cli(capsys, *(a.format(bad=bad, csv=csv) for a in argv))
+    assert (code, out) == (rc, "")
+    assert err.startswith(f"medcov: {kind}: ") and str(bad) in err and "utf-8" in err
+
+
+_BYTE_PIECES = st.sampled_from([b"1", b"-2.5e3", b",", b"\n", b"\r", b" ", b"=", b"#", b"x",
+                                b"nan", b"inf", b"1e999", b"\x00", b"\xff", b"\xc3",
+                                b"\xe2\x82\xac", b"\xef\xbb\xbf"])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.binary(max_size=64) | st.lists(_BYTE_PIECES, max_size=24).map(b"".join),
+       st.booleans())
+def test_input_readers_raise_only_their_error(tmp_path_factory, blob, skip_header):
+    # a CSV of any bytes is rows or a DataError, a config file of any
+    # bytes is a dict or a ConfigError: nothing else escapes
+    path = tmp_path_factory.mktemp("fuzz") / "blob"
+    path.write_bytes(blob)
+    try:
+        list(_bench.iter_csv_rows(str(path), skip_header=skip_header))
+    except DataError:
+        pass
+    try:
+        cli._read_config_file(str(path))
+    except ConfigError:
+        pass
 
 
 # ---------------------------------------------------------------------------

@@ -285,14 +285,18 @@ _ESTIMATORS = (GeometricMedianSGD, MedianCovariationSGD, StreamingCovariance,
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in subtract:RuntimeWarning")
-@pytest.mark.parametrize("known", [False, True], ids=["joint", "known"])
-@pytest.mark.parametrize("psd_mode", [True, False], ids=["psd", "raw"])
-def test_overflowing_difference_is_a_numerical_error(psd_mode, known):
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda a: MedianCovariationSGD(3), id="psd-joint"),
+    pytest.param(lambda a: MedianCovariationSGD(3, known_median=a), id="psd-known"),
+    pytest.param(lambda a: MedianCovariationSGD(3, psd_mode=False), id="raw-joint"),
+    pytest.param(lambda a: MedianCovariationSGD(3, psd_mode=False, known_median=a), id="raw-known"),
+    pytest.param(lambda a: StreamingCovariance(3), id="pca"),
+])
+def test_overflowing_difference_is_a_numerical_error(make):
     # every entry is finite, but x - center is not: the row is refused
-    # before the iterate, the average, the median or a counter moves
+    # before the iterate, the average, the median, the mean or a counter moves
     a = np.array([1e308, -1e308, 1e308])
-    est = MedianCovariationSGD(3, psd_mode=psd_mode, known_median=a if known else None)
-    est.update(a).update(a)
+    est = make(a).update(a).update(a)
     before = _state(est)
     with pytest.raises(NumericalError, match="overflows float64"):
         est.update(-a)

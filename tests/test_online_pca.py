@@ -16,6 +16,7 @@ from medcov import (
     MedianCovariationSGD,
     NumericalError,
     OnlineEigenTracker,
+    StepSchedule,
     StreamingCovariance,
     brownian_cov,
     eigenspace_error,
@@ -96,6 +97,8 @@ def test_seeded_replay_is_deterministic():
 
     np.testing.assert_array_equal(run(7), run(7))
     assert not np.array_equal(run(7), run(8))
+    with pytest.raises(ValueError, match="seed must be >= 0"):  # SeedSequence would refuse it later
+        OnlineEigenTracker(4, 2, seed=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +140,20 @@ def test_step_rejects_wrong_shape_without_changing_state(shape):
     with pytest.raises(ValueError, match="expected a 3x3 matrix"):
         t.step(np.ones(shape))
     assert t.state_dict() == before
+
+
+def test_carrier_overflow_is_a_numerical_error():
+    # rows of size 1e100 with constants scaled to them: the tracker's
+    # eigenvalues reach ~1e200, past where a squared norm fits float64
+    # (it used to write inf and NaN carriers); the failing step writes nothing
+    x = np.random.default_rng(1).standard_normal((60, 3)) * 1e100
+    model = StreamingRobustPCA(3, 2, median_schedule=StepSchedule(2e100),
+                               cov_schedule=StepSchedule(2e200), eigen_lag=0)
+    with pytest.raises(NumericalError, match="squared norm overflows float64"):
+        for row in x:
+            before = model.tracker.state_dict()
+            model.update(row)
+    assert model.tracker.state_dict() == before
 
 
 def test_power_iteration_example():
