@@ -9,7 +9,6 @@ generation, and a reproducible Monte Carlo benchmark harness.
 from .bench import (
     ESTIMATORS,
     RunConfig,
-    StreamingCovariance,
     calibrated_schedules,
     convergence_curve,
     fit_stream,
@@ -57,7 +56,6 @@ __all__ = [
     "RunConfig",
     "ScenarioConfig",
     "StepSchedule",
-    "StreamingCovariance",
     "StreamingRobustPCA",
     "brownian_cov",
     "calibrated_schedules",

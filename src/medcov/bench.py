@@ -2,8 +2,8 @@
 
 Estimator names used throughout:
 
-* ``pca``       -- classical PCA: eigenvectors of the one-pass empirical
-                   covariance (non-robust reference),
+* ``pca``       -- classical PCA: eigenvectors of the sample covariance
+                   (non-robust reference),
 * ``mcm_w``     -- batch Weiszfeld median + Weiszfeld MCM,
 * ``mcm_r``     -- streaming averaged-SGD MCM, raw steps,
 * ``mcm_rplus`` -- streaming averaged-SGD MCM with the PSD step clip.
@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, DataError, MedcovError, NumericalError
-from .geomedian import RowUpdates, StepSchedule, weiszfeld_median
+from .geomedian import StepSchedule, weiszfeld_median
 from .linalg import eigh_descending
 from .mcm import MedianCovariationSGD, weiszfeld_mcm
 from .metrics import SummaryStats, eigenspace_error, mc_summary
@@ -120,42 +120,6 @@ def _cell_error(path, line_no, cells):
         except ValueError:
             problem = f"not a number: {cell.strip()!r}"
         return DataError(f"{path}: line {line_no}, column {col}: {problem}")
-
-
-# ---------------------------------------------------------------------------
-# Classical PCA baseline
-
-class StreamingCovariance(RowUpdates):
-    """One-pass mean and covariance (Welford update).
-
-    ``covariance`` divides the scatter by n (population convention);
-    eigenvectors are unaffected by the n vs n-1 choice.
-    """
-
-    def __init__(self, dim):
-        super().__init__(dim)
-        self._n = 0
-        self._mean = np.zeros(self._dim)
-        self._scatter = np.zeros((self._dim, self._dim))
-
-    @property
-    def mean(self):
-        return self._mean.copy()
-
-    @property
-    def covariance(self):
-        if self._n == 0:
-            raise ValueError("no observations")
-        return self._scatter / self._n
-
-    def _update(self, x):
-        delta = x - self._mean
-        if np.isinf(delta).any():
-            raise NumericalError("the row minus the running mean overflows float64")
-        self._n += 1
-        self._mean += delta / self._n
-        self._scatter += np.outer(delta, x - self._mean)
-        return self
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +230,17 @@ def top_q_projector(mat, q):
     return u @ u.T
 
 
+def _sample_covariance(x):
+    """Covariance of an in-memory sample, dividing by n (eigenvectors do
+    not depend on n vs n - 1).  A sample whose covariance overflows
+    raises ``FloatingPointError``, so its replication is excluded."""
+    with np.errstate(over="raise", invalid="raise"):
+        c = x - x.mean(axis=0)
+        return c.T @ c / len(x)
+
+
 def _fit_pca(x, cfg):
-    cov = StreamingCovariance(x.shape[1]).update_many(x).covariance
-    return top_q_projector(cov, cfg.q)
+    return top_q_projector(_sample_covariance(x), cfg.q)
 
 
 def _fit_mcm_w(x, cfg):
@@ -449,18 +421,16 @@ def _curve_replication(task):
         eigen_seed=cfg.seed + r,
         eigen_lag=eigen_lag,
     )
-    cov = StreamingCovariance(cfg.scenario.d)
     marks = set(checkpoints)
     out = {}
     try:
         for t in range(1, cfg.n + 1):
             model.update(x[t - 1])
-            cov.update(x[t - 1])
             if t not in marks:
                 continue
             if not model.tracker.ready:
                 model.tracker.force_ready()
-            p_pca = top_q_projector(cov.covariance, cfg.q)
+            p_pca = top_q_projector(_sample_covariance(x[:t]), cfg.q)
             p_batch = top_q_projector(model.mcm.estimate, cfg.q)
             p_online = model.tracker.projector()
             out[t] = {

@@ -34,6 +34,8 @@ class StepSchedule:
     def __post_init__(self):
         if not (self.c > 0):
             raise ValueError(f"step constant must be positive, got {self.c}")
+        if self.c == np.inf:
+            raise ValueError(f"step constant must be finite, got {self.c}")
         if not (0.5 < self.alpha < 1.0):
             raise ValueError(
                 f"step exponent must lie in (0.5, 1), got {self.alpha}"
@@ -66,8 +68,7 @@ class RowUpdates:
     estimator as it was.  An estimator that feeds another one a row it
     has already checked calls the inner estimator's ``_update``.  Each
     estimator raises :class:`NumericalError`, before any state changes,
-    on a row whose difference from its center (the median, or the PCA
-    baseline's running mean) overflows.
+    on a row whose difference from its center (the median) overflows.
     """
 
     def __init__(self, dim):
@@ -176,12 +177,15 @@ class GeometricMedianSGD(RowUpdates):
 def weiszfeld_median(points, eps=1e-8, max_iter=1000):
     """Weiszfeld fixed-point iteration for the sample geometric median.
 
-    Runs :func:`weiszfeld` in R^d from the coordinate-wise median.
+    Runs :func:`weiszfeld` in R^d from the coordinate-wise median.  A
+    row so far away that its distance overflows gets weight 0, the limit
+    of 1/distance, without a warning.
     """
     pts = as_sample(points)
-    return weiszfeld(pts, np.median(pts, axis=0),
-                     lambda x: np.linalg.norm(pts - x, axis=1),
-                     lambda rows, w: w @ rows, eps, max_iter)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return weiszfeld(pts, np.median(pts, axis=0),
+                         lambda x: np.linalg.norm(pts - x, axis=1),
+                         lambda rows, w: w @ rows, eps, max_iter)
 
 
 def weiszfeld(rows, x0, dists, wmean, eps, max_iter):

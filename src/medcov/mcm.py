@@ -235,19 +235,20 @@ def weiszfeld_mcm(points, m_hat, eps=1e-8, max_iter=1000):
     symmetric.
 
     The start is built one upper-triangle row at a time, so memory is
-    O(n d + d^2).
+    O(n d + d^2).  A row whose distance overflows gets weight 0, silently.
     """
-    c = _centered(points, m_hat)
-    s = np.einsum("ij,ij->i", c, c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = _centered(points, m_hat)
+        s = np.einsum("ij,ij->i", c, c)
 
-    def dists(g):
-        return _rank_one_distances(c, s, g, float(np.tensordot(g, g)))
+        def dists(g):
+            return _rank_one_distances(c, s, g, float(np.tensordot(g, g)))
 
-    def wmean(rows, w):
-        g = (rows * w[:, None]).T @ rows
-        return (g + g.T) / 2.0
+        def wmean(rows, w):
+            g = (rows * w[:, None]).T @ rows
+            return (g + g.T) / 2.0
 
-    return weiszfeld(c, _entrywise_median(c), dists, wmean, eps, max_iter)
+        return weiszfeld(c, _entrywise_median(c), dists, wmean, eps, max_iter)
 
 
 def _entrywise_median(c):

@@ -27,6 +27,7 @@ from .errors import ConfigError, NumericalError
 from .linalg import as_sym_matrix, eigh_descending
 
 CONTAMINATIONS = ("none", "student_t1", "student_t2", "reverse_brownian")
+_EIG_FLOOR = 1e-12  # a covariance eigenvalue at or below this counts as zero
 
 
 def brownian_cov(d):
@@ -87,18 +88,18 @@ def gaussian_factor(cov):
         ) from exc
 
 
-def singular_gaussian_factor(cov, *, eig_floor=1e-12):
+def singular_gaussian_factor(cov):
     """Factor F with F F^T = cov for a possibly singular covariance.
 
     Eigendecomposition-based: columns are eigenvectors scaled by
-    sqrt(lambda), with eigenvalues at or below ``eig_floor`` zeroed out.
+    sqrt(lambda), with eigenvalues at or below ``_EIG_FLOOR`` zeroed out.
     """
     values, vectors = eigh_descending(cov)
     if values[-1] < -1e-8:
         raise NumericalError(
             f"covariance has a significantly negative eigenvalue ({values[-1]:.3e})"
         )
-    scaled = np.where(values > eig_floor, np.sqrt(np.maximum(values, 0.0)), 0.0)
+    scaled = np.where(values > _EIG_FLOOR, np.sqrt(np.maximum(values, 0.0)), 0.0)
     return vectors * scaled
 
 

@@ -17,7 +17,6 @@ from medcov import (
     RunConfig,
     ScenarioConfig,
     StepSchedule,
-    StreamingCovariance,
     StreamingRobustPCA,
     calibrated_schedules,
     convergence_curve,
@@ -168,28 +167,7 @@ def test_iter_csv_rows_matches_the_per_cell_parser(tmp_path, text, skip_header):
 
 
 # ---------------------------------------------------------------------------
-# streaming baselines
-
-def test_streaming_covariance_matches_batch():
-    rng = np.random.default_rng(1)
-    xs = rng.standard_normal((200, 4)) + [1.0, -2.0, 0.0, 3.0]
-    sc = StreamingCovariance(4)
-    for x in xs:
-        sc.update(x)
-    np.testing.assert_allclose(sc.mean, xs.mean(axis=0), atol=1e-12)
-    np.testing.assert_allclose(sc.covariance, np.cov(xs.T, bias=True), atol=1e-10)
-
-
-def test_streaming_covariance_rejects_bad_rows():
-    sc = StreamingCovariance(2)
-    sc.update([1.0, 5.0]).update([3.0, 5.0])
-    for bad in ([np.nan, 5.0], [2.0], [[2.0, 5.0]]):
-        with pytest.raises(ValueError):
-            sc.update(bad)
-        assert sc._n == 2
-        np.testing.assert_array_equal(sc.mean, [2.0, 5.0])
-        np.testing.assert_array_equal(sc.covariance, [[1.0, 0.0], [0.0, 0.0]])
-
+# eigenspace projectors
 
 def test_top_q_projector_of_diagonal():
     p = top_q_projector(np.diag([5.0, 1.0, 3.0]), 2)
@@ -242,6 +220,28 @@ def test_failed_replications_are_excluded(monkeypatch):
                     replications=6, estimators=("pca",))
     (row,) = run_benchmark(cfg, workers=1)
     assert row.excluded == 3
+    assert np.isfinite(row.median_R)
+
+
+def test_overflowing_sample_excludes_its_pca_replication(monkeypatch):
+    # rows of +-1e308 overflow the sample covariance: FloatingPointError
+    # excludes the replication, and no RuntimeWarning escapes
+    real = bench.draw_sample
+
+    def wild(scenario, n):
+        x = real(scenario, n)
+        a = np.where(np.arange(scenario.d) % 2, -1e308, 1e308)
+        if scenario.seed % 4 == 1:
+            x[:2] = a, -a  # a finite mean, an overflowing scatter
+        elif scenario.seed % 4 == 3:
+            x[:2] = a, a  # an overflowing mean
+        return x
+
+    monkeypatch.setattr(bench, "draw_sample", wild)
+    cfg = RunConfig(scenario=ScenarioConfig(d=5), n=50, q=1,
+                    replications=8, estimators=("pca",))
+    (row,) = run_benchmark(cfg, workers=1)
+    assert row.excluded == 4
     assert np.isfinite(row.median_R)
 
 

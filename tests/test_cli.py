@@ -325,16 +325,23 @@ def test_fit_weiszfeld_iteration_cap_is_numerical_failure(tmp_path, capsys):
 
 
 def test_fit_weiszfeld_overflow_stops_at_once(tmp_path, capsys):
-    # one row at 1e200 overflows the rank-one distances: the first
-    # non-finite sweep ends the solve instead of 1000 NaN sweeps
+    # a row at 1e80 has an infinite rank-one distance, so weight 0: the
+    # solve succeeds without a warning.  A row at 1e200 overflows the
+    # iterate: the first non-finite sweep ends the solve instead of 1000
+    # NaN sweeps, with one line on stderr
     data = np.random.default_rng(4).standard_normal((200, 5))
-    data[7] *= 1e200
     path = tmp_path / "wild.csv"
-    write_csv(path, data)
-    with np.errstate(all="ignore"):
+    for scale, code in ((1e80, 0), (1e200, 4)):
+        wild = data.copy()
+        wild[7] *= scale
+        write_csv(path, wild)
         rc, _, err = run_cli(capsys, "fit-weiszfeld", "--in", str(path))
-    assert rc == 4
-    assert "numerical failure: Weiszfeld iterate overflowed" in err
+        assert rc == code
+        if code == 0:
+            assert err == ""
+        else:
+            assert err.count("\n") == 1
+            assert "numerical failure: Weiszfeld iterate overflowed" in err
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +407,7 @@ def test_curve_with_every_replication_failed_is_numerical_failure(capsys, monkey
     (("bench", "--alpha", "1.5"), "step exponent must lie in (0.5, 1), got 1.5"),
     (("curve", "--alpha", "0.2", "--checkpoints", "10"),
      "step exponent must lie in (0.5, 1), got 0.2"),
+    (("fit-stream", "--c-median", "inf"), "step constant must be finite, got inf"),
 ])
 def test_bad_step_constant_is_config_error(capsys, argv, message):
     # StepSchedule raises a bare ValueError; main maps it to exit 2

@@ -14,7 +14,6 @@ from medcov import (
     NumericalError,
     ScenarioConfig,
     StepSchedule,
-    StreamingCovariance,
     brownian_cov,
     draw_sample,
     frob_norm,
@@ -268,8 +267,6 @@ def test_rescaled_step_is_the_plain_step_scaled():
 
 def _state(est):
     """Every stored number of a streaming estimator, as a tuple of arrays."""
-    if isinstance(est, StreamingCovariance):
-        return est._n, est._mean.copy(), est._scatter.copy()
     if isinstance(est, GeometricMedianSGD):
         return est.n_updates, est.iterate, est.estimate
     median = () if est._median is None else _state(est._median)
@@ -280,7 +277,7 @@ def _same(a, b):
     return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
-_ESTIMATORS = (GeometricMedianSGD, MedianCovariationSGD, StreamingCovariance,
+_ESTIMATORS = (GeometricMedianSGD, MedianCovariationSGD,
                lambda d: MedianCovariationSGD(d, known_median=np.zeros(d)))
 
 
@@ -290,11 +287,10 @@ _ESTIMATORS = (GeometricMedianSGD, MedianCovariationSGD, StreamingCovariance,
     pytest.param(lambda a: MedianCovariationSGD(3, known_median=a), id="psd-known"),
     pytest.param(lambda a: MedianCovariationSGD(3, psd_mode=False), id="raw-joint"),
     pytest.param(lambda a: MedianCovariationSGD(3, psd_mode=False, known_median=a), id="raw-known"),
-    pytest.param(lambda a: StreamingCovariance(3), id="pca"),
 ])
 def test_overflowing_difference_is_a_numerical_error(make):
     # every entry is finite, but x - center is not: the row is refused
-    # before the iterate, the average, the median, the mean or a counter moves
+    # before the iterate, the average, the median or a counter moves
     a = np.array([1e308, -1e308, 1e308])
     est = make(a).update(a).update(a)
     before = _state(est)

@@ -17,7 +17,6 @@ from medcov import (
     NumericalError,
     OnlineEigenTracker,
     StepSchedule,
-    StreamingCovariance,
     brownian_cov,
     eigenspace_error,
     frob_norm,
@@ -385,7 +384,7 @@ def test_a_row_is_checked_once(monkeypatch):
         model.update(x)
     assert len(calls) == 20
     calls.clear()
-    for est in (GeometricMedianSGD(4), MedianCovariationSGD(4), StreamingCovariance(4)):
+    for est in (GeometricMedianSGD(4), MedianCovariationSGD(4)):
         est.update_many(rows)
     assert calls == []
 
