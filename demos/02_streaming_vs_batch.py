@@ -21,7 +21,6 @@ from medcov import (
     calibrated_schedules,
     draw_sample,
     eigenspace_error,
-    frob_norm,
     save_snapshot,
     top_q_projector,
     weiszfeld_mcm,
@@ -45,8 +44,8 @@ print(f"sample: d={d}, n={n} (clean Brownian-path Gaussian)")
 print(f"median gap      |m_stream - m_batch|  = "
       f"{np.linalg.norm(stream.median_estimate - m_batch):.4f}")
 print(f"MCM gap         |V_stream - V_batch|F = "
-      f"{frob_norm(stream.estimate - g_batch):.4f}  "
-      f"(|V_batch|F = {frob_norm(g_batch):.3f})")
+      f"{np.linalg.norm(stream.estimate - g_batch):.4f}  "
+      f"(|V_batch|F = {np.linalg.norm(g_batch):.3f})")
 
 q = 2
 r = eigenspace_error(top_q_projector(stream.estimate, q), top_q_projector(g_batch, q))

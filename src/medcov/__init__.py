@@ -31,7 +31,6 @@ from .geomedian import (
     StepSchedule,
     weiszfeld_median,
 )
-from .linalg import frob_norm
 from .mcm import MedianCovariationSGD, weiszfeld_mcm
 from .metrics import eigenspace_error, mc_summary
 from .online_pca import OnlineEigenTracker, StreamingRobustPCA
@@ -63,7 +62,6 @@ __all__ = [
     "draw_sample",
     "eigenspace_error",
     "fit_stream",
-    "frob_norm",
     "iter_csv_rows",
     "load_snapshot",
     "mc_summary",

@@ -118,11 +118,6 @@ class GeometricMedianSGD(RowUpdates):
         self._n = 0
 
     @property
-    def n_updates(self):
-        """Number of gradient steps taken (the seeding observation is not one)."""
-        return self._n
-
-    @property
     def initialized(self):
         return self._m is not None
 
@@ -134,8 +129,6 @@ class GeometricMedianSGD(RowUpdates):
     def estimate(self):
         """Current averaged iterate (the estimator to report)."""
         return None if self._mbar is None else self._mbar.copy()
-
-    update = RowUpdates.update  # its own attribute: tracers wrap vars(cls)["update"]
 
     def _update(self, x):
         if self._m is None:

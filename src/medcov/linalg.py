@@ -152,10 +152,6 @@ def as_sym_matrix(a, *, tol=1e-8):
     return (m + m.T) / 2.0
 
 
-def frob_norm(a):
-    return float(np.linalg.norm(np.asarray(a, dtype=np.float64)))
-
-
 def _fix_signs(vectors):
     """Flip column signs so the first coordinate with |v_i| > 1e-12 is positive."""
     big = np.abs(vectors) > _SIGN_EPS

@@ -56,7 +56,9 @@ class MedianCovariationSGD(RowUpdates):
     and the squared norm |V|_F^2 is carried incrementally, so one update
     costs O(d^2).  One step serves every scale: past 1e70 it works on
     c / max|c_i|, so |c|^4 never overflows, and the PSD clip holds there
-    as everywhere else.
+    as everywhere else.  It stops where |V|_F passes about 1.3e154: a step
+    whose |V|_F^2 would overflow float64 raises :class:`NumericalError`
+    before any state changes.
     """
 
     def __init__(self, dim, *, median_schedule=None, cov_schedule=None,
@@ -124,9 +126,17 @@ class MedianCovariationSGD(RowUpdates):
         mx = float(np.abs(c).max())
         if mx == np.inf:
             raise NumericalError("the row minus the center overflows float64")
+        # the step reads nothing the median's update writes, so it is sized
+        # and checked before any state changes
+        move = self._step(self.cov_schedule.gamma(self._n + 1), mx)
         if median is not None:
             median._update(x)
-        self._step(self.cov_schedule.gamma(self._n + 1), mx)
+        if move is not None:  # None: the target coincides with the iterate
+            omt, t_gain, self._fro2 = move
+            np.outer(c, c, out=self._buf)
+            self._v *= omt
+            self._buf *= t_gain
+            self._v += self._buf
         self._n += 1
         np.subtract(self._v, self._vbar, out=self._buf)
         self._buf /= self._n
@@ -136,7 +146,10 @@ class MedianCovariationSGD(RowUpdates):
         return self
 
     def _step(self, gamma, mx):
-        # With u = c / scale, mx = max|c_i|, |Y - V|_F = scale^2 * D for
+        """The move V <- omt * V + t_gain * u u^T, with u = c / scale left
+        in ``self._c``, as ``(omt, t_gain, new |V|_F^2)``, or None for no
+        move.  Raises :class:`NumericalError` if |V|_F^2 would overflow."""
+        # With mx = max|c_i|, |Y - V|_F = scale^2 * D for
         # D = sqrt(|u|^4 - 2 u^T V u / scale^2 + |V|_F^2 / scale^4), so the
         # move (1 - t) V + t c c^T, t = step / |Y - V|_F, is
         # (1 - t) V + (step / D) u u^T, and the PSD clip caps step at
@@ -152,17 +165,14 @@ class MedianCovariationSGD(RowUpdates):
         inner = su * su - 2.0 * (uvu / s2) + (self._fro2 / s2) / s2
         dmat = float(np.sqrt(inner)) if inner > 0.0 else 0.0
         if dmat == 0.0:
-            return  # the observation's target coincides with the iterate
+            return None
         step = min(gamma, s2 * dmat) if self.psd_mode else gamma
         t_gain = step / dmat
         omt = 1.0 - step / (s2 * dmat)
-        np.outer(c, c, out=self._buf)
-        self._v *= omt
-        self._buf *= t_gain
-        self._v += self._buf
-        self._fro2 = (omt * omt * self._fro2
-                      + 2.0 * t_gain * omt * uvu
-                      + t_gain * t_gain * su * su)
+        fro2 = omt * omt * self._fro2 + 2.0 * t_gain * omt * uvu + t_gain * t_gain * su * su
+        if not fro2 < np.inf:  # a Python float overflows to inf (or NaN) silently
+            raise NumericalError("the MCM iterate's squared Frobenius norm overflows float64")
+        return omt, t_gain, fro2
 
     def state_dict(self):
         state = {
@@ -240,6 +250,10 @@ def weiszfeld_mcm(points, m_hat, eps=1e-8, max_iter=1000):
     with np.errstate(over="ignore", invalid="ignore"):
         c = _centered(points, m_hat)
         s = np.einsum("ij,ij->i", c, c)
+        start = _entrywise_median(c)
+        # a row whose |c|^4 overflows is infinitely far from every iterate:
+        # zeroed, its distance is a clean inf (weight 0), never inf - inf
+        c[s * s == np.inf] = 0.0
 
         def dists(g):
             return _rank_one_distances(c, s, g, float(np.tensordot(g, g)))
@@ -248,7 +262,7 @@ def weiszfeld_mcm(points, m_hat, eps=1e-8, max_iter=1000):
             g = (rows * w[:, None]).T @ rows
             return (g + g.T) / 2.0
 
-        return weiszfeld(c, _entrywise_median(c), dists, wmean, eps, max_iter)
+        return weiszfeld(c, start, dists, wmean, eps, max_iter)
 
 
 def _entrywise_median(c):

@@ -63,11 +63,11 @@ class OnlineEigenTracker:
 
     A carrier whose norm collapses below 1e-12 during deflation is
     replaced by a fresh random unit vector orthogonal to the carriers
-    before it; the number of such reinitializations is returned by
-    :meth:`step` and tallied in :attr:`n_reinits`.  Carriers therefore
-    always enter a step with norm at least 1e-12 and with a sum of
-    squared norms that fits float64 (eigenvalues up to about 1e154), and
-    :meth:`from_state_dict` rejects a payload that breaks this.
+    before it, and :attr:`n_reinits` counts such reinitializations.
+    Carriers therefore always enter a step with norm at least 1e-12 and
+    with a sum of squared norms that fits float64 (eigenvalues up to
+    about 1e154), and :meth:`from_state_dict` rejects a payload that
+    breaks this.
     """
 
     def __init__(self, dim, q, *, seed=0):
@@ -88,10 +88,6 @@ class OnlineEigenTracker:
         self._n = 0
         self._rng_draws = 0
         self._reinits = 0
-
-    @property
-    def dim(self):
-        return self._d
 
     @property
     def q(self):
@@ -154,15 +150,13 @@ class OnlineEigenTracker:
         (the MCM's average always is; pass ``as_sym_matrix(m)`` for a
         nearly symmetric ``m``).  Only its shape is checked.
 
-        Returns the number of carriers that collapsed and were
-        reinitialized during this update (normally 0).  Raises
-        :class:`NumericalError`, leaving the carriers as they were, when
-        the carriers' summed squared norms would overflow float64.
+        Raises :class:`NumericalError`, leaving the carriers as they
+        were, when the carriers' summed squared norms would overflow
+        float64.
         """
         r = self._carriers()
         if v_bar.shape != (self._d, self._d):
             raise ValueError(f"expected a {self._d}x{self._d} matrix, got shape {v_bar.shape}")
-        reinits = 0
         norms = np.linalg.norm(r, axis=1)
         g = 1.0 / (self._n + 1)
         w = r / norms[:, None]  # pre-step normalized carriers
@@ -177,13 +171,11 @@ class OnlineEigenTracker:
             _orthogonalize(r[j], r[:j])
             if float(np.linalg.norm(r[j])) < _COLLAPSE_EPS:
                 r[j] = self._fresh_unit(r[:j])
-                reinits += 1
+                self._reinits += 1
         norms = np.linalg.norm(r, axis=1)
         order = np.argsort(-norms, kind="stable")
         self._raw = r[order]
         self._n += 1
-        self._reinits += reinits
-        return reinits
 
     def _carriers(self):
         if not self.ready:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from medcov.errors import ConvergenceError, DataError
-from medcov.linalg import as_sym_matrix, as_vector, frob_norm
+from medcov.linalg import as_sym_matrix, as_vector
 from medcov.mcm import _centered, _rank_one_distances
 
 
@@ -61,7 +61,7 @@ def sym_eigen(a, tol=1e-10, max_sweeps=60):
     w = as_sym_matrix(a)
     d = w.shape[0]
     v = np.eye(d)
-    scale = frob_norm(w)
+    scale = np.linalg.norm(w)
     if scale == 0.0:
         return _sorted_pairs(np.zeros(d), v)
     target = max(0.1 * tol, 1e-14) * scale

@@ -22,7 +22,6 @@ from medcov import (
     calibrated_schedules,
     convergence_curve,
     draw_sample,
-    frob_norm,
     run_benchmark,
     save_snapshot,
     weiszfeld_mcm,
@@ -138,7 +137,7 @@ def test_averaged_rate_slope(criterion_log):
         for t, row in enumerate(x, start=1):
             est.update(row)
             if t in marks:
-                errs.append(frob_norm(est.estimate - proxy) ** 2)
+                errs.append(np.linalg.norm(est.estimate - proxy) ** 2)
         slopes.append(np.polyfit(np.log(checkpoints), np.log(errs), 1)[0])
     slope = float(np.median(slopes))
     elapsed = time.perf_counter() - t0
@@ -256,7 +255,7 @@ def test_equivariance_suite(criterion_log):
         v = MedianCovariationSGD(4, known_median=np.zeros(4))
         u.update_many(xs)
         v.update_many(xs @ q.T)
-        fails["mcm-rotate"] += frob_norm(v.estimate - q @ u.estimate @ q.T) > 1e-10
+        fails["mcm-rotate"] += np.linalg.norm(v.estimate - q @ u.estimate @ q.T) > 1e-10
 
     ok = not any(fails.values())
     detail = "50 instances each, failures: " + " ".join(

@@ -241,17 +241,18 @@ def test_fit_stream_overflowing_row_is_numerical_failure(tmp_path, capsys):
     assert f"numerical failure: {path}: line 2: the row minus the center overflows" in err
 
 
-def test_fit_stream_tracker_overflow_is_numerical_failure(tmp_path, capsys):
-    # with constants scaled to rows of size 1e100 the MCM is fine, but the
-    # tracker's carriers (eigenvalues ~1e200) have squared norms past float64
+def test_fit_stream_mcm_overflow_is_numerical_failure(tmp_path, capsys):
+    # with constants scaled to rows of size 1e100 the first MCM step
+    # carries |V|_F past 1e200, so |V|_F^2 overflows float64 at line 2,
+    # before the tracker (eigenvalues ~1e200) would overflow at line 4
     data = np.random.default_rng(1).standard_normal((60, 3)) * 1e100
     path = tmp_path / "big.csv"
     write_csv(path, data)
     rc, out, err = run_cli(capsys, "fit-stream", "--in", str(path), "--q", "2",
                            "--eigen-lag", "0", "--c-median", "2e100", "--c-mcm", "2e200")
     assert (rc, out) == (4, "")
-    assert err == (f"medcov: numerical failure: {path}: line 4: "
-                   "the tracker carriers' squared norm overflows float64\n")
+    assert err == (f"medcov: numerical failure: {path}: line 2: "
+                   "the MCM iterate's squared Frobenius norm overflows float64\n")
 
 
 def test_fit_stream_negative_eigen_seed_is_config_error(tmp_path, capsys):
@@ -325,23 +326,23 @@ def test_fit_weiszfeld_iteration_cap_is_numerical_failure(tmp_path, capsys):
 
 
 def test_fit_weiszfeld_overflow_stops_at_once(tmp_path, capsys):
-    # a row at 1e80 has an infinite rank-one distance, so weight 0: the
-    # solve succeeds without a warning.  A row at 1e200 overflows the
-    # iterate: the first non-finite sweep ends the solve instead of 1000
-    # NaN sweeps, with one line on stderr
+    # a row at 1e80 or 1e200 has an infinite rank-one distance, so weight
+    # 0: the solve succeeds without a warning.  Rows at +-1.5e308 overflow
+    # the iterate: the first non-finite sweep ends the solve instead of
+    # 1000 NaN sweeps, with one line on stderr
     data = np.random.default_rng(4).standard_normal((200, 5))
     path = tmp_path / "wild.csv"
-    for scale, code in ((1e80, 0), (1e200, 4)):
+    for scale in (1e80, 1e200):
         wild = data.copy()
         wild[7] *= scale
         write_csv(path, wild)
         rc, _, err = run_cli(capsys, "fit-weiszfeld", "--in", str(path))
-        assert rc == code
-        if code == 0:
-            assert err == ""
-        else:
-            assert err.count("\n") == 1
-            assert "numerical failure: Weiszfeld iterate overflowed" in err
+        assert (rc, err) == (0, ""), scale
+    path.write_text("1.5e+308,0.0\n-1.5e+308,0.0\n1.5e+308,1.0\n")
+    rc, _, err = run_cli(capsys, "fit-weiszfeld", "--in", str(path))
+    assert rc == 4
+    assert err.count("\n") == 1
+    assert "numerical failure: Weiszfeld iterate overflowed" in err
 
 
 # ---------------------------------------------------------------------------
@@ -527,12 +528,14 @@ def test_help_lists_exactly_the_table_flags(capsys, cmd):
 # installed entry point
 
 def test_import_does_not_load_scipy():
-    # importing scipy.linalg.blas costs several times all of medcov's import
+    # importing scipy.linalg.blas costs several times all of medcov's import;
+    # the process pool's modules load only when a pool runs
     src = str(Path(medcov.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run(
-        [sys.executable, "-c", "import medcov, sys; assert 'scipy' not in sys.modules"],
+        [sys.executable, "-c", "import medcov, sys; assert not {'scipy', "
+         "'concurrent.futures.process', 'multiprocessing'} & sys.modules.keys()"],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
 

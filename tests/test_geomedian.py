@@ -79,17 +79,17 @@ def test_single_step_from_origin():
     est.update([1.0, 0.0])
     np.testing.assert_allclose(est.iterate, [2.0, 0.0], atol=1e-15)
     np.testing.assert_allclose(est.estimate, [2.0, 0.0], atol=1e-15)
-    assert est.n_updates == 1
+    assert est.state_dict()["n"] == 1
 
 
 def test_degenerate_observation_moves_only_average():
     est = GeometricMedianSGD(2).update([1.0, 2.0])
     est.update([4.0, 2.0])
     before = est.iterate.copy()
-    n = est.n_updates
+    n = est.state_dict()["n"]
     est.update(before)  # x == m_n exactly
     np.testing.assert_array_equal(est.iterate, before)
-    assert est.n_updates == n + 1
+    assert est.state_dict()["n"] == n + 1
 
 
 def test_constant_stream_is_fixed_point():
@@ -106,7 +106,7 @@ def test_first_observation_seeds_without_counting():
     assert not est.initialized
     est.update([1.0, 2.0, 3.0])
     assert est.initialized
-    assert est.n_updates == 0
+    assert est.state_dict()["n"] == 0
     np.testing.assert_array_equal(est.iterate, [1.0, 2.0, 3.0])
 
 
@@ -134,7 +134,7 @@ def test_far_row_moves_by_exactly_gamma():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         est = GeometricMedianSGD(2).update([0.0, 0.0]).update([1e200, 0.0])
-    assert est.n_updates == 1
+    assert est.state_dict()["n"] == 1
     np.testing.assert_array_equal(est.iterate, [2.0, 0.0])
     np.testing.assert_array_equal(est.estimate, [2.0, 0.0])
 

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from medcov import ConvergenceError, DataError, frob_norm
+from medcov import ConvergenceError, DataError
 from medcov import linalg
 from medcov.linalg import (
     as_sym_matrix, as_vector, eigh_descending, pack_array, state_field, vector_norm,
@@ -128,21 +128,21 @@ def test_outer_basis_vector():
 
 def test_outer_zero():
     v = np.array([[1.0, 2.0], [2.0, 3.0]])
-    assert rank_one_distance(np.zeros(2), v) == pytest.approx(frob_norm(v), rel=1e-12)
+    assert rank_one_distance(np.zeros(2), v) == pytest.approx(np.linalg.norm(v), rel=1e-12)
 
 
 def test_outer_expansion_and_norm():
     y = np.outer([1.0, 2.0], [1.0, 2.0])
     np.testing.assert_array_equal(y, [[1.0, 2.0], [2.0, 4.0]])
     # |xx^T|_F = |x|^2
-    assert frob_norm(y) == pytest.approx(5.0, abs=1e-12)
+    assert np.linalg.norm(y) == pytest.approx(5.0, abs=1e-12)
     rng = np.random.default_rng(0)
     for _ in range(10):
         c = rng.standard_normal(5)
         a = rng.standard_normal((5, 5))
         v = (a + a.T) / 2.0
         assert rank_one_distance(c, v) == pytest.approx(
-            frob_norm(np.outer(c, c) - v), rel=1e-10)
+            np.linalg.norm(np.outer(c, c) - v), rel=1e-10)
 
 
 def test_rank_one_distance_rotation_invariant():
@@ -152,8 +152,8 @@ def test_rank_one_distance_rotation_invariant():
         x = rng.standard_normal(6)
         y = rng.standard_normal(6)
         q = random_orthogonal(6, rng)
-        base = frob_norm(np.outer(x, x) - np.outer(y, y))
-        rotated = frob_norm(np.outer(q @ x, q @ x) - np.outer(q @ y, q @ y))
+        base = np.linalg.norm(np.outer(x, x) - np.outer(y, y))
+        rotated = np.linalg.norm(np.outer(q @ x, q @ x) - np.outer(q @ y, q @ y))
         assert rotated == pytest.approx(base, rel=1e-10)
 
 
@@ -188,7 +188,7 @@ def test_sym_eigen_reconstructs_random_matrices():
         a = random_symmetric(d, rng)
         pairs = sym_eigen(a)
         recon = sum(p.value * np.outer(p.vector, p.vector) for p in pairs)
-        assert frob_norm(a - recon) <= 1e-9 * max(frob_norm(a), 1.0)
+        assert np.linalg.norm(a - recon) <= 1e-9 * max(np.linalg.norm(a), 1.0)
         vecs = np.array([p.vector for p in pairs])
         np.testing.assert_allclose(vecs @ vecs.T, np.eye(d), atol=1e-9)
         values = [p.value for p in pairs]
@@ -284,7 +284,7 @@ def test_projector_depends_only_on_span():
     rng = np.random.default_rng(8)
     basis = rng.standard_normal((2, 5))
     mixed = np.array([3.0 * basis[0] - basis[1], 0.25 * basis[1] + basis[0]])
-    assert frob_norm(projector(basis) - projector(mixed)) < 1e-8
+    assert np.linalg.norm(projector(basis) - projector(mixed)) < 1e-8
 
 
 def test_projector_rejects_rank_deficient():

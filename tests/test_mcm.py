@@ -1,6 +1,8 @@
 """Median covariation matrix: streaming estimators (known-median and joint
 two-timescale), the PSD-preserving step, and batch Weiszfeld."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,6 @@ from medcov import (
     StepSchedule,
     brownian_cov,
     draw_sample,
-    frob_norm,
     eigenspace_error,
     weiszfeld_mcm,
     weiszfeld_median,
@@ -73,10 +74,10 @@ def test_degenerate_direction_moves_only_average():
 def test_constant_stream_shrinks_toward_zero():
     est = known_median_estimator(2, psd_mode=True)
     est.update([2.0, 0.0])
-    norms = [frob_norm(est.iterate)]
+    norms = [np.linalg.norm(est.iterate)]
     for _ in range(30):
         est.update([0.0, 0.0])  # x == m, Y = 0: step along -V/|V|_F
-        norms.append(frob_norm(est.iterate))
+        norms.append(np.linalg.norm(est.iterate))
     assert all(b <= a for a, b in zip(norms, norms[1:]))
     assert norms[-1] < norms[0]
 
@@ -104,7 +105,7 @@ def test_step_length_equals_gamma():
     for n in range(1, 100):
         prev = est.iterate.copy()
         est.update(rng.standard_normal(3))
-        assert frob_norm(est.iterate - prev) == pytest.approx(sched.gamma(n), rel=1e-10)
+        assert np.linalg.norm(est.iterate - prev) == pytest.approx(sched.gamma(n), rel=1e-10)
 
 
 def test_thresholded_step_length():
@@ -114,10 +115,10 @@ def test_thresholded_step_length():
     for n in range(1, 100):
         prev = est.iterate.copy()
         x = rng.standard_normal(3)
-        dist = frob_norm(np.outer(x, x) - prev)
+        dist = np.linalg.norm(np.outer(x, x) - prev)
         est.update(x)
         expected = min(sched.gamma(n), dist)
-        assert frob_norm(est.iterate - prev) == pytest.approx(expected, rel=1e-10)
+        assert np.linalg.norm(est.iterate - prev) == pytest.approx(expected, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +140,7 @@ def test_joint_mode_centers_at_previous_average():
     est.update([3.0, 0.0])
     c = np.array([3.0, 0.0]) - mbar_before
     y = np.outer(c, c)
-    expected = StepSchedule().gamma(1) * y / frob_norm(y)
+    expected = StepSchedule().gamma(1) * y / np.linalg.norm(y)
     np.testing.assert_allclose(est.iterate, expected, atol=1e-12)
     assert est.n_updates == 1
 
@@ -240,7 +241,7 @@ def test_matches_dense_recursion(psd_mode, joint):
         vbar = est.update_many(x).estimate
         ref = dense_mcm_recursion(x, cs, psd_mode=psd_mode, median_schedule=ms,
                                   known_median=known)
-        assert frob_norm(vbar - ref) <= 1e-10 * frob_norm(ref), seed
+        assert np.linalg.norm(vbar - ref) <= 1e-10 * np.linalg.norm(ref), seed
 
 
 def test_rescaled_step_is_the_plain_step_scaled():
@@ -261,14 +262,14 @@ def test_rescaled_step_is_the_plain_step_scaled():
                 d, median_schedule=StepSchedule(ms.c * big, ms.alpha),
                 cov_schedule=StepSchedule(cs.c * big * big, cs.alpha), known_median=known,
             ).update_many(x * big).estimate
-            err = frob_norm(scaled / big / big - plain) / frob_norm(plain)
+            err = np.linalg.norm(scaled / big / big - plain) / np.linalg.norm(plain)
             assert err <= 1e-12, (seed, known is None, err)
 
 
 def _state(est):
     """Every stored number of a streaming estimator, as a tuple of arrays."""
     if isinstance(est, GeometricMedianSGD):
-        return est.n_updates, est.iterate, est.estimate
+        return est.state_dict()["n"], est.iterate, est.estimate
     median = () if est._median is None else _state(est._median)
     return (est.n_updates, est._fro2, est.iterate, est._vbar.copy()) + median
 
@@ -281,22 +282,59 @@ _ESTIMATORS = (GeometricMedianSGD, MedianCovariationSGD,
                lambda d: MedianCovariationSGD(d, known_median=np.zeros(d)))
 
 
+_WILD = np.array([1e308, -1e308, 1e308])
+_HUGE = {"median_schedule": StepSchedule(2e100), "cov_schedule": StepSchedule(2e200)}
+_BIG_ROWS = np.random.default_rng(1).standard_normal((2, 3)) * 1e100
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered in subtract:RuntimeWarning")
-@pytest.mark.parametrize("make", [
-    pytest.param(lambda a: MedianCovariationSGD(3), id="psd-joint"),
-    pytest.param(lambda a: MedianCovariationSGD(3, known_median=a), id="psd-known"),
-    pytest.param(lambda a: MedianCovariationSGD(3, psd_mode=False), id="raw-joint"),
-    pytest.param(lambda a: MedianCovariationSGD(3, psd_mode=False, known_median=a), id="raw-known"),
+@pytest.mark.parametrize("make,rows", [
+    pytest.param(lambda: MedianCovariationSGD(3), (_WILD, _WILD, -_WILD), id="psd-joint"),
+    pytest.param(lambda: MedianCovariationSGD(3, known_median=_WILD),
+                 (_WILD, _WILD, -_WILD), id="psd-known"),
+    pytest.param(lambda: MedianCovariationSGD(3, psd_mode=False),
+                 (_WILD, _WILD, -_WILD), id="raw-joint"),
+    pytest.param(lambda: MedianCovariationSGD(3, psd_mode=False, known_median=_WILD),
+                 (_WILD, _WILD, -_WILD), id="raw-known"),
+    # rows at 1e100 with a constant of 2e200: the first step carries
+    # |V|_F past 1e200, so |V|_F^2 overflows though every entry is finite
+    pytest.param(lambda: MedianCovariationSGD(3, **_HUGE), _BIG_ROWS, id="psd-huge-constant"),
+    pytest.param(lambda: MedianCovariationSGD(3, psd_mode=False, **_HUGE), _BIG_ROWS,
+                 id="raw-huge-constant"),
 ])
-def test_overflowing_difference_is_a_numerical_error(make):
-    # every entry is finite, but x - center is not: the row is refused
-    # before the iterate, the average, the median or a counter moves
-    a = np.array([1e308, -1e308, 1e308])
-    est = make(a).update(a).update(a)
+def test_overflowing_difference_is_a_numerical_error(make, rows):
+    # every entry is finite, but x - center (or the stepped |V|_F^2) is
+    # not: the row is refused before the iterate, the average, the
+    # median or a counter moves
+    est = make()
+    for row in rows[:-1]:
+        est.update(row)
     before = _state(est)
     with pytest.raises(NumericalError, match="overflows float64"):
-        est.update(-a)
+        est.update(rows[-1])
     assert _same(_state(est), before)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(0, 300), a=st.floats(-3, 300), b=st.floats(-3, 300),
+       psd=st.booleans(), seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12))
+def test_every_scale_steps_or_raises_unchanged(k, a, b, psd, seed, n):
+    # rows at 10^k and constants up to 1e300 keep x - center inside float64,
+    # so each update either steps to a finite, loadable state or refuses
+    # the row with the state as it was
+    est = MedianCovariationSGD(3, median_schedule=StepSchedule(10.0 ** a),
+                               cov_schedule=StepSchedule(10.0 ** b), psd_mode=psd)
+    for row in np.random.default_rng(seed).standard_normal((n, 3)) * 10.0 ** k:
+        before = _state(est)
+        try:
+            est.update(row)
+        except NumericalError:
+            assert _same(_state(est), before)
+            continue
+        assert np.isfinite(est._fro2) and np.isfinite(est.iterate).all()
+        assert np.isfinite(est._vbar).all()
+        state = json.loads(json.dumps(est.state_dict(), allow_nan=False))
+        assert MedianCovariationSGD.from_state_dict(state).state_dict() == est.state_dict()
 
 
 def test_update_many_validates_shape():
@@ -384,9 +422,9 @@ def test_weiszfeld_mcm_fixed_point():
     eps = 1e-10
     g = weiszfeld_mcm(pts, np.zeros(3), eps=eps)
     ys = np.array([np.outer(p, p) for p in pts])
-    w = 1.0 / np.array([frob_norm(y - g) for y in ys])
+    w = 1.0 / np.array([np.linalg.norm(y - g) for y in ys])
     w /= w.sum()
-    assert frob_norm(g - np.tensordot(w, ys, axes=1)) <= 10.0 * eps
+    assert np.linalg.norm(g - np.tensordot(w, ys, axes=1)) <= 10.0 * eps
 
 
 def test_weiszfeld_mcm_iteration_cap():
@@ -402,7 +440,7 @@ def test_mcm_objective_values():
     assert mcm_objective(pts, np.zeros(2), np.zeros((2, 2))) == 0.0
     y1 = np.outer(pts[0], pts[0])
     single = mcm_objective(pts[:1], np.zeros(2), y1)
-    assert single == pytest.approx(-frob_norm(y1), rel=1e-12)
+    assert single == pytest.approx(-np.linalg.norm(y1), rel=1e-12)
 
 
 def test_weiszfeld_mcm_beats_empirical_covariance():
@@ -443,6 +481,6 @@ def test_averaging_beats_raw_iterate():
         rng = np.random.default_rng(seed)
         est = known_median_estimator(d)
         est.update_many(rng.standard_normal((n, d)))
-        raw.append(frob_norm(est.iterate - gamma_ref) ** 2)
-        avg.append(frob_norm(est.estimate - gamma_ref) ** 2)
+        raw.append(np.linalg.norm(est.iterate - gamma_ref) ** 2)
+        avg.append(np.linalg.norm(est.estimate - gamma_ref) ** 2)
     assert np.median(raw) > np.median(avg)
