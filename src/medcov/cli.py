@@ -312,15 +312,16 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](_merge_options(args))
+    except (NumericalError, FloatingPointError, np.linalg.LinAlgError) as exc:
+        # first: LinAlgError is a ValueError, which would read as exit 2
+        print(f"medcov: numerical failure: {exc}", file=sys.stderr)
+        return 4
     except (ConfigError, ValueError) as exc:
         print(f"medcov: config error: {exc}", file=sys.stderr)
         return 2
     except (DataError, OSError) as exc:
         print(f"medcov: data error: {exc}", file=sys.stderr)
         return 3
-    except (NumericalError, FloatingPointError, np.linalg.LinAlgError) as exc:
-        print(f"medcov: numerical failure: {exc}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

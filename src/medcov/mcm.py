@@ -13,6 +13,8 @@ fixed-point baseline.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DataError, NumericalError
@@ -133,7 +135,7 @@ class MedianCovariationSGD(RowUpdates):
             median._update(x)
         if move is not None:  # None: the target coincides with the iterate
             omt, t_gain, self._fro2 = move
-            np.outer(c, c, out=self._buf)
+            np.multiply(c[:, None], c, out=self._buf)
             self._v *= omt
             self._buf *= t_gain
             self._v += self._buf
@@ -157,13 +159,14 @@ class MedianCovariationSGD(RowUpdates):
         # t underflows to 0 harmlessly.
         c = self._c
         scale = mx if mx > _HUGE_ENTRY else 1.0
-        c /= scale
+        if scale != 1.0:
+            c /= scale
         np.dot(self._v, c, out=self._vc)
         uvu = float(c @ self._vc)
         su = float(c @ c)
         s2 = scale * scale
         inner = su * su - 2.0 * (uvu / s2) + (self._fro2 / s2) / s2
-        dmat = float(np.sqrt(inner)) if inner > 0.0 else 0.0
+        dmat = math.sqrt(inner) if inner > 0.0 else 0.0
         if dmat == 0.0:
             return None
         step = min(gamma, s2 * dmat) if self.psd_mode else gamma
@@ -237,20 +240,18 @@ def _rank_one_distances(c, s, v, fro2):
 def weiszfeld_mcm(points, m_hat, eps=1e-8, max_iter=1000):
     """Weiszfeld fixed-point iteration for the sample MCM.
 
-    Works on the centered rank-one matrices Y_i = (X_i - m)(X_i - m)^T
-    with Frobenius geometry; never materializes the Y_i against the
-    iterate thanks to the rank-one distance identity.  Runs
-    :func:`medcov.geomedian.weiszfeld` from the entrywise median of the
-    Y_i; each weighted mean is symmetrized, so every iterate is exactly
-    symmetric.
-
-    The start is built one upper-triangle row at a time, so memory is
+    Works on the rank-one matrices Y_i = c_i c_i^T, c_i = X_i - m, with
+    Frobenius geometry; never materializes the Y_i against the iterate
+    thanks to the rank-one distance identity.  Runs
+    :func:`medcov.geomedian.weiszfeld` from the spatial-sign covariance of
+    the c_i scaled by their median squared norm; each weighted mean is
+    symmetrized, so every iterate is exactly symmetric.  Memory is
     O(n d + d^2).  A row whose distance overflows gets weight 0, silently.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         c = _centered(points, m_hat)
         s = np.einsum("ij,ij->i", c, c)
-        start = _entrywise_median(c)
+        start = _sign_covariance(c, s)
         # a row whose |c|^4 overflows is infinitely far from every iterate:
         # zeroed, its distance is a clean inf (weight 0), never inf - inf
         c[s * s == np.inf] = 0.0
@@ -265,11 +266,9 @@ def weiszfeld_mcm(points, m_hat, eps=1e-8, max_iter=1000):
         return weiszfeld(c, start, dists, wmean, eps, max_iter)
 
 
-def _entrywise_median(c):
-    """Entrywise median of the rank-one matrices c_i c_i^T."""
-    d = c.shape[1]
-    g = np.empty((d, d))
-    for i in range(d):
-        g[i, i:] = np.median(c[:, i, None] * c[:, i:], axis=0)
-        g[i:, i] = g[i, i:]
-    return g
+def _sign_covariance(c, s):
+    """median(s) * mean_i u_i u_i^T, u_i = c_i / |c_i| (0 where s_i = 0): one gemm.
+    A finite c_i whose s_i overflows gets u_i = 0; an infinite one, NaN."""
+    u = c / np.sqrt(np.where(s > 0.0, s, 1.0))[:, None]
+    g = u.T @ u
+    return (g + g.T) * (float(np.median(s)) / (2 * len(c)))

@@ -9,8 +9,10 @@ recursion on explicit d x d targets, the reference any faster MCM
 kernel must match; ``csv_rows_per_cell`` parses a CSV one cell at a
 time, the reference for ``medcov.bench.iter_csv_rows``;
 ``median_objective`` and ``mcm_objective`` are the sums the batch
-Weiszfeld solvers minimize; ``fix_signs`` is the column loop that
-``medcov.linalg._fix_signs`` vectorizes.
+Weiszfeld solvers minimize; ``entrywise_median`` is the Weiszfeld MCM's
+former start, the reference its faster start must converge with;
+``fix_signs`` is the column loop that ``medcov.linalg._fix_signs``
+vectorizes.
 """
 
 from typing import NamedTuple
@@ -216,6 +218,12 @@ def median_objective(points, u):
         raise ValueError(f"expected a 2-D sample array, got shape {pts.shape}")
     u = as_vector(u, dim=pts.shape[1])
     return float(np.linalg.norm(pts - u, axis=1).sum())
+
+
+def entrywise_median(c):
+    """Entrywise median of the rank-one matrices c_i c_i^T, over the full
+    (n, d, d) stack; exactly symmetric, since c_i c_j = c_j c_i."""
+    return np.median(c[:, :, None] * c[:, None, :], axis=0)
 
 
 def mcm_objective(points, m_hat, v):

@@ -326,13 +326,13 @@ def test_fit_weiszfeld_iteration_cap_is_numerical_failure(tmp_path, capsys):
 
 
 def test_fit_weiszfeld_overflow_stops_at_once(tmp_path, capsys):
-    # a row at 1e80 or 1e200 has an infinite rank-one distance, so weight
+    # a row at 1e80 and up has an infinite rank-one distance, so weight
     # 0: the solve succeeds without a warning.  Rows at +-1.5e308 overflow
     # the iterate: the first non-finite sweep ends the solve instead of
     # 1000 NaN sweeps, with one line on stderr
     data = np.random.default_rng(4).standard_normal((200, 5))
     path = tmp_path / "wild.csv"
-    for scale in (1e80, 1e200):
+    for scale in (1e80, 1e160, 1e200, 1e300):
         wild = data.copy()
         wild[7] *= scale
         write_csv(path, wild)
@@ -343,6 +343,18 @@ def test_fit_weiszfeld_overflow_stops_at_once(tmp_path, capsys):
     assert rc == 4
     assert err.count("\n") == 1
     assert "numerical failure: Weiszfeld iterate overflowed" in err
+
+
+def test_fit_weiszfeld_linalg_error_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    # LinAlgError subclasses ValueError, yet it is a numerical failure
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli, "weiszfeld_mcm", singular)
+    path, _ = sample_csv(tmp_path, "x.csv", 20)
+    rc, out, err = run_cli(capsys, "fit-weiszfeld", "--in", path)
+    assert (rc, out) == (4, "")
+    assert err == "medcov: numerical failure: Singular matrix\n"
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,9 @@ from medcov import (
 )
 from medcov.bench import calibrated_schedules
 from medcov.linalg import eigh_descending
-from medcov.mcm import _entrywise_median
+from medcov.mcm import _sign_covariance
 from medcov.simgen import gaussian_factor
-from oracles import dense_mcm_recursion, mcm_objective, projector
+from oracles import dense_mcm_recursion, entrywise_median, mcm_objective, projector
 
 # For the symmetric cross {e1, -e1, e2, -e2} centered at 0 the MCM is
 # gamma*I by symmetry; 1e-6-resolution brute force over gamma (objective
@@ -383,13 +383,48 @@ def test_update_many_is_row_by_row_or_rejected_whole(data):
 # ---------------------------------------------------------------------------
 # batch Weiszfeld MCM and its objective
 
-def test_weiszfeld_mcm_start_matches_stacked_median():
-    # reference: the entrywise median over the full (n, d, d) stack
+def _start(c):
+    return _sign_covariance(c, np.einsum("ij,ij->i", c, c))
+
+
+def test_weiszfeld_mcm_start_is_symmetric_and_equivariant():
+    rng = np.random.default_rng(11)
     for n, d in ((1, 3), (40, 7), (201, 20)):
-        for seed in range(5):
-            c = np.random.default_rng(seed).standard_t(2, size=(n, d))
-            stacked = np.median(c[:, :, None] * c[:, None, :], axis=0)
-            assert np.array_equal(_entrywise_median(c), (stacked + stacked.T) / 2.0)
+        c = rng.standard_t(2, size=(n, d))
+        g = _start(c)
+        assert np.array_equal(g, g.T)
+        # trace: median |c|^2 times the mean of |u_i|^2 = 1
+        assert np.trace(g) == pytest.approx(np.median(np.einsum("ij,ij->i", c, c)), rel=1e-12)
+        q = random_orthogonal(d, rng)
+        rotated = q @ g @ q.T
+        assert np.linalg.norm(_start(c @ q.T) - rotated) <= 1e-12 * np.linalg.norm(rotated)
+
+
+def test_weiszfeld_mcm_start_skips_center_and_overflowing_rows():
+    # either row changes only the scalar factor median(s) / n, never the sum
+    c = np.random.default_rng(12).standard_normal((30, 4))
+    s = np.einsum("ij,ij->i", c, c)
+    for row in (np.zeros(4), np.full(4, 1e160)):  # |row|^2 = 0 or inf
+        cx = np.vstack([c, row])
+        with np.errstate(over="ignore"):
+            g, sx = _start(cx), np.einsum("ij,ij->i", cx, cx)
+        factor = (np.median(sx) / np.median(s)) * (30 / 31)
+        np.testing.assert_allclose(g, factor * _start(c), rtol=1e-14)
+
+
+@pytest.mark.parametrize("d", [10, 50])
+@pytest.mark.parametrize("law", ["student_t1", "student_t2"])
+def test_weiszfeld_mcm_matches_entrywise_median_start(monkeypatch, d, law):
+    # the converged MCM does not depend on the start: the former start,
+    # the entrywise median, reaches the same solution to 1e-6
+    for seed in range(3):
+        x = draw_sample(ScenarioConfig(d=d, delta=0.1, contamination=law, seed=seed), 200)
+        m = weiszfeld_median(x)
+        fast = weiszfeld_mcm(x, m)
+        with monkeypatch.context() as patch:
+            patch.setattr("medcov.mcm._sign_covariance", lambda c, s: entrywise_median(c))
+            ref = weiszfeld_mcm(x, m)
+        assert np.linalg.norm(fast - ref) <= 1e-6 * np.linalg.norm(ref)
 
 
 def test_weiszfeld_mcm_single_point_at_center():
