@@ -8,6 +8,8 @@ Estimator names used throughout:
 * ``mcm_r``     -- streaming averaged-SGD MCM, raw steps,
 * ``mcm_rplus`` -- streaming averaged-SGD MCM with the PSD step clip.
 
+A replication fits the two streaming estimators as two lanes of one pass.
+
 Every replication r of a benchmark draws its sample with seed
 ``base_seed + r``, so replications are independent, reproducible, and
 safe to farm out to a process pool; results are reduced in replication
@@ -248,39 +250,53 @@ def _fit_mcm_w(x, cfg):
     return top_q_projector(gamma, cfg.q)
 
 
-def _fit_mcm_stream(x, cfg, psd_mode):
-    est = MedianCovariationSGD(
-        x.shape[1],
-        median_schedule=cfg.median_schedule,
-        cov_schedule=cfg.cov_schedule,
-        psd_mode=psd_mode,
-    )
-    est.update_many(x)
-    return top_q_projector(est.estimate, cfg.q)
+_FITTERS = {"pca": _fit_pca, "mcm_w": _fit_mcm_w}
+
+# the streaming estimators, by PSD mode
+_PSD_MODES = {"mcm_r": False, "mcm_rplus": True}
 
 
-_FITTERS = {
-    "pca": _fit_pca,
-    "mcm_w": _fit_mcm_w,
-    "mcm_r": lambda x, cfg: _fit_mcm_stream(x, cfg, False),
-    "mcm_rplus": lambda x, cfg: _fit_mcm_stream(x, cfg, True),
-}
+def _fit_streams(x, cfg, names):
+    """{name: averaged MCM, or None where its fit failed} for the
+    streaming estimators ``names``, fitted in one pass with one lane each.
+    If the shared pass fails, each is refitted alone, so a failure (say,
+    one lane's |V|_F^2 overflowing) excludes only its own estimator."""
+    try:
+        est = MedianCovariationSGD(x.shape[1], median_schedule=cfg.median_schedule,
+                                   cov_schedule=cfg.cov_schedule)
+        est._set_lanes(_PSD_MODES[name] for name in names)
+        return dict(zip(names, est.update_many(x)._lane_estimates()))
+    except _FAIL_EXC:
+        if len(names) == 1:
+            return {names[0]: None}
+        return {name: _fit_streams(x, cfg, [name])[name] for name in names}
 
 
 def _run_replication(task):
+    """Eigenspace errors (None for a failed fit) and fit times in ms, by
+    estimator.  The streaming estimators share one pass, whose time is
+    split evenly between them."""
     cfg, r = task
     scen = dataclasses.replace(cfg.scenario, seed=cfg.seed + r)
     x = draw_sample(scen, cfg.n)
     p_true = _true_projector(cfg.scenario.d, cfg.q)
+    streams = [est for est in cfg.estimators if est in _PSD_MODES]
+    t0 = time.perf_counter()
+    fits = _fit_streams(x, cfg, streams) if streams else {}
+    share = (time.perf_counter() - t0) * 1000.0 / max(len(streams), 1)
     errors = {}
     times = {}
     for est in cfg.estimators:
         t0 = time.perf_counter()
         try:
-            errors[est] = eigenspace_error(_FITTERS[est](x, cfg), p_true)
+            if est in fits:
+                p = None if fits[est] is None else top_q_projector(fits[est], cfg.q)
+            else:
+                p = _FITTERS[est](x, cfg)
+            errors[est] = None if p is None else eigenspace_error(p, p_true)
         except _FAIL_EXC:
             errors[est] = None
-        times[est] = (time.perf_counter() - t0) * 1000.0
+        times[est] = (time.perf_counter() - t0) * 1000.0 + (share if est in fits else 0.0)
     return errors, times
 
 
@@ -546,8 +562,14 @@ def fit_stream(csv_in, *, q=2, median_schedule=None, cov_schedule=None,
                     eigen_seed=eigen_seed,
                     eigen_lag=eigen_lag,
                 )
+            elif rows == 0 and vec.shape[0] != model.mcm.dim:
+                # a resumed snapshot's width; iter_csv_rows holds later rows to the first's
+                raise DataError(
+                    f"{csv_in}: line {line_no}: dimension mismatch: "
+                    f"expected {model.mcm.dim}, got {vec.shape[0]}"
+                )
             try:
-                model.update(vec)
+                model._update(vec)  # iter_csv_rows has checked the row
             except ValueError as exc:
                 raise DataError(f"{csv_in}: line {line_no}: {exc}") from exc
             except NumericalError as exc:
@@ -555,7 +577,7 @@ def fit_stream(csv_in, *, q=2, median_schedule=None, cov_schedule=None,
             rows += 1
             if sidecar:
                 if model.tracker.ready:
-                    scores, dist = model.tracker.scores(vec, model.mcm.median_estimate)
+                    scores, dist = model._scores(vec)
                     cells = [_fmt(v) for v in scores] + [_fmt(dist)]
                 else:
                     cells = ["nan"] * (model.tracker.q + 1)

@@ -116,6 +116,7 @@ class GeometricMedianSGD(RowUpdates):
         self._m = None
         self._mbar = None
         self._n = 0
+        self._diff = np.empty(self._dim)  # scratch, so the hot loop never allocates
 
     @property
     def initialized(self):
@@ -135,15 +136,17 @@ class GeometricMedianSGD(RowUpdates):
             self._m = x.copy()
             self._mbar = x.copy()
             return self
-        diff = x - self._m
+        diff = np.subtract(x, self._m, out=self._diff)
         dist = vector_norm(diff)  # finite for rows past 1e154 too
         if dist == np.inf:
             raise NumericalError("the row minus the median iterate overflows float64")
         if dist > 0.0:
-            gamma = self.schedule.gamma(self._n + 1)
-            self._m += (gamma / dist) * diff
+            diff *= self.schedule.gamma(self._n + 1) / dist
+            self._m += diff
         self._n += 1
-        self._mbar += (self._m - self._mbar) / self._n
+        np.subtract(self._m, self._mbar, out=diff)  # the average folds through the scratch
+        diff /= self._n
+        self._mbar += diff
         return self
 
     def state_dict(self):

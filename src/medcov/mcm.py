@@ -61,13 +61,15 @@ class MedianCovariationSGD(RowUpdates):
     as everywhere else.  It stops where |V|_F passes about 1.3e154: a step
     whose |V|_F^2 would overflow float64 raises :class:`NumericalError`
     before any state changes.
+
+    Internally it steps K lanes, one per PSD mode, on one row stream
+    (:meth:`_set_lanes`); an estimator built here has one lane.
     """
 
     def __init__(self, dim, *, median_schedule=None, cov_schedule=None,
                  psd_mode=True, known_median=None):
         super().__init__(dim)
         d = self._dim
-        self.psd_mode = bool(psd_mode)
         self.cov_schedule = cov_schedule if cov_schedule is not None else StepSchedule()
         if known_median is not None:
             self._known_m = as_vector(known_median, dim=d).copy()
@@ -75,14 +77,32 @@ class MedianCovariationSGD(RowUpdates):
         else:
             self._known_m = None
             self._median = GeometricMedianSGD(dim=d, schedule=median_schedule)
-        self._v = np.zeros((d, d))
-        self._vbar = np.zeros((d, d))
-        self._fro2 = 0.0
         self._n = 0
-        # scratch buffers so the hot loop never allocates
-        self._c = np.empty(d)
-        self._vc = np.empty(d)
-        self._buf = np.empty((d, d))
+        self._c = np.empty(d)  # scratch, so the hot loop never allocates
+        self._set_lanes((bool(psd_mode),))
+
+    def _set_lanes(self, psd_modes):
+        """Give a fresh estimator one lane per PSD mode, all stepped on
+        one row stream.  The lanes share the center, the median update,
+        gamma_n and the outer product c c^T; lane k's V, Vbar and |V|_F^2
+        (``_v[k]``, ``_vbar[k]``, ``_fro2[k]``) are bit for bit those of a
+        one-lane fit in its mode.  A row that overflows any lane raises
+        before any lane changes.  Several lanes are never snapshotted."""
+        d = self._dim
+        self._psd_modes = tuple(psd_modes)
+        k = len(self._psd_modes)
+        # V, Vbar and the scratch share one allocation, so their layout
+        # does not depend on what else the heap holds
+        self._v, self._vbar, self._buf = np.zeros((3, k, d, d))
+        self._fro2 = [0.0] * k
+        # each lane's V, scratch and V c, bound once: ``self._v[k] *= s``
+        # would also copy the product back through __setitem__
+        self._lane_views = list(zip(self._v, self._buf, np.empty((k, d))))
+
+    @property
+    def psd_mode(self):
+        """Whether steps are PSD-clipped (lane 0's mode)."""
+        return self._psd_modes[0]
 
     @property
     def n_updates(self):
@@ -91,20 +111,23 @@ class MedianCovariationSGD(RowUpdates):
 
     @property
     def iterate(self):
-        return self._v.copy()
+        return self._v[0].copy()
 
     @property
     def estimate(self):
         """Averaged iterate Vbar: the matrix estimate to report."""
+        return self._lane_estimates()[0]
+
+    def _lane_estimates(self):
         if self._n == 0:
             raise ValueError("no observations: the estimator has taken no matrix update yet")
-        return self._vbar.copy()
+        return [vbar.copy() for vbar in self._vbar]
 
     @property
     def estimate_view(self):
         """Read-only view of the live Vbar: no d x d copy, and it follows
         later updates (``estimate`` is the copy to keep)."""
-        view = self._vbar.view()
+        view = self._vbar[0]
         view.flags.writeable = False
         return view
 
@@ -115,6 +138,11 @@ class MedianCovariationSGD(RowUpdates):
             return self._median.estimate
         return self._known_m.copy()
 
+    @property
+    def _center(self):
+        """The live center: the median's average (not a copy) or the known median."""
+        return self._known_m if self._median is None else self._median._mbar
+
     update = RowUpdates.update  # its own attribute: tracers wrap vars(cls)["update"]
 
     def _update(self, x):
@@ -123,59 +151,42 @@ class MedianCovariationSGD(RowUpdates):
         if median is not None and not median.initialized:
             median._update(x)
             return self
-        # center at the median's live average (``estimate`` would copy it)
-        np.subtract(x, self._known_m if median is None else median._mbar, out=c)
+        np.subtract(x, self._center, out=c)
         mx = float(np.abs(c).max())
         if mx == np.inf:
             raise NumericalError("the row minus the center overflows float64")
-        # the step reads nothing the median's update writes, so it is sized
-        # and checked before any state changes
-        move = self._step(self.cov_schedule.gamma(self._n + 1), mx)
+        # Each lane's move is V <- omt * V + t_gain * u u^T, with u = c /
+        # scale.  The moves read nothing the median's update writes, so
+        # every lane is sized and checked before any state changes.
+        scale = mx if mx > _HUGE_ENTRY else 1.0
+        if scale != 1.0:
+            c /= scale
+        su = float(c @ c)
+        gamma = self.cov_schedule.gamma(self._n + 1)
+        moves = []
+        for (v, _, vc), fro2, psd in zip(self._lane_views, self._fro2, self._psd_modes):
+            np.dot(v, c, out=vc)
+            moves.append(_step(gamma, scale, su, float(c @ vc), fro2, psd))
         if median is not None:
             median._update(x)
-        if move is not None:  # None: the target coincides with the iterate
-            omt, t_gain, self._fro2 = move
-            np.multiply(c[:, None], c, out=self._buf)
-            self._v *= omt
-            self._buf *= t_gain
-            self._v += self._buf
+        if any(moves):
+            outer = self._lane_views[0][1]
+            np.multiply(c[:, None], c, out=outer)
+            # lane 0 goes last, since its scratch holds u u^T until then
+            for k in range(len(moves) - 1, -1, -1):
+                if moves[k] is not None:  # None: the target coincides with the iterate
+                    omt, t_gain, self._fro2[k] = moves[k]
+                    v, buf, _ = self._lane_views[k]
+                    v *= omt
+                    np.multiply(outer, t_gain, out=buf)
+                    v += buf
         self._n += 1
         np.subtract(self._v, self._vbar, out=self._buf)
         self._buf /= self._n
         self._vbar += self._buf
         if self._n % _FRO2_REFRESH == 0:
-            self._fro2 = float(np.tensordot(self._v, self._v))
+            self._fro2 = [float(np.tensordot(v, v)) for v in self._v]
         return self
-
-    def _step(self, gamma, mx):
-        """The move V <- omt * V + t_gain * u u^T, with u = c / scale left
-        in ``self._c``, as ``(omt, t_gain, new |V|_F^2)``, or None for no
-        move.  Raises :class:`NumericalError` if |V|_F^2 would overflow."""
-        # With mx = max|c_i|, |Y - V|_F = scale^2 * D for
-        # D = sqrt(|u|^4 - 2 u^T V u / scale^2 + |V|_F^2 / scale^4), so the
-        # move (1 - t) V + t c c^T, t = step / |Y - V|_F, is
-        # (1 - t) V + (step / D) u u^T, and the PSD clip caps step at
-        # scale^2 * D.  If scale^2 rounds to inf, the clip cannot bind and
-        # t underflows to 0 harmlessly.
-        c = self._c
-        scale = mx if mx > _HUGE_ENTRY else 1.0
-        if scale != 1.0:
-            c /= scale
-        np.dot(self._v, c, out=self._vc)
-        uvu = float(c @ self._vc)
-        su = float(c @ c)
-        s2 = scale * scale
-        inner = su * su - 2.0 * (uvu / s2) + (self._fro2 / s2) / s2
-        dmat = math.sqrt(inner) if inner > 0.0 else 0.0
-        if dmat == 0.0:
-            return None
-        step = min(gamma, s2 * dmat) if self.psd_mode else gamma
-        t_gain = step / dmat
-        omt = 1.0 - step / (s2 * dmat)
-        fro2 = omt * omt * self._fro2 + 2.0 * t_gain * omt * uvu + t_gain * t_gain * su * su
-        if not fro2 < np.inf:  # a Python float overflows to inf (or NaN) silently
-            raise NumericalError("the MCM iterate's squared Frobenius norm overflows float64")
-        return omt, t_gain, fro2
 
     def state_dict(self):
         state = {
@@ -184,9 +195,9 @@ class MedianCovariationSGD(RowUpdates):
             "cov_c": self.cov_schedule.c,
             "cov_alpha": self.cov_schedule.alpha,
             "n": self._n,
-            "fro2": self._fro2,
-            "v": pack_array(self._v),
-            "vbar": pack_array(self._vbar),
+            "fro2": self._fro2[0],
+            "v": pack_array(self._v[0]),
+            "vbar": pack_array(self._vbar[0]),
         }
         if self._median is not None:
             state["mode"] = "joint"
@@ -216,13 +227,38 @@ class MedianCovariationSGD(RowUpdates):
             est._median = load_state_part(state, "median", GeometricMedianSGD.from_state_dict)
             if est._median.dim != d:
                 raise DataError(f"median.dim: expected {d}, got {est._median.dim}")
-        est._v, est._vbar = v, vbar
-        est._fro2 = float(state_field(state, "fro2", float, low=0.0))
+        est._v[0], est._vbar[0] = v, vbar
+        fro2 = float(state_field(state, "fro2", float, low=0.0))
         exact = float(np.vdot(v, v))  # inf, without a warning, if |v|_F^2 overflows
-        if exact == np.inf or abs(est._fro2 - exact) > 1e-8 * exact + 1e-300:  # V = 0 floor
-            raise DataError(f"fro2: {est._fro2!r} disagrees with |v|_F^2 = {exact!r}")
+        if exact == np.inf or abs(fro2 - exact) > 1e-8 * exact + 1e-300:  # V = 0 floor
+            raise DataError(f"fro2: {fro2!r} disagrees with |v|_F^2 = {exact!r}")
+        est._fro2 = [fro2]
         est._n = state_field(state, "n", int, low=0)
         return est
+
+
+def _step(gamma, scale, su, uvu, fro2, psd):
+    """One lane's move as ``(omt, t_gain, new |V|_F^2)``, or None for no
+    move, from su = |u|^2 and uvu = u^T V u of u = c / scale.  Raises
+    :class:`NumericalError` if |V|_F^2 would overflow."""
+    # |Y - V|_F = scale^2 * D for
+    # D = sqrt(|u|^4 - 2 u^T V u / scale^2 + |V|_F^2 / scale^4), so the
+    # move (1 - t) V + t c c^T, t = step / |Y - V|_F, is
+    # (1 - t) V + (step / D) u u^T, and the PSD clip caps step at
+    # scale^2 * D.  If scale^2 rounds to inf, the clip cannot bind and
+    # t underflows to 0 harmlessly.
+    s2 = scale * scale
+    inner = su * su - 2.0 * (uvu / s2) + (fro2 / s2) / s2
+    dmat = math.sqrt(inner) if inner > 0.0 else 0.0
+    if dmat == 0.0:
+        return None
+    step = min(gamma, s2 * dmat) if psd else gamma
+    t_gain = step / dmat
+    omt = 1.0 - step / (s2 * dmat)
+    fro2 = omt * omt * fro2 + 2.0 * t_gain * omt * uvu + t_gain * t_gain * su * su
+    if not fro2 < math.inf:  # a Python float overflows to inf (or NaN) silently
+        raise NumericalError("the MCM iterate's squared Frobenius norm overflows float64")
+    return omt, t_gain, fro2
 
 
 def _centered(points, m_hat):

@@ -42,8 +42,11 @@ def pc_scores(x, center, basis):
     ortho_dist**2 == |x - center|**2``.
     """
     b = np.atleast_2d(np.asarray(basis, dtype=np.float64))
-    x = as_vector(x, dim=b.shape[1])
-    center = as_vector(center, dim=b.shape[1])
+    return _pc_scores(as_vector(x, dim=b.shape[1]), as_vector(center, dim=b.shape[1]), b)
+
+
+def _pc_scores(x, center, b):
+    """:func:`pc_scores` of checked vectors on a (q, d) float64 basis."""
     z = x - center
     scores = b @ z
     resid = z - b.T @ scores
@@ -295,15 +298,31 @@ class StreamingRobustPCA:
         return self._rows
 
     def update(self, x):
+        # mcm.update checks the row; perfbench times the MCM layer by
+        # wrapping it, so the public path keeps calling it
         self.mcm.update(x)
+        return self._track(np.asarray(x, dtype=np.float64))
+
+    def _update(self, x):
+        """:meth:`update` of a row already checked: 1-D, ``dim`` long, finite."""
+        self.mcm._update(x)
+        return self._track(x)
+
+    def _track(self, x):
+        """Count the row the MCM has just taken, and feed the tracker."""
         self._rows += 1
         if self.mcm.n_updates < 1:
             return self
         if not self.tracker.ready:
-            self.tracker.offer(np.asarray(x, dtype=np.float64) - self.mcm.median_estimate)
+            self.tracker.offer(x - self.mcm._center)
         elif self.mcm.n_updates > self._eigen_lag:
             self.tracker.step(self.mcm.estimate_view)
         return self
+
+    def _scores(self, x):
+        """``tracker.scores(x, mcm.median_estimate)`` of a checked row,
+        against the live center: no checks and no copies."""
+        return _pc_scores(x, self.mcm._center, self.tracker.basis)
 
     def state_dict(self):
         return {

@@ -6,8 +6,10 @@ eigenvector sign convention, so its pairs compare directly with
 ``medcov.linalg.eigh_descending``; ``projector`` builds U U^T from an
 arbitrary basis by Gram-Schmidt; ``dense_mcm_recursion`` runs the MCM
 recursion on explicit d x d targets, the reference any faster MCM
-kernel must match; ``csv_rows_per_cell`` parses a CSV one cell at a
-time, the reference for ``medcov.bench.iter_csv_rows``;
+kernel must match; ``per_mode_mcm_fits`` fits one one-lane MCM per PSD
+mode, the reference for the lanes that share one pass;
+``csv_rows_per_cell`` parses a CSV one cell at a time, the reference
+for ``medcov.bench.iter_csv_rows``;
 ``median_objective`` and ``mcm_objective`` are the sums the batch
 Weiszfeld solvers minimize; ``entrywise_median`` is the Weiszfeld MCM's
 former start, the reference its faster start must converge with;
@@ -21,7 +23,7 @@ import numpy as np
 
 from medcov.errors import ConvergenceError, DataError
 from medcov.linalg import as_sym_matrix, as_vector
-from medcov.mcm import _centered, _rank_one_distances
+from medcov.mcm import MedianCovariationSGD, _centered, _rank_one_distances
 
 
 class EigenPair(NamedTuple):
@@ -176,6 +178,16 @@ def dense_mcm_recursion(xs, cov_schedule, *, psd_mode=True, median_schedule=None
         n += 1
         vbar = vbar + (v - vbar) / n
     return vbar
+
+
+def per_mode_mcm_fits(xs, psd_modes, **kwargs):
+    """Reference for ``MedianCovariationSGD._set_lanes``: one one-lane
+    ``update_many`` fit of ``xs`` per PSD mode, each as (V, Vbar, |V|_F^2)."""
+    fits = []
+    for psd in psd_modes:
+        est = MedianCovariationSGD(xs.shape[1], psd_mode=psd, **kwargs).update_many(xs)
+        fits.append((est.iterate, est.estimate, est.state_dict()["fro2"]))
+    return fits
 
 
 def csv_rows_per_cell(path, *, skip_header=False):

@@ -29,7 +29,7 @@ from medcov import (
     write_csv,
 )
 from medcov.bench import write_report
-from oracles import csv_rows_per_cell
+from oracles import csv_rows_per_cell, per_mode_mcm_fits
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -243,6 +243,36 @@ def test_overflowing_sample_excludes_its_pca_replication(monkeypatch):
     (row,) = run_benchmark(cfg, workers=1)
     assert row.excluded == 4
     assert np.isfinite(row.median_R)
+
+
+def test_streaming_estimators_share_one_pass(monkeypatch):
+    # mcm_r and mcm_rplus as lanes of one pass report what two one-lane
+    # fits report, at every worker count
+    cfg = RunConfig(scenario=ScenarioConfig(d=6, delta=0.1, contamination="student_t1"),
+                    n=120, q=2, replications=4, seed=5)
+    lines = {w: bench.report_lines(run_benchmark(cfg, workers=w)) for w in (1, 2)}
+
+    def per_mode(x, cfg, names):
+        fits = per_mode_mcm_fits(x, [bench._PSD_MODES[name] for name in names],
+                                 median_schedule=cfg.median_schedule,
+                                 cov_schedule=cfg.cov_schedule)
+        return {name: vbar for name, (_, vbar, _) in zip(names, fits)}
+
+    monkeypatch.setattr(bench, "_fit_streams", per_mode)
+    assert lines[1] == lines[2] == bench.report_lines(run_benchmark(cfg, workers=1))
+
+
+def test_a_failing_lane_excludes_only_its_estimator():
+    # with a step constant of 1e300 the raw lane's |V|_F^2 overflows on its
+    # first step, while the PSD clip keeps the other lane finite
+    base = {"scenario": ScenarioConfig(d=4, delta=0.1, contamination="student_t1"),
+            "n": 50, "q": 2, "replications": 4, "seed": 1,
+            "cov_schedule": StepSchedule(1e300, 0.75)}
+    rows = {row.estimator: row for row in run_benchmark(RunConfig(**base), workers=1)}
+    (solo,) = run_benchmark(RunConfig(**base, estimators=("mcm_rplus",)), workers=1)
+    assert rows["mcm_r"].excluded == 4
+    assert (rows["mcm_rplus"].excluded, rows["pca"].excluded, rows["mcm_w"].excluded) == (0, 0, 0)
+    assert bench.report_lines([rows["mcm_rplus"]]) == bench.report_lines([solo])
 
 
 def test_reports_are_deterministic_across_workers(tmp_path):

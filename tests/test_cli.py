@@ -128,6 +128,18 @@ def test_fit_stream_resume_matches_single_pass(tmp_path, capsys):
     assert snap_resumed.read_bytes() == snap_full.read_bytes()
 
 
+def test_fit_stream_resume_rejects_another_width(tmp_path, capsys):
+    # the first row's width is checked against the snapshot's dimension
+    five = tmp_path / "five.csv"
+    write_csv(five, np.random.default_rng(2).standard_normal((20, 5)))
+    snap = tmp_path / "snap.json"
+    assert run_cli(capsys, "fit-stream", "--in", str(five), "--out", str(snap))[0] == 0
+    csv, _ = sample_csv(tmp_path, "three.csv", 10)
+    rc, out, err = run_cli(capsys, "fit-stream", "--in", csv, "--resume", str(snap))
+    assert (rc, out) == (3, "")
+    assert err == f"medcov: data error: {csv}: line 1: dimension mismatch: expected 5, got 3\n"
+
+
 _DROP = object()
 
 # (field named in the error, path into the snapshot, corrupt value)

@@ -26,7 +26,13 @@ from medcov.bench import calibrated_schedules
 from medcov.linalg import eigh_descending
 from medcov.mcm import _sign_covariance
 from medcov.simgen import gaussian_factor
-from oracles import dense_mcm_recursion, entrywise_median, mcm_objective, projector
+from oracles import (
+    dense_mcm_recursion,
+    entrywise_median,
+    mcm_objective,
+    per_mode_mcm_fits,
+    projector,
+)
 
 # For the symmetric cross {e1, -e1, e2, -e2} centered at 0 the MCM is
 # gamma*I by symmetry; 1e-6-resolution brute force over gamma (objective
@@ -244,6 +250,33 @@ def test_matches_dense_recursion(psd_mode, joint):
         assert np.linalg.norm(vbar - ref) <= 1e-10 * np.linalg.norm(ref), seed
 
 
+@pytest.mark.parametrize("modes", [(False, True), (True, False, True)], ids=["r-rplus", "3-lanes"])
+@pytest.mark.parametrize("joint", [True, False], ids=["joint", "known"])
+@pytest.mark.parametrize("d", [3, 10, 50])
+def test_lanes_are_the_per_mode_fits_bit_for_bit(d, joint, modes):
+    # rows x1e75 and x1e120 take the rescaled step; a row on the center
+    # at the start is a lane with no move, and one mid-stream a full shrink
+    known = None if joint else np.zeros(d)
+    ms, cs = calibrated_schedules(d)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        x = _mixed_stream(rng, d, 120)
+        x[1 if joint else 0] = x[0] if joint else 0.0
+        x[40] *= 1e75
+        x[90] *= 1e120
+        x[60] = MedianCovariationSGD(d, median_schedule=ms, cov_schedule=cs, known_median=known
+                                     ).update_many(x[:60]).median_estimate
+        lanes = MedianCovariationSGD(d, median_schedule=ms, cov_schedule=cs, known_median=known)
+        lanes._set_lanes(modes)
+        lanes.update_many(x)
+        ref = per_mode_mcm_fits(x, modes, median_schedule=ms, cov_schedule=cs,
+                                known_median=known)
+        for k, (v, vbar, fro2) in enumerate(ref):
+            assert np.array_equal(lanes._v[k], v), (seed, k)
+            assert np.array_equal(lanes._vbar[k], vbar), (seed, k)
+            assert lanes._fro2[k] == fro2, (seed, k)
+
+
 def test_rescaled_step_is_the_plain_step_scaled():
     # Rows times 2^240 pass 1e70 and take the rescaled step; with the
     # constants scaled to match (2^240 for the median, 2^480 for the MCM)
@@ -271,7 +304,7 @@ def _state(est):
     if isinstance(est, GeometricMedianSGD):
         return est.state_dict()["n"], est.iterate, est.estimate
     median = () if est._median is None else _state(est._median)
-    return (est.n_updates, est._fro2, est.iterate, est._vbar.copy()) + median
+    return (est.n_updates, tuple(est._fro2), est.iterate, est._vbar.copy()) + median
 
 
 def _same(a, b):
