@@ -25,6 +25,7 @@ import dataclasses
 import json
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, MedcovError, NumericalError
 from .geomedian import StepSchedule, weiszfeld_median
-from .linalg import eigh_descending
+from .linalg import as_vector, eigh_descending
 from .mcm import MedianCovariationSGD, weiszfeld_mcm
 from .metrics import SummaryStats, eigenspace_error, mc_summary
 from .online_pca import StreamingRobustPCA
@@ -49,7 +50,7 @@ CURVE_COLUMNS = ("checkpoint", "series", "mean_R", "reps")
 
 WORKERS_ENV = "MEDCOV_MAX_WORKERS"
 
-_FAIL_EXC = (MedcovError, ValueError, ArithmeticError, np.linalg.LinAlgError)
+_FAIL_EXC = (MedcovError, ValueError, ArithmeticError)
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +549,7 @@ def fit_stream(csv_in, *, q=2, median_schedule=None, cov_schedule=None,
         q = model.tracker.q  # the snapshot's geometry wins over the arguments
         psd_mode = model.mcm.psd_mode
     rows = 0
-    sidecar = open(scores_out, "w", encoding="utf-8") if scores_out else None
-    try:
+    with open(scores_out, "w", encoding="utf-8") if scores_out else nullcontext() as sidecar:
         if sidecar:
             sidecar.write(",".join([f"pc{j + 1}" for j in range(q)] + ["ortho_dist"]) + "\n")
         for line_no, vec in iter_csv_rows(csv_in, skip_header=skip_header):
@@ -562,13 +562,9 @@ def fit_stream(csv_in, *, q=2, median_schedule=None, cov_schedule=None,
                     eigen_seed=eigen_seed,
                     eigen_lag=eigen_lag,
                 )
-            elif rows == 0 and vec.shape[0] != model.mcm.dim:
-                # a resumed snapshot's width; iter_csv_rows holds later rows to the first's
-                raise DataError(
-                    f"{csv_in}: line {line_no}: dimension mismatch: "
-                    f"expected {model.mcm.dim}, got {vec.shape[0]}"
-                )
             try:
+                if rows == 0:  # a resumed snapshot's width; later rows match the first's
+                    as_vector(vec, dim=model.mcm.dim)
                 model._update(vec)  # iter_csv_rows has checked the row
             except ValueError as exc:
                 raise DataError(f"{csv_in}: line {line_no}: {exc}") from exc
@@ -582,9 +578,6 @@ def fit_stream(csv_in, *, q=2, median_schedule=None, cov_schedule=None,
                 else:
                     cells = ["nan"] * (model.tracker.q + 1)
                 sidecar.write(",".join(cells) + "\n")
-    finally:
-        if sidecar:
-            sidecar.close()
     if model is None:
         raise DataError(f"{csv_in}: file contains no observations")
     snapshot = model.state_dict()

@@ -250,7 +250,7 @@ def _cmd_fit_weiszfeld(opts):
     return 0
 
 
-def _run_config(opts, *, replications):
+def _run_config(opts):
     scenario = ScenarioConfig(d=opts["d"], delta=opts["delta"],
                               contamination=opts["scenario"], seed=opts["seed"])
     median_schedule, cov_schedule = _bench.calibrated_schedules(
@@ -262,7 +262,7 @@ def _run_config(opts, *, replications):
         scenario=scenario,
         n=opts["n"],
         q=opts["q"],
-        replications=replications,
+        replications=opts["reps"],
         estimators=estimators,
         median_schedule=median_schedule,
         cov_schedule=cov_schedule,
@@ -272,7 +272,7 @@ def _run_config(opts, *, replications):
 
 
 def _cmd_bench(opts):
-    cfg = _run_config(opts, replications=opts["reps"])
+    cfg = _run_config(opts)
     rows = _bench.run_benchmark(cfg)
     if not cfg.output_path:
         for line in _bench.report_lines(rows):
@@ -289,7 +289,7 @@ def _cmd_curve(opts):
         raise ConfigError(
             f"cannot parse checkpoints {opts['checkpoints']!r}"
         ) from None
-    cfg = _run_config(opts, replications=opts["reps"])
+    cfg = _run_config(opts)
     points = _bench.convergence_curve(cfg, checkpoints, psd_mode=opts["psd_mode"],
                                       eigen_lag=opts["eigen_lag"])
     if not cfg.output_path:

@@ -209,6 +209,8 @@ def weiszfeld(rows, x0, dists, wmean, eps, max_iter):
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if not 0.0 <= eps < np.inf:
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
     x = x0
     disp = np.inf
     for _ in range(max_iter):

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import DataError
 
 _SIGN_EPS = 1e-12
 
@@ -168,11 +168,7 @@ def eigh_descending(a):
     ``vectors``, each with its first coordinate of magnitude > 1e-12
     made positive, which pins the sign deterministically.
     """
-    w = as_sym_matrix(a)
-    try:
-        values, vectors = np.linalg.eigh(w)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - eigh on finite input
-        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+    values, vectors = np.linalg.eigh(as_sym_matrix(a))
     values = values[::-1].copy()
     vectors = _fix_signs(vectors[:, ::-1].copy())
     return values, vectors

@@ -33,20 +33,8 @@ _COLLAPSE_EPS = 1e-12
 _DISTINCT_EPS = 1e-10
 
 
-def pc_scores(x, center, basis):
-    """Coordinates of x - center on an orthonormal basis, plus the
-    Euclidean distance to the spanned subspace.
-
-    ``basis`` holds the orthonormal vectors as rows.  Returns
-    ``(scores, ortho_dist)``; by Pythagoras, ``sum(scores**2) +
-    ortho_dist**2 == |x - center|**2``.
-    """
-    b = np.atleast_2d(np.asarray(basis, dtype=np.float64))
-    return _pc_scores(as_vector(x, dim=b.shape[1]), as_vector(center, dim=b.shape[1]), b)
-
-
 def _pc_scores(x, center, b):
-    """:func:`pc_scores` of checked vectors on a (q, d) float64 basis."""
+    """:meth:`OnlineEigenTracker.scores` of checked vectors on a basis ``b``."""
     z = x - center
     scores = b @ z
     resid = z - b.T @ scores
@@ -206,7 +194,11 @@ class OnlineEigenTracker:
         return b.T @ b
 
     def scores(self, x, center):
-        return pc_scores(x, center, self.basis)
+        """``(scores, ortho_dist)``: the coordinates of x - center on
+        :attr:`basis` and its Euclidean distance to their span; by
+        Pythagoras, ``sum(scores**2) + ortho_dist**2 == |x - center|**2``."""
+        b = self.basis  # before the checks: an unready tracker says so first
+        return _pc_scores(as_vector(x, dim=self._d), as_vector(center, dim=self._d), b)
 
     def state_dict(self):
         return {

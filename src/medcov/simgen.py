@@ -23,8 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
-from .linalg import as_sym_matrix, eigh_descending
+from .errors import ConfigError
+from .linalg import eigh_descending
 
 CONTAMINATIONS = ("none", "student_t1", "student_t2", "reverse_brownian")
 _EIG_FLOOR = 1e-12  # a covariance eigenvalue at or below this counts as zero
@@ -73,42 +73,17 @@ class ScenarioConfig:
             )
 
 
-def gaussian_factor(cov):
-    """Cholesky factor L with L L^T = cov, for sampling N(0, cov).
-
-    Fails with a clear error on non-PSD input; the built-in Brownian
-    matrix is positive definite, so this guards custom covariances.
-    """
-    cov = as_sym_matrix(cov)
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"Cholesky factorization failed (matrix not positive definite): {exc}"
-        ) from exc
-
-
-def singular_gaussian_factor(cov):
-    """Factor F with F F^T = cov for a possibly singular covariance.
-
-    Eigendecomposition-based: columns are eigenvectors scaled by
-    sqrt(lambda), with eigenvalues at or below ``_EIG_FLOOR`` zeroed out.
-    """
-    values, vectors = eigh_descending(cov)
-    if values[-1] < -1e-8:
-        raise NumericalError(
-            f"covariance has a significantly negative eigenvalue ({values[-1]:.3e})"
-        )
-    scaled = np.where(values > _EIG_FLOOR, np.sqrt(np.maximum(values, 0.0)), 0.0)
-    return vectors * scaled
-
-
 @lru_cache(maxsize=64)
 def _factor(d, reverse):
-    """Read-only sampling factor of the core (or, with ``reverse``, the
-    reverse-time Brownian contamination) covariance in dimension d."""
-    factor = (singular_gaussian_factor(reverse_brownian_cov(d)) if reverse
-              else gaussian_factor(brownian_cov(d)))
+    """Read-only factor F, F F^T = Sigma, for sampling the core (or, with
+    ``reverse``, the singular contamination) covariance in dimension d:
+    the Cholesky factor of the core, and the contamination's eigenvectors
+    scaled by sqrt(lambda), eigenvalues at or below ``_EIG_FLOOR`` zeroed."""
+    if reverse:
+        values, vectors = eigh_descending(reverse_brownian_cov(d))
+        factor = vectors * np.where(values > _EIG_FLOOR, np.sqrt(np.maximum(values, 0.0)), 0.0)
+    else:
+        factor = np.linalg.cholesky(brownian_cov(d))
     factor.setflags(write=False)
     return factor
 

@@ -316,6 +316,14 @@ def test_curve_single_checkpoint():
     assert all(p.checkpoint == 120 and p.reps == 2 for p in points)
 
 
+def test_curve_points_are_identical_across_workers():
+    cfg = RunConfig(scenario=ScenarioConfig(d=6, delta=0.1, contamination="student_t1"),
+                    n=120, q=2, replications=3, seed=4)
+    lines = {w: bench.report_lines(convergence_curve(cfg, [40, 120], workers=w),
+                                   bench.CURVE_COLUMNS) for w in (1, 2)}
+    assert lines[1] == lines[2]
+
+
 def test_curve_requires_increasing_checkpoints():
     cfg = RunConfig(scenario=ScenarioConfig(d=6), n=100, q=1, replications=2)
     with pytest.raises(ConfigError):

@@ -337,6 +337,16 @@ def test_fit_weiszfeld_iteration_cap_is_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in err
 
 
+@pytest.mark.parametrize("eps", ["-1", "nan", "inf"])
+def test_fit_weiszfeld_rejects_an_eps_that_is_not_finite_and_nonnegative(tmp_path, capsys, eps):
+    # an eps that no displacement meets (-1, nan) or that every one meets (inf)
+    path, _ = sample_csv(tmp_path, "batch.csv", 25, seed=3)
+    rc, out, err = run_cli(capsys, "fit-weiszfeld", "--in", path, f"--eps={eps}",
+                           "--max-iter", "50")
+    assert (rc, out) == (2, "")
+    assert err == f"medcov: config error: eps must be finite and >= 0, got {float(eps)}\n"
+
+
 def test_fit_weiszfeld_overflow_stops_at_once(tmp_path, capsys):
     # a row at 1e80 and up has an infinite rank-one distance, so weight
     # 0: the solve succeeds without a warning.  Rows at +-1.5e308 overflow

@@ -25,7 +25,6 @@ from medcov import (
 from medcov.bench import calibrated_schedules
 from medcov.linalg import eigh_descending
 from medcov.mcm import _sign_covariance
-from medcov.simgen import gaussian_factor
 from oracles import (
     dense_mcm_recursion,
     entrywise_median,
@@ -528,7 +527,7 @@ def test_recursive_matches_weiszfeld_eigenspace():
     # agree on a 5000-point clean Gaussian sample (pilot: R ~ 1e-4)
     d, n = 20, 5000
     rng = np.random.default_rng(0)
-    xs = rng.standard_normal((n, d)) @ gaussian_factor(brownian_cov(d)).T
+    xs = rng.standard_normal((n, d)) @ np.linalg.cholesky(brownian_cov(d)).T
     est = MedianCovariationSGD(d, psd_mode=True)
     est.update_many(xs)
     batch = weiszfeld_mcm(xs, weiszfeld_median(xs))

@@ -22,8 +22,7 @@ from medcov import (
 from medcov import bench, geomedian, linalg, mcm, online_pca
 from medcov.bench import calibrated_schedules
 from medcov.linalg import as_sym_matrix, eigh_descending, pack_array
-from medcov.online_pca import StreamingRobustPCA, pc_scores
-from medcov.simgen import gaussian_factor
+from medcov.online_pca import StreamingRobustPCA
 from oracles import projector, sym_eigen
 
 
@@ -215,14 +214,14 @@ def test_state_roundtrip_continues_identically():
 # scores
 
 def test_scores_at_center_are_zero():
-    scores, dist = pc_scores([1.0, 2.0], [1.0, 2.0], [[1.0, 0.0]])
+    scores, dist = tracker_with_raw([[1.0, 0.0]]).scores([1.0, 2.0], [1.0, 2.0])
     np.testing.assert_array_equal(scores, [0.0])
     assert dist == 0.0
 
 
 def test_scores_coordinate_projection():
     basis = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
-    scores, dist = pc_scores([1.0, 2.0, 3.0], [0.0, 0.0, 0.0], basis)
+    scores, dist = tracker_with_raw(basis).scores([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
     np.testing.assert_allclose(scores, [1.0, 2.0])
     assert dist == pytest.approx(3.0)
 
@@ -230,20 +229,34 @@ def test_scores_coordinate_projection():
 def test_scores_pythagoras():
     rng = np.random.default_rng(4)
     q, _ = np.linalg.qr(rng.standard_normal((5, 3)))
-    basis = q.T
+    tracker = tracker_with_raw(q.T)
     for _ in range(20):
         x = rng.standard_normal(5)
         c = rng.standard_normal(5)
-        scores, dist = pc_scores(x, c, basis)
+        scores, dist = tracker.scores(x, c)
         total = float(scores @ scores) + dist * dist
         assert total == pytest.approx(float((x - c) @ (x - c)), abs=1e-10)
 
 
 def test_scores_of_an_overflowing_residual_are_finite():
     # the residual's squared norm overflows; its norm does not
-    scores, dist = pc_scores([1e200, 2e200, 3e200, 1e200], np.zeros(4), [[1.0, 0.0, 0.0, 0.0]])
+    tracker = tracker_with_raw([[1.0, 0.0, 0.0, 0.0]])
+    scores, dist = tracker.scores([1e200, 2e200, 3e200, 1e200], np.zeros(4))
     np.testing.assert_array_equal(scores, [1e200])
     assert dist == pytest.approx(np.sqrt(14.0) * 1e200, rel=1e-15)
+
+
+def test_scores_check_the_tracker_then_both_vectors():
+    tracker = tracker_with_raw([[1.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="expected 3, got 2"):
+        tracker.scores([1.0, 2.0], np.zeros(3))
+    with pytest.raises(ValueError, match="expected 3, got 4"):
+        tracker.scores(np.zeros(3), np.zeros(4))
+    with pytest.raises(ValueError, match="non-finite"):
+        tracker.scores([1.0, np.nan, 0.0], np.zeros(3))
+    unready = OnlineEigenTracker(3, 1)
+    with pytest.raises(RuntimeError, match="warm-up incomplete"):
+        unready.scores([1.0, 2.0], np.zeros(4))
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +269,7 @@ def test_online_tracks_batch_eigenspace():
     d, q, n = 100, 3, 2000
     checkpoints = (500, 1000, 2000)
     ms, cs = calibrated_schedules(d)
-    factor = gaussian_factor(brownian_cov(d))
+    factor = np.linalg.cholesky(brownian_cov(d))
     gaps = {c: [] for c in checkpoints}
     spot = None
     for seed in range(20):

@@ -4,13 +4,8 @@ contamination."""
 import numpy as np
 import pytest
 
-from medcov import ConfigError, NumericalError, ScenarioConfig, brownian_cov, draw_sample
-from medcov.simgen import (
-    CONTAMINATIONS,
-    gaussian_factor,
-    reverse_brownian_cov,
-    singular_gaussian_factor,
-)
+from medcov import ConfigError, ScenarioConfig, brownian_cov, draw_sample
+from medcov.simgen import CONTAMINATIONS, _factor, reverse_brownian_cov
 
 
 # ---------------------------------------------------------------------------
@@ -58,21 +53,16 @@ def test_cov_dimension_validation():
 # ---------------------------------------------------------------------------
 # sampling factors
 
-def test_gaussian_factor_reproduces_covariance():
-    cov = brownian_cov(6)
-    f = gaussian_factor(cov)
-    np.testing.assert_allclose(f @ f.T, cov, atol=1e-12)
-
-
-def test_gaussian_factor_rejects_indefinite():
-    with pytest.raises(NumericalError):
-        gaussian_factor([[1.0, 2.0], [2.0, 1.0]])
-
-
-def test_singular_factor_handles_rank_deficiency():
-    cov = reverse_brownian_cov(5)
-    f = singular_gaussian_factor(cov)
-    np.testing.assert_allclose(f @ f.T, cov, atol=1e-10)
+def test_sampling_factors_reproduce_their_covariances():
+    # the core factor is lower triangular (Cholesky); the singular
+    # contamination's factor has a zero column per zeroed eigenvalue
+    core = _factor(6, False)
+    np.testing.assert_allclose(core @ core.T, brownian_cov(6), atol=1e-12)
+    np.testing.assert_array_equal(core, np.tril(core))
+    rev = _factor(5, True)
+    np.testing.assert_allclose(rev @ rev.T, reverse_brownian_cov(5), atol=1e-10)
+    np.testing.assert_array_equal(rev[:, -1], np.zeros(5))
+    assert not core.flags.writeable and not rev.flags.writeable
 
 
 # ---------------------------------------------------------------------------
