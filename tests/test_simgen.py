@@ -53,16 +53,20 @@ def test_cov_dimension_validation():
 # ---------------------------------------------------------------------------
 # sampling factors
 
-def test_sampling_factors_reproduce_their_covariances():
-    # the core factor is lower triangular (Cholesky); the singular
-    # contamination's factor has a zero column per zeroed eigenvalue
-    core = _factor(6, False)
-    np.testing.assert_allclose(core @ core.T, brownian_cov(6), atol=1e-12)
-    np.testing.assert_array_equal(core, np.tril(core))
-    rev = _factor(5, True)
-    np.testing.assert_allclose(rev @ rev.T, reverse_brownian_cov(5), atol=1e-10)
-    np.testing.assert_array_equal(rev[:, -1], np.zeros(5))
-    assert not core.flags.writeable and not rev.flags.writeable
+def test_gaussian_factor_reproduces_covariance():
+    # the core factor is lower triangular (Cholesky) and read-only
+    f = _factor(6, False)
+    np.testing.assert_allclose(f @ f.T, brownian_cov(6), atol=1e-12)
+    np.testing.assert_array_equal(f, np.tril(f))
+    assert not f.flags.writeable
+
+
+def test_singular_factor_handles_rank_deficiency():
+    # the contamination's factor has a zero column per zeroed eigenvalue
+    f = _factor(5, True)
+    np.testing.assert_allclose(f @ f.T, reverse_brownian_cov(5), atol=1e-10)
+    np.testing.assert_array_equal(f[:, -1], np.zeros(5))
+    assert not f.flags.writeable
 
 
 # ---------------------------------------------------------------------------
