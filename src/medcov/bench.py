@@ -439,13 +439,10 @@ def _curve_replication(task):
         eigen_seed=cfg.seed + r,
         eigen_lag=eigen_lag,
     )
-    marks = set(checkpoints)
     out = {}
     try:
-        for t in range(1, cfg.n + 1):
-            model.update(x[t - 1])
-            if t not in marks:
-                continue
+        for start, t in zip((0,) + checkpoints, checkpoints):
+            model.update_many(x[start:t])
             if not model.tracker.ready:
                 model.tracker.force_ready()
             p_pca = top_q_projector(_sample_covariance(x[:t]), cfg.q)
@@ -537,8 +534,11 @@ def fit_stream(csv_in, *, q=2, median_schedule=None, cov_schedule=None,
     k+1..n reproduces the single-pass state bit for bit.  With
     ``scores_out``, per-row principal-component scores and the
     orthogonal distance are streamed to a sidecar CSV (rows seen before
-    the tracker is ready get nan entries).
+    the tracker is ready get nan entries); it must not be ``csv_in``.
     """
+    if scores_out and all(map(os.path.exists, (csv_in, scores_out))) \
+            and os.path.samefile(csv_in, scores_out):
+        raise ConfigError(f"{scores_out}: the scores sidecar would overwrite the input")
     model = None
     if resume is not None:
         state = load_snapshot(resume)
@@ -564,7 +564,7 @@ def fit_stream(csv_in, *, q=2, median_schedule=None, cov_schedule=None,
                 )
             try:
                 if rows == 0:  # a resumed snapshot's width; later rows match the first's
-                    as_vector(vec, dim=model.mcm.dim)
+                    as_vector(vec, dim=model.dim)
                 model._update(vec)  # iter_csv_rows has checked the row
             except ValueError as exc:
                 raise DataError(f"{csv_in}: line {line_no}: {exc}") from exc

@@ -58,7 +58,8 @@ def load_schedule(state, c_key, alpha_key):
 
 
 class RowUpdates:
-    """Base of the streaming estimators: it owns their row contract.
+    """Base of the streaming estimators (the median, the MCM and the
+    ``StreamingRobustPCA`` pipeline): it owns their row contract.
 
     ``dim`` is checked once, here.  ``update(x)`` checks one row with
     :func:`as_vector` (1-D, ``dim`` long, finite) and hands it to the

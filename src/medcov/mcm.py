@@ -143,8 +143,6 @@ class MedianCovariationSGD(RowUpdates):
         """The live center: the median's average (not a copy) or the known median."""
         return self._known_m if self._median is None else self._median._mbar
 
-    update = RowUpdates.update  # its own attribute: tracers wrap vars(cls)["update"]
-
     def _update(self, x):
         c = self._c
         median = self._median

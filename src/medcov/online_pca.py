@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
+from .geomedian import RowUpdates
 from .linalg import as_vector, load_state_part, state_field, vector_norm
 from .mcm import MedianCovariationSGD
 
@@ -249,7 +250,7 @@ def _orthogonalize(v, rows):
     return v
 
 
-class StreamingRobustPCA:
+class StreamingRobustPCA(RowUpdates):
     """Joint one-pass pipeline: median + MCM recursion feeding the
     online eigenvector tracker.
 
@@ -270,6 +271,7 @@ class StreamingRobustPCA:
     def __init__(self, dim, q, *, median_schedule=None, cov_schedule=None,
                  psd_mode=True, known_median=None, eigen_seed=0,
                  eigen_lag=None):
+        super().__init__(dim)
         self.mcm = MedianCovariationSGD(
             dim,
             median_schedule=median_schedule,
@@ -289,19 +291,9 @@ class StreamingRobustPCA:
         """Observations consumed (including the one that seeds the median)."""
         return self._rows
 
-    def update(self, x):
-        # mcm.update checks the row; perfbench times the MCM layer by
-        # wrapping it, so the public path keeps calling it
-        self.mcm.update(x)
-        return self._track(np.asarray(x, dtype=np.float64))
-
     def _update(self, x):
-        """:meth:`update` of a row already checked: 1-D, ``dim`` long, finite."""
+        """A checked row: step the MCM, count the row, then feed the tracker."""
         self.mcm._update(x)
-        return self._track(x)
-
-    def _track(self, x):
-        """Count the row the MCM has just taken, and feed the tracker."""
         self._rows += 1
         if self.mcm.n_updates < 1:
             return self
@@ -341,6 +333,7 @@ class StreamingRobustPCA:
             raise DataError(f"version: unsupported snapshot version {state.get('version')!r}")
         model = cls.__new__(cls)
         model.mcm = load_state_part(state, "mcm", MedianCovariationSGD.from_state_dict)
+        model._dim = model.mcm.dim
         # checked before the tracker allocates its (q, d) carriers
         dim = load_state_part(state, "tracker", lambda part: state_field(part, "dim", int, low=1))
         if dim != model.mcm.dim:

@@ -49,6 +49,8 @@ def test_calibrated_schedules_scale_with_dimension():
     med, cov = calibrated_schedules(4, c_median=1.0, c_mcm=3.0, alpha=0.8)
     assert med == StepSchedule(c=1.0, alpha=0.8)
     assert cov == StepSchedule(c=3.0, alpha=0.8)
+    with pytest.raises(ConfigError, match=r"^dimension must be >= 1, got 0$"):
+        calibrated_schedules(0)
 
 
 def test_run_config_fills_schedules():
@@ -67,6 +69,10 @@ def test_run_config_validation():
         RunConfig(scenario=scen, q=11)
     with pytest.raises(ConfigError):
         RunConfig(scenario=scen, replications=0)
+    with pytest.raises(ConfigError, match=r"^sample size must be >= 1, got 0$"):
+        RunConfig(scenario=scen, n=0)
+    with pytest.raises(ConfigError, match=r"^scenario must be a ScenarioConfig$"):
+        RunConfig(scenario={"d": 10})
     # estimator order is canonicalized regardless of request order
     cfg = RunConfig(scenario=scen, estimators=("mcm_r", "pca"))
     assert cfg.estimators == ("pca", "mcm_r")
@@ -122,6 +128,13 @@ def test_write_csv_writes_each_value_as_its_shortest_repr(tmp_path):
     assert path.read_text(encoding="utf-8") == expected
 
 
+def test_write_csv_rejects_a_vector(tmp_path):
+    path = tmp_path / "vector.csv"
+    with pytest.raises(ValueError, match=r"^expected a 2-D sample array, got shape \(3,\)$"):
+        write_csv(path, np.ones(3))
+    assert not path.exists()
+
+
 # (file text, skip_header): rows that parse in one call, and rows whose
 # error must name the same line and column as the per-cell parser
 _CSV_EDGE_CASES = {
@@ -172,6 +185,8 @@ def test_iter_csv_rows_matches_the_per_cell_parser(tmp_path, text, skip_header):
 def test_top_q_projector_of_diagonal():
     p = top_q_projector(np.diag([5.0, 1.0, 3.0]), 2)
     np.testing.assert_allclose(p, np.diag([1.0, 0.0, 1.0]), atol=1e-12)
+    with pytest.raises(ValueError, match=r"^q must be in \[1, 3\], got 4$"):
+        top_q_projector(np.eye(3), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +339,23 @@ def test_curve_points_are_identical_across_workers():
     assert lines[1] == lines[2]
 
 
+def test_curve_replication_stops_at_its_last_checkpoint(monkeypatch):
+    # each replication feeds exactly checkpoints[-1] rows, checked as
+    # blocks between checkpoints, not the whole sample of n rows
+    fed = []
+    original = StreamingRobustPCA._update
+
+    def counted(self, x):
+        fed.append(self)
+        return original(self, x)
+
+    monkeypatch.setattr(StreamingRobustPCA, "_update", counted)
+    cfg = RunConfig(scenario=ScenarioConfig(d=5), n=120, q=2, replications=3, seed=6)
+    points = convergence_curve(cfg, [20, 60], workers=1)
+    assert all(p.reps == 3 for p in points)
+    assert sorted(map(fed.count, set(fed))) == [60, 60, 60]
+
+
 def test_curve_requires_increasing_checkpoints():
     cfg = RunConfig(scenario=ScenarioConfig(d=6), n=100, q=1, replications=2)
     with pytest.raises(ConfigError):
@@ -468,9 +500,10 @@ def test_perfbench_trace_points_resolve():
     # a moved name would zero its per-layer metric without any error.
     # Retired entries are callables deleted on purpose; their layers read
     # 0 by design.  The tracker no longer symmetrizes Vbar on each step,
-    # and the package steps the median only through its unchecked
-    # ``_update``, so the median inherits the public ``update``.
-    retired = {("medcov.online_pca", "as_sym_matrix"), ("GeometricMedianSGD", "update")}
+    # and the package steps the median and the MCM only through their
+    # unchecked ``_update``, so both inherit the public ``update``.
+    retired = {("medcov.online_pca", "as_sym_matrix"), ("GeometricMedianSGD", "update"),
+               ("MedianCovariationSGD", "update")}
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)

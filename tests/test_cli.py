@@ -98,6 +98,32 @@ def test_fit_stream_missing_file_is_data_error(tmp_path, capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("cmd", ["fit-stream", "fit-weiszfeld"])
+def test_empty_file_is_data_error(tmp_path, capsys, cmd):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    rc, out, err = run_cli(capsys, cmd, "--in", str(path))
+    assert (rc, out) == (3, "")
+    assert err == f"medcov: data error: {path}: file contains no observations\n"
+
+
+def test_fit_stream_refuses_a_sidecar_that_is_the_input(tmp_path, capsys):
+    # the sidecar is opened before the first row is read, so writing it
+    # over the input would leave nothing to read and only its header behind
+    path = tmp_path / "d.csv"
+    assert run_cli(capsys, "simulate", "--d", "3", "--n", "20", "--out", str(path))[0] == 0
+    before = path.read_bytes()
+    alias = tmp_path / "alias.csv"
+    os.link(path, alias)  # another name for the same file
+    for out_path in (path, alias):
+        rc, out, err = run_cli(capsys, "fit-stream", "--in", str(path),
+                               "--scores-out", str(out_path))
+        assert (rc, out) == (2, "")
+        assert err == (f"medcov: config error: {out_path}: "
+                       "the scores sidecar would overwrite the input\n")
+    assert path.read_bytes() == before
+
+
 def test_fit_stream_ragged_file_is_data_error(tmp_path, capsys):
     path = tmp_path / "ragged.csv"
     path.write_text("1,2\n3\n")
@@ -149,6 +175,7 @@ _CORRUPT_SNAPSHOTS = [
     ("mcm.n", ("mcm", "n"), "x"),
     ("mcm.fro2", ("mcm", "fro2"), float("inf")),
     ("mcm.psd_mode", ("mcm", "psd_mode"), "on"),
+    ("mcm.mode", ("mcm", "mode"), "x"),
     ("mcm.cov_c/cov_alpha", ("mcm", "cov_alpha"), 2.0),
     ("mcm.v", ("mcm", "v"), [[1.0, 0.0], [0.0, 1.0]]),
     ("mcm.vbar", ("mcm", "vbar"), [[float("nan")] * 3] * 3),
@@ -183,6 +210,10 @@ _CORRUPT_SNAPSHOTS = [
     pytest.param("tracker.raw", ("tracker", "raw"), [[1e160, 0.0, 0.0], [0.0, 1e160, 0.0]],
                  id="tracker.raw-norm-overflows"),
     pytest.param("tracker.seed", ("tracker", "seed"), -1, id="tracker.seed-negative"),
+    # a median of its own consistent width, under an MCM of another
+    pytest.param("mcm.median.dim", ("mcm", "median"),
+                 medcov.GeometricMedianSGD(4).update_many(np.eye(4)).state_dict(),
+                 id="mcm.median-another-width"),
 ]
 
 
@@ -267,6 +298,13 @@ def test_fit_stream_mcm_overflow_is_numerical_failure(tmp_path, capsys):
                    "the MCM iterate's squared Frobenius norm overflows float64\n")
 
 
+def test_fit_stream_negative_eigen_lag_is_config_error(tmp_path, capsys):
+    csv, _ = sample_csv(tmp_path, "d.csv", 20)
+    rc, out, err = run_cli(capsys, "fit-stream", "--in", csv, "--eigen-lag", "-1")
+    assert (rc, out) == (2, "")
+    assert err == "medcov: config error: eigen_lag must be >= 0, got -1\n"
+
+
 def test_fit_stream_negative_eigen_seed_is_config_error(tmp_path, capsys):
     csv, _ = sample_csv(tmp_path, "d.csv", 20)
     rc, out, err = run_cli(capsys, "fit-stream", "--in", csv, "--eigen-seed", "-1")
@@ -327,6 +365,15 @@ def test_fit_weiszfeld_outputs_batch_estimates(tmp_path, capsys):
     np.testing.assert_allclose(result["median"], weiszfeld_median(data), atol=1e-8)
     assert len(result["eigenvalues"]) == 2
     assert result["eigenvalues"][0] >= result["eigenvalues"][1]
+
+
+@pytest.mark.parametrize("q", [0, 5])
+def test_fit_weiszfeld_rejects_a_q_outside_the_dimension(tmp_path, capsys, q):
+    path = tmp_path / "four.csv"
+    write_csv(path, np.random.default_rng(1).standard_normal((12, 4)))
+    rc, out, err = run_cli(capsys, "fit-weiszfeld", "--in", str(path), "--q", str(q))
+    assert (rc, out) == (2, "")
+    assert err == f"medcov: config error: q must be in [1, 4], got {q}\n"
 
 
 def test_fit_weiszfeld_iteration_cap_is_numerical_failure(tmp_path, capsys):
@@ -417,6 +464,18 @@ def test_curve_rejects_checkpoint_beyond_stream(capsys):
     rc, _, _ = run_cli(capsys, "curve", "--d", "4", "--n", "50", "--reps", "2",
                        "--checkpoints", "40,80")
     assert rc == 2
+
+
+@pytest.mark.parametrize("checkpoints,message", [
+    ("a,b", "cannot parse checkpoints 'a,b'"),
+    (",", "checkpoints must be nonempty"),
+    ("1,10", "checkpoints must start at 2 or later"),
+], ids=["not-integers", "empty", "from-1"])
+def test_curve_rejects_bad_checkpoints(capsys, checkpoints, message):
+    rc, out, err = run_cli(capsys, "curve", "--d", "4", "--n", "50", "--reps", "2",
+                           "--checkpoints", checkpoints)
+    assert (rc, out) == (2, "")
+    assert err == f"medcov: config error: {message}\n"
 
 
 def test_curve_prints_table(capsys):

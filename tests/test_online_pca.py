@@ -97,6 +97,13 @@ def test_seeded_replay_is_deterministic():
         OnlineEigenTracker(4, 2, seed=-1)
 
 
+def test_tracker_rejects_a_bad_size():
+    with pytest.raises(ValueError, match=r"^dimension must be >= 1, got 0$"):
+        OnlineEigenTracker(0, 1)
+    with pytest.raises(ValueError, match=r"^q must be in \[1, 3\], got 4$"):
+        OnlineEigenTracker(3, 4)
+
+
 # ---------------------------------------------------------------------------
 # single-step algebra
 
@@ -371,9 +378,42 @@ def test_overflowing_row_leaves_the_pipeline_unchanged():
     assert model.rows == 1 and model.state_dict() == before
 
 
+@pytest.mark.parametrize("known", [False, True], ids=["joint", "known"])
+def test_update_many_matches_row_by_row(known):
+    # the block path runs the same unchecked _update on each row
+    rng = np.random.default_rng(21)
+    xs = mixed_stream(rng, 300, 5)
+
+    def fresh():
+        return StreamingRobustPCA(5, 2, eigen_lag=3, known_median=np.ones(5) if known else None)
+
+    rows = fresh()
+    for x in xs:
+        rows.update(x)
+    blocks = fresh()
+    for block in np.array_split(xs, [1, 2, 40, 41, 200]):
+        blocks.update_many(block)
+    assert blocks.tracker.n_steps > 200
+    assert blocks.rows == rows.rows == 300
+    assert blocks.state_dict() == rows.state_dict()
+
+
+def test_a_rejected_block_leaves_the_pipeline_unchanged():
+    xs = np.random.default_rng(22).standard_normal((30, 4))
+    model = StreamingRobustPCA(4, 2, eigen_lag=0).update_many(xs[:10])
+    before = model.state_dict()
+    bad = xs[10:].copy()
+    bad[7, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        model.update_many(bad)
+    with pytest.raises(ValueError, match="4 wide"):
+        model.update_many(xs[10:, :3])
+    assert model.rows == 10 and model.state_dict() == before
+
+
 def test_a_row_is_checked_once(monkeypatch):
-    # the MCM checks a row where it enters and steps its median unchecked;
-    # update_many checks its block as a whole, not row by row
+    # the pipeline checks a row where it enters and steps the MCM and the
+    # median unchecked; update_many checks its block as a whole, not row by row
     calls = []
 
     def counted(x, *, dim=None):

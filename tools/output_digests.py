@@ -6,8 +6,10 @@ law; ``fit-stream`` (report, snapshot and scores sidecar) for q in
 {1, 3} with PSD clipping on and off, each as one pass and as a head
 pass plus a ``--resume`` tail pass; ``fit-weiszfeld``; ``bench`` (the
 report CSV, and its meta sidecar without ``wall_time_ms``) and ``curve``
-at 1 and 2 workers; every ``--help``; and the ragged-row and
-resume-width errors.
+at 1 and 2 workers, plus one ``curve`` whose last checkpoint is below n;
+every ``--help``; the ragged-row and resume-width errors; and the
+refusal of a ``--scores-out`` that names the ``--in`` file, with the
+input's bytes after it.
 
 The commands run in process through ``medcov.cli.main``, inside a fresh
 temporary directory, on whichever ``medcov`` package ``PYTHONPATH``
@@ -93,6 +95,9 @@ def main():
     run("fit-stream-ragged", "fit-stream", "--in", "ragged.csv")
     run("fit-stream-resume-width", "fit-stream", "--in", "three.csv",
         "--header", "--resume", "q1-psd-on.json")
+    Path("victim.csv").write_bytes(Path("data.csv").read_bytes())
+    run("fit-stream-scores-out-is-input", "fit-stream", "--in", "victim.csv",
+        "--scores-out", "victim.csv", files=["victim.csv"])
 
     run("fit-weiszfeld", "fit-weiszfeld", "--in", "data.csv", "--q", "3")
     run("fit-weiszfeld-file", "fit-weiszfeld", "--in", "three.csv", "--header",
@@ -107,6 +112,9 @@ def main():
         run(f"curve-w{workers}", "curve", "--d", "6", "--n", "120", "--reps", "3",
             "--delta", "0.1", "--scenario", "reverse_brownian", "--q", "2",
             "--checkpoints", "40,80,120", "--seed", "2", workers=workers)
+    run("curve-short", "curve", "--d", "6", "--n", "120", "--reps", "3",
+        "--delta", "0.1", "--scenario", "student_t1", "--q", "2",
+        "--checkpoints", "20,60", "--seed", "7")
     run("bench-stdout", "bench", "--d", "5", "--n", "60", "--reps", "2",
         "--estimators", "pca,mcm_rplus")
 
