@@ -42,73 +42,47 @@ def _step_help(what, calibrated):
                          f"{calibrated if base is None else base})")
 
 
-# key -> (flag, converter, help[, argparse keywords]), in --help order.
-# The converter parses config-file values and is reapplied to flag
+# key -> (flag, converter, default, help[, argparse keywords]), in --help
+# order.  The converter parses config-file values and is reapplied to flag
 # values; a help entry that is callable gets the command's default.
 _OPTIONS = {
-    "d": ("--d", int, "dimension"),
-    "n": ("--n", int, "sample size"),
-    "delta": ("--delta", float, "contamination rate in [0, 1]"),
-    "scenario": ("--scenario", str, "contamination law",
+    "d": ("--d", int, 50, "dimension"),
+    "n": ("--n", int, 200, "sample size"),
+    "delta": ("--delta", float, 0.0, "contamination rate in [0, 1]"),
+    "scenario": ("--scenario", str, "none", "contamination law",
                  {"choices": CONTAMINATIONS}),
-    "estimators": ("--estimators", str,
+    "estimators": ("--estimators", str, ",".join(_bench.ESTIMATORS),
                    "comma-separated subset of " + ",".join(_bench.ESTIMATORS)),
-    "reps": ("--reps", int, "Monte Carlo replications"),
-    "seed": ("--seed", int, "base seed"),
-    "q": ("--q", int, "eigenspace dimension"),
-    "alpha": ("--alpha", float, "step decay exponent in (0.5, 1)"),
-    "c_median": ("--c-median", float, _step_help("median", "0.5*sqrt(d)")),
-    "c_mcm": ("--c-mcm", float, _step_help("MCM", "0.5*d")),
-    "psd_mode": ("--psd-mode", _onoff, "PSD step clipping",
+    "reps": ("--reps", int, 100, "Monte Carlo replications"),
+    "seed": ("--seed", int, 0, "base seed"),
+    "q": ("--q", int, 2, "eigenspace dimension"),
+    "alpha": ("--alpha", float, 0.75, "step decay exponent in (0.5, 1)"),
+    # bench/curve generate their own data, so missing step constants are
+    # calibrated to the scenario dimension (see calibrated_schedules).
+    "c_median": ("--c-median", float, None, _step_help("median", "0.5*sqrt(d)")),
+    "c_mcm": ("--c-mcm", float, None, _step_help("MCM", "0.5*d")),
+    "psd_mode": ("--psd-mode", _onoff, True, "PSD step clipping",
                  {"choices": ("on", "off")}),
-    "eigen_seed": ("--eigen-seed", int, "seed for tracker reinits"),
-    "eigen_lag": ("--eigen-lag", int, "MCM updates to absorb before eigen "
+    "eigen_seed": ("--eigen-seed", int, 0, "seed for tracker reinits"),
+    "eigen_lag": ("--eigen-lag", int, None, "MCM updates to absorb before eigen "
                   "tracking starts (default: one per dimension)"),
-    "input": ("--in", str, "input observations, one row each",
+    "input": ("--in", str, None, "input observations, one row each",
               {"metavar": "CSV"}),
-    "eps": ("--eps", float, "Weiszfeld stopping displacement"),
-    "max_iter": ("--max-iter", int, "Weiszfeld iteration cap"),
-    "resume": ("--resume", str, "snapshot JSON to continue from",
+    "eps": ("--eps", float, 1e-8, "Weiszfeld stopping displacement"),
+    "max_iter": ("--max-iter", int, 1000, "Weiszfeld iteration cap"),
+    "resume": ("--resume", str, None, "snapshot JSON to continue from",
                {"metavar": "SNAPSHOT"}),
-    "scores_out": ("--scores-out", str, "per-row score sidecar",
+    "scores_out": ("--scores-out", str, None, "per-row score sidecar",
                    {"metavar": "CSV"}),
-    "checkpoints": ("--checkpoints", str,
+    "checkpoints": ("--checkpoints", str, None,
                     "comma-separated increasing sample sizes"),
-    "header": ("--header", _onoff, "emit/expect a header line x1..xd",
+    "header": ("--header", _onoff, False, "emit/expect a header line x1..xd",
                {"action": "store_true"}),
-    "out": ("--out", str, "output path ('-' for stdout where supported)"),
+    "out": ("--out", str, None, "output path ('-' for stdout where supported)"),
 }
 
 # config-file keys: every option key plus its flag spelled as a key
 _KEY_ALIASES = {spec[0][2:].replace("-", "_"): key for key, spec in _OPTIONS.items()}
-
-_DEFAULTS = {
-    "simulate": {
-        "d": 50, "n": 200, "delta": 0.0, "scenario": "none", "seed": 0,
-        "out": "-", "header": False,
-    },
-    "fit-stream": {
-        "input": None, "q": 2, "alpha": 0.75, "c_median": 2.0, "c_mcm": 2.0,
-        "psd_mode": True, "eigen_seed": 0, "eigen_lag": None, "out": None,
-        "scores_out": None, "resume": None, "header": False,
-    },
-    "fit-weiszfeld": {
-        "input": None, "q": 2, "eps": 1e-8, "max_iter": 1000, "out": None,
-        "header": False,
-    },
-    # bench/curve generate their own data, so missing step constants are
-    # calibrated to the scenario dimension (see calibrated_schedules).
-    "bench": {
-        "d": 50, "n": 200, "delta": 0.0, "scenario": "none",
-        "estimators": ",".join(_bench.ESTIMATORS), "reps": 100, "seed": 0,
-        "q": 2, "alpha": 0.75, "c_median": None, "c_mcm": None, "out": None,
-    },
-    "curve": {
-        "d": 50, "n": 200, "delta": 0.0, "scenario": "none", "reps": 20,
-        "seed": 0, "q": 2, "alpha": 0.75, "c_median": None, "c_mcm": None,
-        "psd_mode": True, "eigen_lag": None, "checkpoints": None, "out": None,
-    },
-}
 
 
 def _build_parser():
@@ -117,25 +91,17 @@ def _build_parser():
         description="Streaming robust PCA via the median covariation matrix.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(cmd, help_text):
+    for cmd, (_, help_text, _, _) in _COMMANDS.items():
         p = sub.add_parser(cmd, help=help_text)
         p.add_argument("--config", default=None, metavar="FILE",
                        help="key=value file supplying defaults for any flag")
         defaults = _DEFAULTS[cmd]
-        for key, (flag, convert, text, *extra) in _OPTIONS.items():
+        for key, (flag, convert, _, text, *extra) in _OPTIONS.items():
             if key in defaults:
                 if callable(text):
                     text = text(defaults[key])
                 p.add_argument(flag, dest=key, default=None, help=text,
                                **(extra[0] if extra else {"type": convert}))
-        return p
-
-    add("simulate", "draw a synthetic contaminated sample and write CSV")
-    add("fit-stream", "one-pass streaming robust fit of a CSV stream")
-    add("fit-weiszfeld", "batch Weiszfeld median + MCM fit of a CSV file")
-    add("bench", "Monte Carlo benchmark table over replications")
-    add("curve", "convergence-curve table at checkpoints")
     return parser
 
 
@@ -298,20 +264,32 @@ def _cmd_curve(opts):
     return 0
 
 
-_HANDLERS = {
-    "simulate": _cmd_simulate,
-    "fit-stream": _cmd_fit_stream,
-    "fit-weiszfeld": _cmd_fit_weiszfeld,
-    "bench": _cmd_bench,
-    "curve": _cmd_curve,
+# command -> (handler, help, option keys, defaults that differ from _OPTIONS)
+_COMMANDS = {
+    "simulate": (_cmd_simulate, "draw a synthetic contaminated sample and write CSV",
+                 "d n delta scenario seed out header", {"out": "-"}),
+    "fit-stream": (_cmd_fit_stream, "one-pass streaming robust fit of a CSV stream",
+                   "input q alpha c_median c_mcm psd_mode eigen_seed eigen_lag out "
+                   "scores_out resume header", {"c_median": 2.0, "c_mcm": 2.0}),
+    "fit-weiszfeld": (_cmd_fit_weiszfeld, "batch Weiszfeld median + MCM fit of a CSV file",
+                      "input q eps max_iter out header", {}),
+    "bench": (_cmd_bench, "Monte Carlo benchmark table over replications",
+              "d n delta scenario estimators reps seed q alpha c_median c_mcm out", {}),
+    "curve": (_cmd_curve, "convergence-curve table at checkpoints",
+              "d n delta scenario reps seed q alpha c_median c_mcm psd_mode eigen_lag "
+              "checkpoints out", {"reps": 20}),
 }
+
+# each command's options and their defaults, in the command's key order
+_DEFAULTS = {cmd: {key: changed.get(key, _OPTIONS[key][2]) for key in keys.split()}
+             for cmd, (_, _, keys, changed) in _COMMANDS.items()}
 
 
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](_merge_options(args))
+        return _COMMANDS[args.command][0](_merge_options(args))
     except (NumericalError, FloatingPointError, np.linalg.LinAlgError) as exc:
         # first: LinAlgError is a ValueError, which would read as exit 2
         print(f"medcov: numerical failure: {exc}", file=sys.stderr)

@@ -61,7 +61,7 @@ def run(name, *argv, files=(), workers=1):
 
 def main():
     run("help", "--help")
-    for cmd in cli._HANDLERS:
+    for cmd in cli._DEFAULTS:
         run(f"{cmd}-help", cmd, "--help")
 
     for law in ("none", "student_t1", "student_t2", "reverse_brownian"):
