@@ -24,8 +24,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import tempfile
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -519,6 +520,31 @@ def load_snapshot(path):
     return state
 
 
+def _refuse_input_overwrite(csv_in, path, what):
+    """Raise ConfigError if ``path`` names the file ``csv_in`` (a hard link counts)."""
+    if path and all(map(os.path.exists, (csv_in, path))) and os.path.samefile(csv_in, path):
+        raise ConfigError(f"{path}: the {what} would overwrite the input")
+
+
+@contextmanager
+def _replace_on_success(path):
+    """A text file open for writing that becomes ``path`` only if the block
+    succeeds: it is written next to ``path``, moved over it with
+    ``os.replace`` at the end, and removed on any failure."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               prefix=os.path.basename(path) + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            umask = os.umask(0o022)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)  # the mode open(path, "w") gives a new file
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def fit_stream(csv_in, *, q=2, median_schedule=None, cov_schedule=None,
                psd_mode=True, eigen_seed=0, eigen_lag=None, resume=None,
                scores_out=None, skip_header=False):
@@ -534,11 +560,10 @@ def fit_stream(csv_in, *, q=2, median_schedule=None, cov_schedule=None,
     k+1..n reproduces the single-pass state bit for bit.  With
     ``scores_out``, per-row principal-component scores and the
     orthogonal distance are streamed to a sidecar CSV (rows seen before
-    the tracker is ready get nan entries); it must not be ``csv_in``.
+    the tracker is ready get nan entries); it must not be ``csv_in``, and
+    it replaces an existing file only once the whole pass has succeeded.
     """
-    if scores_out and all(map(os.path.exists, (csv_in, scores_out))) \
-            and os.path.samefile(csv_in, scores_out):
-        raise ConfigError(f"{scores_out}: the scores sidecar would overwrite the input")
+    _refuse_input_overwrite(csv_in, scores_out, "scores sidecar")
     model = None
     if resume is not None:
         state = load_snapshot(resume)
@@ -549,7 +574,7 @@ def fit_stream(csv_in, *, q=2, median_schedule=None, cov_schedule=None,
         q = model.tracker.q  # the snapshot's geometry wins over the arguments
         psd_mode = model.mcm.psd_mode
     rows = 0
-    with open(scores_out, "w", encoding="utf-8") if scores_out else nullcontext() as sidecar:
+    with _replace_on_success(scores_out) if scores_out else nullcontext() as sidecar:
         if sidecar:
             sidecar.write(",".join([f"pc{j + 1}" for j in range(q)] + ["ortho_dist"]) + "\n")
         for line_no, vec in iter_csv_rows(csv_in, skip_header=skip_header):
@@ -578,8 +603,8 @@ def fit_stream(csv_in, *, q=2, median_schedule=None, cov_schedule=None,
                 else:
                     cells = ["nan"] * (model.tracker.q + 1)
                 sidecar.write(",".join(cells) + "\n")
-    if model is None:
-        raise DataError(f"{csv_in}: file contains no observations")
+        if model is None:
+            raise DataError(f"{csv_in}: file contains no observations")
     snapshot = model.state_dict()
     report = {
         "rows": model.rows,

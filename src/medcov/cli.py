@@ -176,8 +176,10 @@ def _cmd_simulate(opts):
 def _cmd_fit_stream(opts):
     median_schedule = StepSchedule(opts["c_median"], opts["alpha"])
     cov_schedule = StepSchedule(opts["c_mcm"], opts["alpha"])
+    csv_in = _require_input(opts)
+    _bench._refuse_input_overwrite(csv_in, opts["out"], "snapshot")
     snapshot, report = _bench.fit_stream(
-        _require_input(opts),
+        csv_in,
         q=opts["q"],
         median_schedule=median_schedule,
         cov_schedule=cov_schedule,

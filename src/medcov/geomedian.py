@@ -174,14 +174,23 @@ class GeometricMedianSGD(RowUpdates):
 def weiszfeld_median(points, eps=1e-8, max_iter=1000):
     """Weiszfeld fixed-point iteration for the sample geometric median.
 
-    Runs :func:`weiszfeld` in R^d from the coordinate-wise median.  A
-    row so far away that its distance overflows gets weight 0, the limit
-    of 1/distance, without a warning.
+    Runs :func:`weiszfeld` in R^d from the coordinate-wise median.  A row
+    whose squared distance overflows (past about 1e154) has its distance
+    taken by :func:`vector_norm`, so it keeps its unit pull; only a row
+    whose distance itself overflows gets weight 0, the limit of
+    1/distance, without a warning.
     """
     pts = as_sample(points)
+
+    def dists(x):
+        diff = pts - x
+        dist = np.linalg.norm(diff, axis=1)
+        for i in np.flatnonzero(dist == np.inf):
+            dist[i] = vector_norm(diff[i])
+        return dist
+
     with np.errstate(over="ignore", invalid="ignore"):
-        return weiszfeld(pts, np.median(pts, axis=0),
-                         lambda x: np.linalg.norm(pts - x, axis=1),
+        return weiszfeld(pts, np.median(pts, axis=0), dists,
                          lambda rows, w: w @ rows, eps, max_iter)
 
 

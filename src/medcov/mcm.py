@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .geomedian import GeometricMedianSGD, RowUpdates, StepSchedule, load_schedule, weiszfeld
-from .linalg import as_sample, as_vector, load_state_part, pack_array, state_field
+from .linalg import (as_sample, as_vector, load_state_part, pack_array, state_field,
+                     vector_norm)
 
 # Above this largest entry the step rescales c by it, which keeps every
 # intermediate product (including squared squared-norms) inside float64.
@@ -265,10 +266,20 @@ def _centered(points, m_hat):
 
 
 def _rank_one_distances(c, s, v, fro2):
-    """Frobenius distances |c_i c_i^T - V|_F for all rows at once."""
-    q = np.einsum("ij,ij->i", c @ v, c)
-    d2 = s * s - 2.0 * q + fro2
-    return np.sqrt(np.maximum(d2, 0.0))
+    """Frobenius distances |c_i c_i^T - V|_F for all rows at once.  Where
+    |c_i|^4 overflows, the distance is taken from u = c_i / r, r = |c_i|,
+    as r^2 sqrt(1 - 2 u^T V u / r^2 + |V|_F^2 / r^4), so it is inf only
+    where it passes float64 itself."""
+    s2 = s * s
+    d2 = s2 - 2.0 * np.einsum("ij,ij->i", c @ v, c) + fro2
+    dist = np.sqrt(np.maximum(d2, 0.0))
+    far = np.flatnonzero(s2 == np.inf)
+    if far.size:
+        r = np.array([vector_norm(row) for row in c[far]])
+        u = c[far] / r[:, None]
+        inner = 1.0 - 2.0 * (np.einsum("ij,ij->i", u @ v, u) / r) / r + fro2 / r / r / r / r
+        dist[far] = r * r * np.sqrt(np.maximum(inner, 0.0))
+    return dist
 
 
 def weiszfeld_mcm(points, m_hat, eps=1e-8, max_iter=1000):
@@ -280,15 +291,13 @@ def weiszfeld_mcm(points, m_hat, eps=1e-8, max_iter=1000):
     :func:`medcov.geomedian.weiszfeld` from the spatial-sign covariance of
     the c_i scaled by their median squared norm; each weighted mean is
     symmetrized, so every iterate is exactly symmetric.  Memory is
-    O(n d + d^2).  A row whose distance overflows gets weight 0, silently.
+    O(n d + d^2).  A row keeps its pull until its distance overflows
+    float64 (past about |c| = 1e154); then it gets weight 0, silently.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         c = _centered(points, m_hat)
         s = np.einsum("ij,ij->i", c, c)
         start = _sign_covariance(c, s)
-        # a row whose |c|^4 overflows is infinitely far from every iterate:
-        # zeroed, its distance is a clean inf (weight 0), never inf - inf
-        c[s * s == np.inf] = 0.0
 
         def dists(g):
             return _rank_one_distances(c, s, g, float(np.tensordot(g, g)))

@@ -14,6 +14,7 @@ import medcov.bench as bench
 from medcov import (
     ConfigError,
     DataError,
+    OnlineEigenTracker,
     RunConfig,
     ScenarioConfig,
     StepSchedule,
@@ -354,6 +355,54 @@ def test_curve_replication_stops_at_its_last_checkpoint(monkeypatch):
     points = convergence_curve(cfg, [20, 60], workers=1)
     assert all(p.reps == 3 for p in points)
     assert sorted(map(fed.count, set(fed))) == [60, 60, 60]
+
+
+def test_curve_writes_its_table(tmp_path):
+    out = tmp_path / "curve.csv"
+    cfg = RunConfig(scenario=ScenarioConfig(d=5), n=60, q=1, replications=2, seed=3,
+                    output_path=str(out))
+    points = convergence_curve(cfg, [30, 60], workers=1)
+    lines = bench.report_lines(points, bench.CURVE_COLUMNS)
+    assert out.read_text(encoding="utf-8") == "".join(line + "\n" for line in lines)
+
+
+def test_curve_checkpoint_inside_the_warmup_forces_the_tracker_ready(monkeypatch):
+    # at row 2 of d = 5, q = 3 the tracker is still absorbing its lag of
+    # d MCM updates, so each replication completes its warm-up there
+    forced = []
+    real = OnlineEigenTracker.force_ready
+
+    def counted(self):
+        forced.append(self)
+        return real(self)
+
+    monkeypatch.setattr(OnlineEigenTracker, "force_ready", counted)
+    cfg = RunConfig(scenario=ScenarioConfig(d=5), n=40, q=3, replications=2, seed=1)
+    points = convergence_curve(cfg, [2, 40], workers=1)
+    assert len(forced) == len(set(forced)) == 2
+    assert all(p.reps == 2 and 0.0 <= p.mean_R <= 6.0 for p in points)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in subtract:RuntimeWarning")
+def test_a_failing_curve_replication_is_dropped_from_every_series(monkeypatch):
+    # replication 1's stream overflows at its second row: the curve
+    # averages the other two over every series and reports reps = 2
+    real = bench.draw_sample
+
+    def wild(scenario, n):
+        x = real(scenario, n)
+        if scenario.seed == 1:
+            x[0], x[1] = 1e308, -1e308
+        return x
+
+    monkeypatch.setattr(bench, "draw_sample", wild)
+    cfg = RunConfig(scenario=ScenarioConfig(d=4), n=30, q=1, replications=3, seed=0)
+    points = convergence_curve(cfg, [15, 30], workers=1)
+    kept = [bench._curve_replication((cfg, (15, 30), True, None, r)) for r in (0, 2)]
+    assert len(points) == 2 * len(bench.CURVE_SERIES)
+    for p in points:
+        assert p.reps == 2
+        assert p.mean_R == float(np.mean([res[p.checkpoint][p.series] for res in kept]))
 
 
 def test_curve_requires_increasing_checkpoints():

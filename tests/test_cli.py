@@ -124,6 +124,74 @@ def test_fit_stream_refuses_a_sidecar_that_is_the_input(tmp_path, capsys):
     assert path.read_bytes() == before
 
 
+def test_fit_stream_refuses_a_snapshot_that_is_the_input(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    assert run_cli(capsys, "simulate", "--d", "3", "--n", "20", "--out", str(path))[0] == 0
+    before = path.read_bytes()
+    alias = tmp_path / "alias.csv"
+    os.link(path, alias)  # another name for the same file
+    for out_path in (path, alias):
+        rc, out, err = run_cli(capsys, "fit-stream", "--in", str(path), "--out", str(out_path))
+        assert (rc, out) == (2, "")
+        assert err == (f"medcov: config error: {out_path}: "
+                       "the snapshot would overwrite the input\n")
+    assert path.read_bytes() == before
+    # resuming from a snapshot and writing the next one over it stays allowed
+    snap = str(tmp_path / "s.json")
+    assert run_cli(capsys, "fit-stream", "--in", str(path), "--out", snap)[0] == 0
+    rc, _, err = run_cli(capsys, "fit-stream", "--in", str(path), "--resume", snap, "--out", snap)
+    assert (rc, err) == (0, "")
+
+
+def _failing_inputs(tmp_path):
+    """(name, argv tail, exit code) of four fit-stream runs that fail."""
+    rng = np.random.default_rng(3)
+    ragged = tmp_path / "ragged.csv"
+    write_csv(ragged, rng.standard_normal((20, 3)))
+    with open(ragged, "a", encoding="utf-8") as fh:
+        fh.write("1.0,2.0\n")  # line 21
+    five = tmp_path / "five.csv"
+    write_csv(five, rng.standard_normal((10, 5)))
+    snap = tmp_path / "five.json"
+    assert main(["fit-stream", "--in", str(five), "--out", str(snap)]) == 0
+    edge = tmp_path / "edge.csv"
+    write_csv(edge, [[1e308, -1e308, 1e308], [-1e308, 1e308, -1e308]])
+    return [
+        ("missing", ["--in", str(tmp_path / "nope.csv")], 3),
+        ("ragged", ["--in", str(ragged)], 3),
+        ("resume-width", ["--in", str(ragged), "--resume", str(snap)], 3),
+        ("overflow", ["--in", str(edge)], 4),
+    ]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in subtract:RuntimeWarning")
+def test_a_failed_fit_stream_keeps_an_existing_sidecar(tmp_path, capsys):
+    # the sidecar is written to a temporary file beside it, which replaces
+    # it only once the pass has succeeded and is removed on failure
+    sidecar = tmp_path / "old.scores.csv"
+    for name, argv, code in _failing_inputs(tmp_path):
+        sidecar.write_bytes(b"precious\n")
+        files = set(tmp_path.iterdir())
+        capsys.readouterr()
+        rc, out, _ = run_cli(capsys, "fit-stream", *argv, "--scores-out", str(sidecar))
+        assert (rc, out) == (code, ""), name
+        assert sidecar.read_bytes() == b"precious\n", name
+        assert set(tmp_path.iterdir()) == files, name
+
+
+def test_fit_stream_sidecar_replaces_an_existing_file(tmp_path, capsys):
+    path, _ = sample_csv(tmp_path, "d.csv", 30)
+    fresh, old = tmp_path / "fresh.csv", tmp_path / "old.csv"
+    old.write_text("precious\n" * 100)
+    for sidecar in (fresh, old):
+        assert run_cli(capsys, "fit-stream", "--in", path, "--scores-out", str(sidecar))[0] == 0
+    assert old.read_bytes() == fresh.read_bytes()
+    umask = os.umask(0o022)
+    os.umask(umask)
+    assert (old.stat().st_mode & 0o777) == (0o666 & ~umask)  # as open(path, "w") makes it
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "fresh.csv", "old.csv"]
+
+
 def test_fit_stream_ragged_file_is_data_error(tmp_path, capsys):
     path = tmp_path / "ragged.csv"
     path.write_text("1,2\n3\n")
@@ -412,6 +480,16 @@ def test_fit_weiszfeld_overflow_stops_at_once(tmp_path, capsys):
     assert rc == 4
     assert err.count("\n") == 1
     assert "numerical failure: Weiszfeld iterate overflowed" in err
+
+
+def test_fit_weiszfeld_writes_out_file(tmp_path, capsys):
+    path, _ = sample_csv(tmp_path, "batch.csv", 25, seed=2)
+    rc, printed, _ = run_cli(capsys, "fit-weiszfeld", "--in", path, "--q", "2")
+    assert rc == 0
+    out = tmp_path / "fit.json"
+    assert run_cli(capsys, "fit-weiszfeld", "--in", path, "--q", "2",
+                   "--out", str(out)) == (0, "", "")
+    assert out.read_text(encoding="utf-8") == printed
 
 
 def test_fit_weiszfeld_linalg_error_is_numerical_failure(tmp_path, capsys, monkeypatch):

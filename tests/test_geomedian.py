@@ -287,6 +287,21 @@ def test_weiszfeld_rotation_equivariance():
     assert np.linalg.norm(a - b) <= 1e-8
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_weiszfeld_median_keeps_a_far_rows_pull():
+    # a far row pulls with its unit direction whatever its distance, so
+    # the median stays put where |x - m|^2 overflows (past ~1e154) and
+    # the distance is taken from the rescaled difference
+    data = np.random.default_rng(4).standard_normal((200, 5))
+    fits = []
+    for scale in (1e80, 1e200, 1e300):
+        wild = data.copy()
+        wild[7] *= scale
+        fits.append(weiszfeld_median(wild))
+    for fit in fits[1:]:
+        assert np.linalg.norm(fit - fits[0]) <= 1e-6 * np.linalg.norm(fits[0])
+
+
 def test_weiszfeld_rejects_bad_input():
     with pytest.raises(ValueError):
         weiszfeld_median(np.empty((0, 2)))

@@ -126,6 +126,17 @@ def test_outer_basis_vector():
     assert rank_one_distance(e1, np.eye(2)) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_outer_distance_of_a_far_row():
+    # |c|^4 overflows past |c| ~ 1e77: the distance is taken from c / |c|,
+    # and is inf only once it passes float64 itself (|c| ~ 1.3e154)
+    v = np.array([[2.0, 1.0], [1.0, 3.0]])
+    with np.errstate(over="ignore", invalid="ignore"):  # |c|^4 - 2c^T V c is inf - inf
+        for scale in (1e100, 1e150):
+            c = np.array([3.0, 4.0]) * scale
+            assert rank_one_distance(c, v) == pytest.approx(25.0 * scale * scale, rel=1e-12)
+        assert rank_one_distance([1e160, 0.0], v) == np.inf
+
+
 def test_outer_zero():
     v = np.array([[1.0, 2.0], [2.0, 3.0]])
     assert rank_one_distance(np.zeros(2), v) == pytest.approx(np.linalg.norm(v), rel=1e-12)

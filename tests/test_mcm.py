@@ -459,6 +459,22 @@ def test_weiszfeld_mcm_matches_entrywise_median_start(monkeypatch, d, law):
         assert np.linalg.norm(fast - ref) <= 1e-6 * np.linalg.norm(ref)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_weiszfeld_mcm_keeps_a_far_rows_pull():
+    # past |c| ~ 1e77, |c|^4 overflows; the rank-one distance is then
+    # taken from c / |c|, so the far row keeps the pull u u^T it has at
+    # 1e70 until the distance itself passes float64 (|c| ~ 1e154)
+    data = np.random.default_rng(4).standard_normal((200, 5))
+    m = weiszfeld_median(data)
+    fits = []
+    for scale in (1e70, 1e100, 1e150):
+        wild = data.copy()
+        wild[7] *= scale
+        fits.append(weiszfeld_mcm(wild, m))
+    for fit in fits[1:]:
+        assert np.linalg.norm(fit - fits[0]) <= 1e-6 * np.linalg.norm(fits[0])
+
+
 def test_weiszfeld_mcm_single_point_at_center():
     g = weiszfeld_mcm([[2.0, 1.0]], [2.0, 1.0])
     np.testing.assert_allclose(g, np.zeros((2, 2)), atol=1e-12)

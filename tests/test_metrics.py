@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from medcov import eigenspace_error, mc_summary
+from medcov import NumericalError, eigenspace_error, mc_summary
 from oracles import projector
 
 
@@ -70,6 +70,21 @@ def test_rejects_non_projector():
         eigenspace_error(p, 0.5 * np.eye(2))
     with pytest.raises(ValueError):
         eigenspace_error(np.array([[0.7, 0.1], [0.1, 0.3]]), p)
+
+
+def test_rejects_a_projector_of_fractional_trace():
+    # (1 + 9e-7) P is idempotent within 1e-6, but its trace is 2 + 1.8e-6
+    p = projector([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    with pytest.raises(ValueError, match="trace .* is not an integer"):
+        eigenspace_error((1.0 + 9e-7) * p, p)
+
+
+def test_cross_check_failure_is_a_numerical_error():
+    # (1 + 1e-7) P passes both 1e-6 checks, yet |P_hat - P|^2 = 2e-14 and
+    # 2q - 2 tr(P_hat P) = -4e-7 differ by more than the 1e-8 allowed
+    p = projector([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    with pytest.raises(NumericalError, match="cross-check failed"):
+        eigenspace_error((1.0 + 1e-7) * p, p)
 
 
 def test_rejects_shape_mismatch():

@@ -7,9 +7,11 @@ law; ``fit-stream`` (report, snapshot and scores sidecar) for q in
 pass plus a ``--resume`` tail pass; ``fit-weiszfeld``; ``bench`` (the
 report CSV, and its meta sidecar without ``wall_time_ms``) and ``curve``
 at 1 and 2 workers, plus one ``curve`` whose last checkpoint is below n;
-every ``--help``; the ragged-row and resume-width errors; and the
-refusal of a ``--scores-out`` that names the ``--in`` file, with the
-input's bytes after it.
+every ``--help``; the ragged-row and resume-width errors; the refusals
+of a ``--scores-out`` and of an ``--out`` that name the ``--in`` file,
+with the input's bytes after each; and a missing input and a row that
+is ragged at line 21, each run over an existing scores sidecar, with the
+sidecar's bytes after it.
 
 The commands run in process through ``medcov.cli.main``, inside a fresh
 temporary directory, on whichever ``medcov`` package ``PYTHONPATH``
@@ -98,6 +100,13 @@ def main():
     Path("victim.csv").write_bytes(Path("data.csv").read_bytes())
     run("fit-stream-scores-out-is-input", "fit-stream", "--in", "victim.csv",
         "--scores-out", "victim.csv", files=["victim.csv"])
+    run("fit-stream-out-is-input", "fit-stream", "--in", "victim.csv",
+        "--out", "victim.csv", files=["victim.csv"])
+    Path("late-ragged.csv").write_text("".join(lines[:20]) + "1,2\n")
+    for tag, csv in (("missing-input", "nope.csv"), ("late-ragged", "late-ragged.csv")):
+        Path(f"{tag}.scores.csv").write_text("precious\n")
+        run(f"fit-stream-{tag}-over-sidecar", "fit-stream", "--in", csv,
+            "--scores-out", f"{tag}.scores.csv", files=[f"{tag}.scores.csv"])
 
     run("fit-weiszfeld", "fit-weiszfeld", "--in", "data.csv", "--q", "3")
     run("fit-weiszfeld-file", "fit-weiszfeld", "--in", "three.csv", "--header",
