@@ -530,16 +530,24 @@ def _refuse_input_overwrite(csv_in, path, what):
 def _replace_on_success(path):
     """A text file open for writing that becomes ``path`` only if the block
     succeeds: it is written next to ``path``, moved over it with
-    ``os.replace`` at the end, and removed on any failure."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
-                               prefix=os.path.basename(path) + ".", suffix=".tmp")
+    ``os.replace`` at the end, and removed on any failure.  Its own
+    OSErrors name ``path``, as ``open(path, "w")`` would, not the
+    temporary file."""
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                                   prefix=os.path.basename(path) + ".", suffix=".tmp")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             umask = os.umask(0o022)
             os.umask(umask)
             os.chmod(tmp, 0o666 & ~umask)  # the mode open(path, "w") gives a new file
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         os.remove(tmp)
         raise

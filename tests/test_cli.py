@@ -169,10 +169,11 @@ def test_a_failed_fit_stream_keeps_an_existing_sidecar(tmp_path, capsys):
     # the sidecar is written to a temporary file beside it, which replaces
     # it only once the pass has succeeded and is removed on failure
     sidecar = tmp_path / "old.scores.csv"
-    for name, argv, code in _failing_inputs(tmp_path):
+    cases = _failing_inputs(tmp_path)
+    capsys.readouterr()  # the report of the run that wrote the snapshot
+    for name, argv, code in cases:
         sidecar.write_bytes(b"precious\n")
         files = set(tmp_path.iterdir())
-        capsys.readouterr()
         rc, out, _ = run_cli(capsys, "fit-stream", *argv, "--scores-out", str(sidecar))
         assert (rc, out) == (code, ""), name
         assert sidecar.read_bytes() == b"precious\n", name
@@ -190,6 +191,20 @@ def test_fit_stream_sidecar_replaces_an_existing_file(tmp_path, capsys):
     os.umask(umask)
     assert (old.stat().st_mode & 0o777) == (0o666 & ~umask)  # as open(path, "w") makes it
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "fresh.csv", "old.csv"]
+
+
+@pytest.mark.parametrize("name", ["nodir/s.csv", "sub"], ids=["missing-directory", "directory"])
+def test_an_unwritable_sidecar_is_a_data_error_naming_it(tmp_path, capsys, name):
+    # the error names the sidecar, not the temporary file beside it
+    path, _ = sample_csv(tmp_path, "d.csv", 20)
+    (tmp_path / "sub").mkdir()
+    files = set(tmp_path.iterdir())
+    sidecar = tmp_path / name
+    rc, out, err = run_cli(capsys, "fit-stream", "--in", path, "--scores-out", str(sidecar))
+    assert (rc, out) == (3, "")
+    assert re.fullmatch(rf"medcov: data error: \[Errno \d+\] [^:]+: '{re.escape(str(sidecar))}'\n",
+                        err)
+    assert set(tmp_path.iterdir()) == files
 
 
 def test_fit_stream_ragged_file_is_data_error(tmp_path, capsys):
