@@ -24,9 +24,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import tempfile
+import secrets
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -528,24 +528,34 @@ def _refuse_input_overwrite(csv_in, path, what):
 
 @contextmanager
 def _replace_on_success(path):
-    """A text file open for writing that becomes ``path`` only if the block
-    succeeds: it is written next to ``path``, moved over it with
-    ``os.replace`` at the end, and removed on any failure.  Its own
-    OSErrors name ``path``, as ``open(path, "w")`` would, not the
-    temporary file."""
+    """A text file open for writing on ``path``.  A regular file, or a
+    missing one, is written to a temporary file beside it (beside a
+    symlink's target), moved over it with ``os.replace`` only if the block
+    succeeds, and removed on any failure; an existing file keeps its mode,
+    and its owner where the writer may set it.  Anything else, say a FIFO
+    or /dev/null, is opened and written as the block runs, as
+    ``open(path, "w")`` would.  OSErrors name ``path``, not the temporary
+    file."""
+    real = os.path.realpath(path)
+    if os.path.exists(real) and not os.path.isfile(real):
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    tmp = f"{real}.{secrets.token_hex(8)}.tmp"
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
-                                   prefix=os.path.basename(path) + ".", suffix=".tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # the umask applies
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            umask = os.umask(0o022)
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)  # the mode open(path, "w") gives a new file
+            if os.path.exists(real):
+                old = os.stat(real)
+                with suppress(PermissionError):  # only root may give a file away
+                    os.chown(tmp, old.st_uid, old.st_gid)
+                os.chmod(tmp, old.st_mode & 0o7777)  # after chown, which may clear set-id bits
             yield fh
         try:
-            os.replace(tmp, path)
+            os.replace(tmp, real)
         except OSError as exc:
             raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
@@ -567,9 +577,10 @@ def fit_stream(csv_in, *, q=2, median_schedule=None, cov_schedule=None,
     pass; feeding rows 1..k, snapshotting, then resuming with rows
     k+1..n reproduces the single-pass state bit for bit.  With
     ``scores_out``, per-row principal-component scores and the
-    orthogonal distance are streamed to a sidecar CSV (rows seen before
-    the tracker is ready get nan entries); it must not be ``csv_in``, and
-    it replaces an existing file only once the whole pass has succeeded.
+    orthogonal distance are written to a sidecar CSV (rows seen before
+    the tracker is ready get nan entries); it must not be ``csv_in``.  A
+    regular sidecar file is replaced only once the whole pass has
+    succeeded; a FIFO or a device gets the rows as they come.
     """
     _refuse_input_overwrite(csv_in, scores_out, "scores sidecar")
     model = None

@@ -19,8 +19,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .geomedian import GeometricMedianSGD, RowUpdates, StepSchedule, load_schedule, weiszfeld
-from .linalg import (as_sample, as_vector, load_state_part, pack_array, state_field,
-                     vector_norm)
+from .linalg import as_sample, as_vector, load_state_part, pack_array, state_field
 
 # Above this largest entry the step rescales c by it, which keeps every
 # intermediate product (including squared squared-norms) inside float64.
@@ -275,7 +274,7 @@ def _rank_one_distances(c, s, v, fro2):
     dist = np.sqrt(np.maximum(d2, 0.0))
     far = np.flatnonzero(s2 == np.inf)
     if far.size:
-        r = np.array([vector_norm(row) for row in c[far]])
+        r = np.sqrt(s[far])
         u = c[far] / r[:, None]
         inner = 1.0 - 2.0 * (np.einsum("ij,ij->i", u @ v, u) / r) / r + fro2 / r / r / r / r
         dist[far] = r * r * np.sqrt(np.maximum(inner, 0.0))

@@ -3,8 +3,10 @@
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -182,29 +184,64 @@ def test_a_failed_fit_stream_keeps_an_existing_sidecar(tmp_path, capsys):
 
 def test_fit_stream_sidecar_replaces_an_existing_file(tmp_path, capsys):
     path, _ = sample_csv(tmp_path, "d.csv", 30)
-    fresh, old = tmp_path / "fresh.csv", tmp_path / "old.csv"
+    fresh, old, ref = tmp_path / "fresh.csv", tmp_path / "old.csv", tmp_path / "ref"
     old.write_text("precious\n" * 100)
+    old.chmod(0o640)
     for sidecar in (fresh, old):
         assert run_cli(capsys, "fit-stream", "--in", path, "--scores-out", str(sidecar))[0] == 0
     assert old.read_bytes() == fresh.read_bytes()
-    umask = os.umask(0o022)
-    os.umask(umask)
-    assert (old.stat().st_mode & 0o777) == (0o666 & ~umask)  # as open(path, "w") makes it
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "fresh.csv", "old.csv"]
+    assert (old.stat().st_mode & 0o777) == 0o640  # the existing file's mode is kept
+    ref.touch()  # a new file's mode under this umask, as open(path, "w") makes it
+    assert (fresh.stat().st_mode & 0o777) == (ref.stat().st_mode & 0o777)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "fresh.csv", "old.csv", "ref"]
+
+
+def test_fit_stream_sidecar_through_a_symlink_replaces_its_target(tmp_path, capsys):
+    path, _ = sample_csv(tmp_path, "d.csv", 30)
+    fresh, target, link = tmp_path / "fresh.csv", tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("precious\n")
+    link.symlink_to(target)
+    for sidecar in (fresh, link):
+        assert run_cli(capsys, "fit-stream", "--in", path, "--scores-out", str(sidecar))[0] == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == fresh.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "fresh.csv", "link.csv",
+                                                          "target.csv"]
+
+
+def test_fit_stream_writes_a_fifo_sidecar_in_place(tmp_path, capsys):
+    # a FIFO is not a regular file: it is opened and written as the rows
+    # go, not replaced by a regular file
+    path, _ = sample_csv(tmp_path, "d.csv", 30)
+    fresh, fifo = tmp_path / "fresh.csv", tmp_path / "scores.fifo"
+    assert run_cli(capsys, "fit-stream", "--in", path, "--scores-out", str(fresh))[0] == 0
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert run_cli(capsys, "fit-stream", "--in", path, "--scores-out", str(fifo))[0] == 0
+    reader.join(timeout=30)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert got == [fresh.read_bytes()]
 
 
 @pytest.mark.parametrize("name", ["nodir/s.csv", "sub"], ids=["missing-directory", "directory"])
-def test_an_unwritable_sidecar_is_a_data_error_naming_it(tmp_path, capsys, name):
-    # the error names the sidecar, not the temporary file beside it
+def test_an_unwritable_sidecar_is_a_data_error_naming_it(tmp_path, capsys, monkeypatch, name):
+    # the error names the sidecar, not the temporary file beside it, and
+    # comes before the first row is read
     path, _ = sample_csv(tmp_path, "d.csv", 20)
     (tmp_path / "sub").mkdir()
     files = set(tmp_path.iterdir())
+    calls = []
+    rows = _bench.iter_csv_rows
+    monkeypatch.setattr(_bench, "iter_csv_rows", lambda *a, **k: calls.append(a) or rows(*a, **k))
     sidecar = tmp_path / name
     rc, out, err = run_cli(capsys, "fit-stream", "--in", path, "--scores-out", str(sidecar))
     assert (rc, out) == (3, "")
     assert re.fullmatch(rf"medcov: data error: \[Errno \d+\] [^:]+: '{re.escape(str(sidecar))}'\n",
                         err)
     assert set(tmp_path.iterdir()) == files
+    assert calls == []
 
 
 def test_fit_stream_ragged_file_is_data_error(tmp_path, capsys):
