@@ -24,7 +24,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import secrets
 import time
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass
@@ -541,7 +540,7 @@ def _replace_on_success(path):
         with open(path, "w", encoding="utf-8") as fh:
             yield fh
         return
-    tmp = f"{real}.{secrets.token_hex(8)}.tmp"
+    tmp = f"{real}.{os.urandom(8).hex()}.tmp"
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # the umask applies
     except OSError as exc:

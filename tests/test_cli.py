@@ -196,6 +196,18 @@ def test_fit_stream_sidecar_replaces_an_existing_file(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "fresh.csv", "old.csv", "ref"]
 
 
+@pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() != 0,
+                    reason="only root may give a file to another owner")
+def test_fit_stream_sidecar_keeps_an_existing_owner(tmp_path, capsys):
+    path, _ = sample_csv(tmp_path, "d.csv", 30)
+    old = tmp_path / "old.csv"
+    old.write_text("precious\n")
+    os.chown(old, 1, 1)
+    assert run_cli(capsys, "fit-stream", "--in", path, "--scores-out", str(old))[0] == 0
+    assert (old.stat().st_uid, old.stat().st_gid) == (1, 1)
+    assert old.read_text().startswith("pc1,pc2,ortho_dist\n")
+
+
 def test_fit_stream_sidecar_through_a_symlink_replaces_its_target(tmp_path, capsys):
     path, _ = sample_csv(tmp_path, "d.csv", 30)
     fresh, target, link = tmp_path / "fresh.csv", tmp_path / "target.csv", tmp_path / "link.csv"
