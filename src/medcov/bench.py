@@ -519,10 +519,13 @@ def load_snapshot(path):
     return state
 
 
-def _refuse_input_overwrite(csv_in, path, what):
-    """Raise ConfigError if ``path`` names the file ``csv_in`` (a hard link counts)."""
-    if path and all(map(os.path.exists, (csv_in, path))) and os.path.samefile(csv_in, path):
-        raise ConfigError(f"{path}: the {what} would overwrite the input")
+def _refuse_overwrite(path, other, what, whose):
+    """Raise ConfigError if ``path`` and ``other`` name one file, whether
+    it exists or not: the same real path, or a hard link to it."""
+    if path and other and (
+            os.path.realpath(path) == os.path.realpath(other)
+            or all(map(os.path.exists, (path, other))) and os.path.samefile(path, other)):
+        raise ConfigError(f"{path}: the {what} would overwrite the {whose}")
 
 
 @contextmanager
@@ -581,7 +584,7 @@ def fit_stream(csv_in, *, q=2, median_schedule=None, cov_schedule=None,
     regular sidecar file is replaced only once the whole pass has
     succeeded; a FIFO or a device gets the rows as they come.
     """
-    _refuse_input_overwrite(csv_in, scores_out, "scores sidecar")
+    _refuse_overwrite(scores_out, csv_in, "scores sidecar", "input")
     model = None
     if resume is not None:
         state = load_snapshot(resume)

@@ -177,7 +177,8 @@ def _cmd_fit_stream(opts):
     median_schedule = StepSchedule(opts["c_median"], opts["alpha"])
     cov_schedule = StepSchedule(opts["c_mcm"], opts["alpha"])
     csv_in = _require_input(opts)
-    _bench._refuse_input_overwrite(csv_in, opts["out"], "snapshot")
+    _bench._refuse_overwrite(opts["out"], csv_in, "snapshot", "input")
+    _bench._refuse_overwrite(opts["out"], opts["scores_out"], "snapshot", "scores sidecar")
     snapshot, report = _bench.fit_stream(
         csv_in,
         q=opts["q"],

@@ -27,6 +27,10 @@ _HUGE_ENTRY = 1e70
 # Recompute the cached squared Frobenius norm exactly every so often so
 # incremental-update roundoff cannot accumulate over long streams.
 _FRO2_REFRESH = 4096
+# A row's d x d passes run on row panels of about this many entries, so
+# that a panel of V, Vbar and the scratch stays in L2 between the passes;
+# at d <= 256 there is one panel.
+_PANEL_ENTRIES = 65536
 
 
 class MedianCovariationSGD(RowUpdates):
@@ -63,7 +67,10 @@ class MedianCovariationSGD(RowUpdates):
     before any state changes.
 
     Internally it steps K lanes, one per PSD mode, on one row stream
-    (:meth:`_set_lanes`); an estimator built here has one lane.
+    (:meth:`_set_lanes`); an estimator built here has one lane.  A row's
+    d x d passes (the outer product, the moves and the averaging fold)
+    run row panel by row panel, all of them on one panel before the
+    next, which changes no bit of the result.
     """
 
     def __init__(self, dim, *, median_schedule=None, cov_schedule=None,
@@ -95,9 +102,20 @@ class MedianCovariationSGD(RowUpdates):
         # does not depend on what else the heap holds
         self._v, self._vbar, self._buf = np.zeros((3, k, d, d))
         self._fro2 = [0.0] * k
-        # each lane's V, scratch and V c, bound once: ``self._v[k] *= s``
-        # would also copy the product back through __setitem__
-        self._lane_views = list(zip(self._v, self._buf, np.empty((k, d))))
+        # views bound once: ``self._v[k] *= s`` would also copy the
+        # product back through __setitem__.  Each lane's V and V c, and
+        # per row panel of equal height: c's rows as a column, lane 0's
+        # scratch (it holds u u^T), each lane's V and scratch, and all
+        # lanes' V, Vbar and scratch for the averaging fold
+        self._lane_views = list(zip(self._v, np.empty((k, d))))
+        panels = min(d, -(-d * d // _PANEL_ENTRIES))
+        cuts = [d * i // panels for i in range(panels + 1)]
+        self._panels = [
+            (self._c[lo:hi, None], self._buf[0, lo:hi],
+             [(v[lo:hi], buf[lo:hi]) for v, buf in zip(self._v, self._buf)][::-1],
+             self._v[:, lo:hi], self._vbar[:, lo:hi], self._buf[:, lo:hi])
+            for lo, hi in zip(cuts, cuts[1:])
+        ]
 
     @property
     def psd_mode(self):
@@ -162,27 +180,30 @@ class MedianCovariationSGD(RowUpdates):
         su = float(c @ c)
         gamma = self.cov_schedule.gamma(self._n + 1)
         moves = []
-        for (v, _, vc), fro2, psd in zip(self._lane_views, self._fro2, self._psd_modes):
+        for (v, vc), fro2, psd in zip(self._lane_views, self._fro2, self._psd_modes):
             np.dot(v, c, out=vc)
             moves.append(_step(gamma, scale, su, float(c @ vc), fro2, psd))
         if median is not None:
             median._update(x)
-        if any(moves):
-            outer = self._lane_views[0][1]
-            np.multiply(c[:, None], c, out=outer)
-            # lane 0 goes last, since its scratch holds u u^T until then
-            for k in range(len(moves) - 1, -1, -1):
-                if moves[k] is not None:  # None: the target coincides with the iterate
-                    omt, t_gain, self._fro2[k] = moves[k]
-                    v, buf, _ = self._lane_views[k]
-                    v *= omt
-                    np.multiply(outer, t_gain, out=buf)
-                    v += buf
+        # None: the target coincides with the iterate, and the lane stays
+        self._fro2 = [f if m is None else m[2] for f, m in zip(self._fro2, moves)]
+        moving = any(moves)
+        moves.reverse()  # lane 0 goes last, since its scratch holds u u^T until then
         self._n += 1
-        np.subtract(self._v, self._vbar, out=self._buf)
-        self._buf /= self._n
-        self._vbar += self._buf
-        if self._n % _FRO2_REFRESH == 0:
+        n = self._n
+        for col, outer, lanes, v_all, vbar_all, buf_all in self._panels:
+            if moving:
+                np.copyto(outer, c)
+                np.multiply(outer, col, out=outer)
+                for move, (v, buf) in zip(moves, lanes):
+                    if move is not None:
+                        v *= move[0]
+                        np.multiply(outer, move[1], out=buf)
+                        v += buf
+            np.subtract(v_all, vbar_all, out=buf_all)
+            buf_all /= n
+            vbar_all += buf_all
+        if n % _FRO2_REFRESH == 0:
             self._fro2 = [float(np.tensordot(v, v)) for v in self._v]
         return self
 

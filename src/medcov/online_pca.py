@@ -117,7 +117,11 @@ class OnlineEigenTracker:
         """
         if self.ready:
             raise RuntimeError("tracker is already initialized")
-        v = as_vector(centered_x, dim=self._d).copy()
+        return self._offer(as_vector(centered_x, dim=self._d).copy())
+
+    def _offer(self, v):
+        """:meth:`offer` of a checked vector that it may overwrite, to a
+        tracker that is not ready."""
         if np.isinf(np.vdot(v, v)):  # |v|^2 overflows past ~1e154
             v /= np.abs(v).max()
         for row in self._raw[:self._filled]:
@@ -298,7 +302,7 @@ class StreamingRobustPCA(RowUpdates):
         if self.mcm.n_updates < 1:
             return self
         if not self.tracker.ready:
-            self.tracker.offer(x - self.mcm._center)
+            self.tracker._offer(x - self.mcm._center)  # a new array, of a checked row
         elif self.mcm.n_updates > self._eigen_lag:
             self.tracker.step(self.mcm.estimate_view)
         return self

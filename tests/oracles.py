@@ -6,7 +6,9 @@ eigenvector sign convention, so its pairs compare directly with
 ``medcov.linalg.eigh_descending``; ``projector`` builds U U^T from an
 arbitrary basis by Gram-Schmidt; ``dense_mcm_recursion`` runs the MCM
 recursion on explicit d x d targets, the reference any faster MCM
-kernel must match; ``per_mode_mcm_fits`` fits one one-lane MCM per PSD
+kernel must match; ``whole_matrix_mcm_step`` is the MCM step with each
+d x d pass over the whole matrices, the bitwise reference for the
+panel loop; ``per_mode_mcm_fits`` fits one one-lane MCM per PSD
 mode, the reference for the lanes that share one pass;
 ``csv_rows_per_cell`` parses a CSV one cell at a time, the reference
 for ``medcov.bench.iter_csv_rows``;
@@ -21,9 +23,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from medcov.errors import ConvergenceError, DataError
+from medcov.errors import ConvergenceError, DataError, NumericalError
 from medcov.linalg import as_sym_matrix, as_vector
-from medcov.mcm import MedianCovariationSGD, _centered, _rank_one_distances
+from medcov.mcm import (
+    _FRO2_REFRESH,
+    _HUGE_ENTRY,
+    MedianCovariationSGD,
+    _centered,
+    _rank_one_distances,
+    _step,
+)
 
 
 class EigenPair(NamedTuple):
@@ -178,6 +187,48 @@ def dense_mcm_recursion(xs, cov_schedule, *, psd_mode=True, median_schedule=None
         n += 1
         vbar = vbar + (v - vbar) / n
     return vbar
+
+
+def whole_matrix_mcm_step(est, x):
+    """Reference for ``MedianCovariationSGD._update``: the same step on a
+    checked row, with every d x d pass over the whole matrices of all
+    lanes in turn and c c^T from one broadcast product.  Steps ``est``
+    in place; the panel loop must match it bit for bit."""
+    c = est._c
+    median = est._median
+    if median is not None and not median.initialized:
+        median._update(x)
+        return est
+    np.subtract(x, est._center, out=c)
+    mx = float(np.abs(c).max())
+    if mx == np.inf:
+        raise NumericalError("the row minus the center overflows float64")
+    scale = mx if mx > _HUGE_ENTRY else 1.0
+    if scale != 1.0:
+        c /= scale
+    su = float(c @ c)
+    gamma = est.cov_schedule.gamma(est._n + 1)
+    moves = [_step(gamma, scale, su, float(c @ np.dot(v, c)), fro2, psd)
+             for v, fro2, psd in zip(est._v, est._fro2, est._psd_modes)]
+    if median is not None:
+        median._update(x)
+    if any(moves):
+        outer = est._buf[0]
+        np.multiply(c[:, None], c, out=outer)
+        for k in range(len(moves) - 1, -1, -1):  # lane 0's scratch holds c c^T
+            if moves[k] is not None:
+                omt, t_gain, est._fro2[k] = moves[k]
+                v, buf = est._v[k], est._buf[k]
+                v *= omt
+                np.multiply(outer, t_gain, out=buf)
+                v += buf
+    est._n += 1
+    np.subtract(est._v, est._vbar, out=est._buf)
+    est._buf /= est._n
+    est._vbar += est._buf
+    if est._n % _FRO2_REFRESH == 0:
+        est._fro2 = [float(np.tensordot(v, v)) for v in est._v]
+    return est
 
 
 def per_mode_mcm_fits(xs, psd_modes, **kwargs):

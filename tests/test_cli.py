@@ -145,6 +145,32 @@ def test_fit_stream_refuses_a_snapshot_that_is_the_input(tmp_path, capsys):
     assert (rc, err) == (0, "")
 
 
+def test_fit_stream_refuses_a_snapshot_that_is_the_sidecar(tmp_path, capsys, monkeypatch):
+    # the snapshot is written after the sidecar, so it would replace the
+    # scores; refused before any row is read, whether the file exists or not
+    path, _ = sample_csv(tmp_path, "d.csv", 20)
+    calls = []
+    rows = _bench.iter_csv_rows
+    monkeypatch.setattr(_bench, "iter_csv_rows", lambda *a, **k: calls.append(a) or rows(*a, **k))
+    (tmp_path / "sub").mkdir()
+    new = tmp_path / "x.json"
+    old = tmp_path / "old.json"
+    old.write_text("precious\n")
+    alias = tmp_path / "alias.json"
+    os.link(old, alias)  # another name for the same file
+    (tmp_path / "link.json").symlink_to(old)
+    for out_path, scores in ((new, new), (tmp_path / "sub" / ".." / "x.json", new),
+                             (old, old), (alias, old), (old, tmp_path / "link.json")):
+        rc, out, err = run_cli(capsys, "fit-stream", "--in", path, "--scores-out", str(scores),
+                               "--out", str(out_path))
+        assert (rc, out) == (2, "")
+        assert err == (f"medcov: config error: {out_path}: "
+                       "the snapshot would overwrite the scores sidecar\n")
+    assert not new.exists()
+    assert old.read_bytes() == b"precious\n"
+    assert calls == []
+
+
 def _failing_inputs(tmp_path):
     """(name, argv tail, exit code) of four fit-stream runs that fail."""
     rng = np.random.default_rng(3)
@@ -527,8 +553,9 @@ def test_fit_weiszfeld_rejects_an_eps_that_is_not_finite_and_nonnegative(tmp_pat
 
 
 def test_fit_weiszfeld_overflow_stops_at_once(tmp_path, capsys):
-    # a row at 1e80 and up has an infinite rank-one distance, so weight
-    # 0: the solve succeeds without a warning.  Rows at +-1.5e308 overflow
+    # a row from about 1e154 on has an infinite rank-one distance, so
+    # weight 0 (below that it keeps its pull): the solve succeeds without
+    # a warning at every scale here.  Rows at +-1.5e308 overflow
     # the iterate: the first non-finite sweep ends the solve instead of
     # 1000 NaN sweeps, with one line on stderr
     data = np.random.default_rng(4).standard_normal((200, 5))

@@ -31,6 +31,7 @@ from oracles import (
     mcm_objective,
     per_mode_mcm_fits,
     projector,
+    whole_matrix_mcm_step,
 )
 
 # For the symmetric cross {e1, -e1, e2, -e2} centered at 0 the MCM is
@@ -249,22 +250,34 @@ def test_matches_dense_recursion(psd_mode, joint):
         assert np.linalg.norm(vbar - ref) <= 1e-10 * np.linalg.norm(ref), seed
 
 
+def _edge_stream(d, seed, ms, cs, known, *, flat=False):
+    """120 rows of ``_mixed_stream`` whose rows x1e75 and x1e120 take the
+    rescaled step; a row on the center at the start is a lane with no
+    move, and one mid-stream a full shrink.  With ``flat``, c_0 = 0 on
+    every row, so c c^T holds zeros of both signs, and the first move is
+    short enough that an unclipped step overshoots and V gets -0s."""
+    x = _mixed_stream(np.random.default_rng(seed), d, 120)
+    if flat:
+        x[:, 0] = x[0, 0] if known is None else 0.0
+    x[1 if known is None else 0] = x[0] if known is None else 0.0
+    if flat:
+        first = 2 if known is None else 1
+        x[first] = x[0] - np.abs(x[first] - x[0]) / 1000
+    x[40] *= 1e75
+    x[90] *= 1e120
+    x[60] = MedianCovariationSGD(d, median_schedule=ms, cov_schedule=cs, known_median=known
+                                 ).update_many(x[:60]).median_estimate
+    return x
+
+
 @pytest.mark.parametrize("modes", [(False, True), (True, False, True)], ids=["r-rplus", "3-lanes"])
 @pytest.mark.parametrize("joint", [True, False], ids=["joint", "known"])
 @pytest.mark.parametrize("d", [3, 10, 50])
 def test_lanes_are_the_per_mode_fits_bit_for_bit(d, joint, modes):
-    # rows x1e75 and x1e120 take the rescaled step; a row on the center
-    # at the start is a lane with no move, and one mid-stream a full shrink
     known = None if joint else np.zeros(d)
     ms, cs = calibrated_schedules(d)
     for seed in range(4):
-        rng = np.random.default_rng(seed)
-        x = _mixed_stream(rng, d, 120)
-        x[1 if joint else 0] = x[0] if joint else 0.0
-        x[40] *= 1e75
-        x[90] *= 1e120
-        x[60] = MedianCovariationSGD(d, median_schedule=ms, cov_schedule=cs, known_median=known
-                                     ).update_many(x[:60]).median_estimate
+        x = _edge_stream(d, seed, ms, cs, known)
         lanes = MedianCovariationSGD(d, median_schedule=ms, cov_schedule=cs, known_median=known)
         lanes._set_lanes(modes)
         lanes.update_many(x)
@@ -274,6 +287,61 @@ def test_lanes_are_the_per_mode_fits_bit_for_bit(d, joint, modes):
             assert np.array_equal(lanes._v[k], v), (seed, k)
             assert np.array_equal(lanes._vbar[k], vbar), (seed, k)
             assert lanes._fro2[k] == fro2, (seed, k)
+
+
+def _assert_same_lanes(est, ref):
+    """V, Vbar and |V|_F^2 of every lane equal, the sign of zero included."""
+    for a, b in ((est._v, ref._v), (est._vbar, ref._vbar)):
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+    assert est._fro2 == ref._fro2
+
+
+# 60 entries a panel: d = 3 is one panel, d = 10 two of 5 rows, and
+# d = 50 42 ragged panels of 1 or 2 rows
+_SMALL_PANELS = {3: 1, 10: 2, 50: 42}
+
+
+@pytest.mark.parametrize("modes", [(True,), (False,), (False, True), (True, False, True)],
+                         ids=["psd", "raw", "r-rplus", "3-lanes"])
+@pytest.mark.parametrize("joint", [True, False], ids=["joint", "known"])
+@pytest.mark.parametrize("d", sorted(_SMALL_PANELS))
+def test_panel_step_is_the_whole_matrix_step_bit_for_bit(monkeypatch, d, joint, modes):
+    monkeypatch.setattr("medcov.mcm._PANEL_ENTRIES", 60)
+    known = None if joint else np.zeros(d)
+    ms, cs = calibrated_schedules(d)
+    for seed, flat in ((0, False), (1, True)):
+        x = _edge_stream(d, seed, ms, cs, known, flat=flat)
+        panels, whole = (MedianCovariationSGD(d, median_schedule=ms, cov_schedule=cs,
+                                              known_median=known) for _ in range(2))
+        panels._set_lanes(modes)
+        whole._set_lanes(modes)
+        assert len(panels._panels) == _SMALL_PANELS[d]
+        negative_zero = False
+        for row in x:  # row by row: a -0 in V may not last to the end
+            panels.update(row)
+            whole_matrix_mcm_step(whole, row)
+            _assert_same_lanes(panels, whole)
+            negative_zero |= bool(np.signbit(whole._v[whole._v == 0]).any())
+        assert negative_zero or not flat or all(modes)
+
+
+@pytest.mark.parametrize("joint", [True, False], ids=["joint", "known"])
+def test_panel_step_resumes_from_a_snapshot_bit_for_bit(monkeypatch, joint):
+    # loading assigns into lane 0's V and Vbar, which the panels view
+    monkeypatch.setattr("medcov.mcm._PANEL_ENTRIES", 60)
+    d = 10
+    known = None if joint else np.zeros(d)
+    ms, cs = calibrated_schedules(d)
+    x = _edge_stream(d, 2, ms, cs, known)
+    whole = MedianCovariationSGD(d, median_schedule=ms, cov_schedule=cs, known_median=known)
+    for row in x:
+        whole_matrix_mcm_step(whole, row)
+    head = MedianCovariationSGD(d, median_schedule=ms, cov_schedule=cs, known_median=known)
+    state = json.loads(json.dumps(head.update_many(x[:50]).state_dict()))
+    resumed = MedianCovariationSGD.from_state_dict(state)
+    assert len(resumed._panels) == 2
+    _assert_same_lanes(resumed.update_many(x[50:]), whole)
 
 
 def test_rescaled_step_is_the_plain_step_scaled():

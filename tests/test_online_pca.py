@@ -68,6 +68,28 @@ def test_offer_after_ready_is_an_error():
         t.offer([0.0, 1.0])
 
 
+def test_the_pipeline_checks_a_row_once(monkeypatch):
+    # update_many checks the block once; the warm-up offers of its
+    # centered rows check nothing again, while the public offer still does
+    calls = []
+
+    def counting(x, *, dim=None):
+        calls.append(dim)
+        return linalg.as_vector(x, dim=dim)
+
+    for module in (geomedian, mcm, online_pca):
+        monkeypatch.setattr(module, "as_vector", counting)
+    rows = np.random.default_rng(0).standard_normal((20, 4))
+    model = StreamingRobustPCA(4, 2).update_many(rows)
+    assert model.tracker.ready
+    assert calls == []
+    tracker = OnlineEigenTracker(4, 2)
+    assert not tracker.offer(rows[0])
+    with pytest.raises(ValueError, match="non-finite"):
+        tracker.offer([np.nan, 0.0, 0.0, 0.0])
+    assert calls == [4, 4]
+
+
 def test_step_before_ready_is_an_error():
     t = OnlineEigenTracker(2, 1)
     with pytest.raises(RuntimeError):

@@ -4,7 +4,8 @@ An artefact is a file a command writes, or the exit code, stdout or
 stderr of a run.  The runs cover ``simulate`` for every contamination
 law; ``fit-stream`` (report, snapshot and scores sidecar) for q in
 {1, 3} with PSD clipping on and off, each as one pass and as a head
-pass plus a ``--resume`` tail pass; ``fit-weiszfeld``; ``bench`` (the
+pass plus a ``--resume`` tail pass, and one pass at d=300, where the
+MCM step splits into row panels; ``fit-weiszfeld``; ``bench`` (the
 report CSV, and its meta sidecar without ``wall_time_ms``) and ``curve``
 at 1 and 2 workers, plus one ``curve`` whose last checkpoint is below n;
 every ``--help``; the ragged-row and resume-width errors; the refusals
@@ -94,6 +95,11 @@ def main():
                 "--resume", f"{tag}-head.json", "--out", f"{tag}-resumed.json",
                 "--scores-out", f"{tag}-tail.scores.csv",
                 files=[f"{tag}-resumed.json", f"{tag}-tail.scores.csv"])
+    run("simulate-d300", "simulate", "--d", "300", "--n", "300", "--delta", "0.05",
+        "--scenario", "student_t2", "--seed", "4", "--out", "d300.csv")
+    run("fit-stream-d300", "fit-stream", "--in", "d300.csv", "--q", "3", "--eigen-lag", "100",
+        "--out", "d300.json", "--scores-out", "d300.scores.csv",
+        files=["d300.json", "d300.scores.csv"])
     run("fit-stream-ragged", "fit-stream", "--in", "ragged.csv")
     run("fit-stream-resume-width", "fit-stream", "--in", "three.csv",
         "--header", "--resume", "q1-psd-on.json")
