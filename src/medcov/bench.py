@@ -101,7 +101,7 @@ def iter_csv_rows(path, *, skip_header=False):
                         f"{path}: line {line_no}: expected {dim} columns, got {len(cells)}"
                     )
                 try:
-                    vec = np.array([float(cell) for cell in cells])
+                    vec = np.array(cells, dtype=float)  # each cell as float() parses it
                 except ValueError:
                     vec = None
                 if vec is None or not np.isfinite(vec).all():

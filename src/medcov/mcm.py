@@ -168,16 +168,19 @@ class MedianCovariationSGD(RowUpdates):
             median._update(x)
             return self
         np.subtract(x, self._center, out=c)
-        mx = float(np.abs(c).max())
-        if mx == np.inf:
-            raise NumericalError("the row minus the center overflows float64")
         # Each lane's move is V <- omt * V + t_gain * u u^T, with u = c /
         # scale.  The moves read nothing the median's update writes, so
         # every lane is sized and checked before any state changes.
-        scale = mx if mx > _HUGE_ENTRY else 1.0
-        if scale != 1.0:
-            c /= scale
-        su = float(c @ c)
+        su = float(np.vdot(c, c))  # vdot overflows to inf without a warning
+        scale = 1.0
+        if not su < 1e139:  # else every |c_i| < 1e70, and no rescale is due
+            mx = float(np.abs(c).max())
+            if mx == np.inf:
+                raise NumericalError("the row minus the center overflows float64")
+            if mx > _HUGE_ENTRY:
+                scale = mx
+                c /= scale
+                su = float(c @ c)
         gamma = self.cov_schedule.gamma(self._n + 1)
         moves = []
         for (v, vc), fro2, psd in zip(self._lane_views, self._fro2, self._psd_modes):

@@ -9,16 +9,22 @@ vectors,
 
 followed by a deflation pass (sequential Gram-Schmidt, written back into
 the carriers) that keeps the q directions from collapsing onto the top
-eigenvector.  The carrier u_j converges to lambda_j e_j, so its norm
-estimates the eigenvalue and its direction the eigenvector.  The
-tracker takes Vbar as given and checks only its shape: the MCM owns
-Vbar's exact symmetry (its update keeps it, its loader checks it).
+eigenvector.  The deflation takes each finished carrier's squared norm
+once and reuses it to project every later carrier, and the tracker keeps
+the carriers' norms from one step to the next.  The carrier u_j
+converges to lambda_j e_j, so its norm estimates the eigenvalue and its
+direction the eigenvector.  The tracker takes Vbar as given and checks
+only its shape: the MCM owns Vbar's exact symmetry (its update keeps
+it, its loader checks it).
 
 :class:`StreamingRobustPCA` steps the tracker against the averaged MCM;
 its ``state_dict`` is the snapshot that ``fit-stream`` resumes from.
 """
 
 from __future__ import annotations
+
+import math
+import operator
 
 import numpy as np
 
@@ -76,6 +82,7 @@ class OnlineEigenTracker:
         self._q = q
         self._seed = seed
         self._raw = np.zeros((q, d))  # carriers; warm-up fills the rows in turn
+        self._norms = None  # the carriers' norms, once ready: see _carrier_norms
         self._filled = 0
         self._n = 0
         self._rng_draws = 0
@@ -150,10 +157,10 @@ class OnlineEigenTracker:
         were, when the carriers' summed squared norms would overflow
         float64.
         """
-        r = self._carriers()
+        norms = self._carrier_norms()
+        r = self._raw
         if v_bar.shape != (self._d, self._d):
             raise ValueError(f"expected a {self._d}x{self._d} matrix, got shape {v_bar.shape}")
-        norms = np.linalg.norm(r, axis=1)
         g = 1.0 / (self._n + 1)
         w = r / norms[:, None]  # pre-step normalized carriers
         r = r * (1.0 - g)  # a new array: a failed step writes nothing
@@ -162,21 +169,38 @@ class OnlineEigenTracker:
         if not np.vdot(r, r) < np.inf:
             raise NumericalError("the tracker carriers' squared norm overflows float64")
         # deflation: orthogonalize each carrier against the ones before
-        # it, writing the residual back so norms keep tracking lambda_j
-        for j in range(self._q):
-            _orthogonalize(r[j], r[:j])
-            if float(np.linalg.norm(r[j])) < _COLLAPSE_EPS:
+        # it, writing the residual back so norms keep tracking lambda_j;
+        # each finished carrier's squared norm serves every later one
+        sq = []
+        for j, v in enumerate(r):
+            for u, uu in zip(r, sq):
+                v -= u.dot(v) / uu * u
+            vv = float(v.dot(v))  # the ddot that np.linalg.norm(v) takes the root of
+            if math.sqrt(vv) < _COLLAPSE_EPS:
                 r[j] = self._fresh_unit(r[:j])
                 self._reinits += 1
-        norms = np.linalg.norm(r, axis=1)
-        order = np.argsort(-norms, kind="stable")
-        self._raw = r[order]
+                vv = float(v.dot(v))
+            sq.append(vv)
+        norms = _row_norms(r)
+        top = norms.tolist()
+        if not all(map(operator.ge, top, top[1:])):  # else a stable sort keeps the order
+            order = np.argsort(-norms, kind="stable")
+            r, norms = r[order], norms[order]
+        self._raw, self._norms = r, norms
         self._n += 1
 
     def _carriers(self):
         if not self.ready:
             raise RuntimeError("tracker not initialized: warm-up incomplete")
         return self._raw
+
+    def _carrier_norms(self):
+        """The carriers' norms, kept from the last step (or computed on
+        first use); ``np.linalg.norm(raw, axis=1)`` bit for bit."""
+        r = self._carriers()
+        if self._norms is None:
+            self._norms = _row_norms(r)
+        return self._norms
 
     @property
     def raw(self):
@@ -186,13 +210,12 @@ class OnlineEigenTracker:
     @property
     def eigenvalues(self):
         """Eigenvalue estimates: carrier norms, non-increasing."""
-        return np.linalg.norm(self._carriers(), axis=1)
+        return self._carrier_norms().copy()
 
     @property
     def basis(self):
         """Orthonormal eigenvector estimates as rows (q, d)."""
-        r = self._carriers()
-        return r / np.linalg.norm(r, axis=1)[:, None]
+        return self._raw / self._carrier_norms()[:, None]
 
     def projector(self):
         b = self.basis
@@ -244,6 +267,11 @@ class OnlineEigenTracker:
             tracker._filled = len(rows)
             tracker._raw[:len(rows)] = rows
         return tracker
+
+
+def _row_norms(r):
+    """``np.linalg.norm(r, axis=1)`` of a real 2-D array, without the wrapper."""
+    return np.sqrt(np.add.reduce(r * r, axis=1))
 
 
 def _orthogonalize(v, rows):

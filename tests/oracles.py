@@ -11,7 +11,10 @@ d x d pass over the whole matrices, the bitwise reference for the
 panel loop; ``per_mode_mcm_fits`` fits one one-lane MCM per PSD
 mode, the reference for the lanes that share one pass;
 ``csv_rows_per_cell`` parses a CSV one cell at a time, the reference
-for ``medcov.bench.iter_csv_rows``;
+for ``medcov.bench.iter_csv_rows``; ``tracker_step`` and
+``tracker_readouts`` are the eigen tracker's step and readouts with a
+norm computed wherever one is used, the bitwise reference for
+``medcov.OnlineEigenTracker``;
 ``median_objective`` and ``mcm_objective`` are the sums the batch
 Weiszfeld solvers minimize; ``entrywise_median`` is the Weiszfeld MCM's
 former start, the reference its faster start must converge with;
@@ -33,6 +36,7 @@ from medcov.mcm import (
     _rank_one_distances,
     _step,
 )
+from medcov.online_pca import _COLLAPSE_EPS, _orthogonalize
 
 
 class EigenPair(NamedTuple):
@@ -239,6 +243,43 @@ def per_mode_mcm_fits(xs, psd_modes, **kwargs):
         est = MedianCovariationSGD(xs.shape[1], psd_mode=psd, **kwargs).update_many(xs)
         fits.append((est.iterate, est.estimate, est.state_dict()["fro2"]))
     return fits
+
+
+def tracker_step(self, v_bar):
+    """Reference for ``OnlineEigenTracker.step``: each carrier's norm is
+    computed where it is used, and the carriers are always reordered
+    by a sort.  Steps the tracker ``self`` in place (read it back with
+    ``tracker_readouts``); the tracker's step must match it bit for bit."""
+    r = self._carriers()
+    if v_bar.shape != (self._d, self._d):
+        raise ValueError(f"expected a {self._d}x{self._d} matrix, got shape {v_bar.shape}")
+    norms = np.linalg.norm(r, axis=1)
+    g = 1.0 / (self._n + 1)
+    w = r / norms[:, None]  # pre-step normalized carriers
+    r = r * (1.0 - g)  # a new array: a failed step writes nothing
+    r += g * (w @ v_bar)
+    # vdot overflows to inf without a warning; deflation only shrinks
+    if not np.vdot(r, r) < np.inf:
+        raise NumericalError("the tracker carriers' squared norm overflows float64")
+    # deflation: orthogonalize each carrier against the ones before
+    # it, writing the residual back so norms keep tracking lambda_j
+    for j in range(self._q):
+        _orthogonalize(r[j], r[:j])
+        if float(np.linalg.norm(r[j])) < _COLLAPSE_EPS:
+            r[j] = self._fresh_unit(r[:j])
+            self._reinits += 1
+    norms = np.linalg.norm(r, axis=1)
+    order = np.argsort(-norms, kind="stable")
+    self._raw = r[order]
+    self._n += 1
+
+
+def tracker_readouts(tracker):
+    """``(raw, basis, eigenvalues)`` of a tracker stepped by
+    ``tracker_step``, each norm taken by ``np.linalg.norm``."""
+    r = tracker._carriers()
+    norms = np.linalg.norm(r, axis=1)
+    return r.copy(), r / norms[:, None], norms
 
 
 def csv_rows_per_cell(path, *, skip_header=False):

@@ -137,11 +137,22 @@ def test_write_csv_rejects_a_vector(tmp_path):
 
 
 # (file text, skip_header): rows that parse in one call, and rows whose
-# error must name the same line and column as the per-cell parser
+# error must name the same line and column as the per-cell parser.  The
+# row parser takes each cell as float() does: it accepts and rejects the
+# same cells, with the same bits
 _CSV_EDGE_CASES = {
     "underscore": ("1_000,2\n3,4\n", False),
+    "double-underscore": ("1,2\n3,1__0\n", False),
     "padded": (" 1.5 ,2\n3, 4.5 \n", False),
+    "nbsp-padded": ("\u00a0-0\u2003,2\n", False),
     "bare-point": ("+.5,-.5\n", False),
+    "plus": ("+1,2\n", False),
+    "hex": ("1,2\n0x10,4\n", False),
+    "binary": ("0b1,2\n", False),
+    "nul": ("1,1.5\x00\n", False),
+    "no-exponent": ("1e,2\n", False),
+    "underflow": ("1e-400,4.9e-324\n", False),
+    "infinity-word": ("1,-Infinity\n", False),
     "nan": ("1,2\n3,nan\n", False),
     "inf": ("1,2\n-inf,4\n", False),
     "overflow": ("1,1e400\n", False),
@@ -149,6 +160,7 @@ _CSV_EDGE_CASES = {
     "bad-then-nan": ("oops,nan\n", False),
     "nan-then-bad": ("nan,oops\n", False),
     "fullwidth-digits": ("\uff11\uff12,\u0663\n4,5\n", False),
+    "arabic-indic-digits": ("\u0661\u0662,1\n", False),
     "ragged": ("1,2\n3,4,5\n", False),
     "header-skipped": ("x1,x2\n1,2\n", True),
     "header-read": ("x1,x2\n1,2\n", False),

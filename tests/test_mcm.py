@@ -344,6 +344,43 @@ def test_panel_step_resumes_from_a_snapshot_bit_for_bit(monkeypatch, joint):
     _assert_same_lanes(resumed.update_many(x[50:]), whole)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("modes", [(True,), (False, True)], ids=["psd", "r-rplus"])
+def test_rescale_threshold_is_the_whole_matrix_step_bit_for_bit(modes):
+    # the step looks for max|c_i| only once |c|^2 reaches 1e139, where
+    # the reference always does.  The rows' largest entries sit just
+    # below, at and just above 1e70; at 3e69 (|c|^2 below 1e139) and
+    # 3.2e69 (past it, with no rescale); and at 1e200, where |c|^2
+    # overflows though c is finite.  Then a row whose c overflows
+    d = 12
+    rng = np.random.default_rng(5)
+    rows = [rng.standard_normal(d) for _ in range(3)]
+    for big in (np.nextafter(1e70, 0), 1e70, np.nextafter(1e70, np.inf), 3e69, 3.2e69, 1e200):
+        x = rng.standard_normal(d)
+        x[rng.integers(d)] = big
+        rows += [x, rng.standard_normal(d), -x * np.sign(rng.standard_normal(d))]
+    ests = [MedianCovariationSGD(d, known_median=np.zeros(d)) for _ in range(2)]
+    for est in ests:
+        est._set_lanes(modes)
+    for x in rows:
+        ests[0].update(x)
+        whole_matrix_mcm_step(ests[1], x)
+        _assert_same_lanes(*ests)
+    # a center at -1e308 in the last coordinate: the first row's c is
+    # finite there (rescaled), the second's is not
+    ests = [MedianCovariationSGD(d, known_median=np.eye(d)[-1] * -1e308) for _ in range(2)]
+    for est in ests:
+        est._set_lanes(modes)
+    ests[0].update(rows[0])
+    whole_matrix_mcm_step(ests[1], rows[0])
+    _assert_same_lanes(*ests)
+    before = [_state(est) for est in ests]
+    for est, step in zip(ests, (MedianCovariationSGD.update, whole_matrix_mcm_step)):
+        with np.errstate(over="ignore"), pytest.raises(NumericalError, match="row minus"):
+            step(est, np.eye(d)[-1] * 1e308)
+    assert all(_same(_state(est), b) for est, b in zip(ests, before))
+
+
 def test_rescaled_step_is_the_plain_step_scaled():
     # Rows times 2^240 pass 1e70 and take the rescaled step; with the
     # constants scaled to match (2^240 for the median, 2^480 for the MCM)

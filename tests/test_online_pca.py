@@ -23,7 +23,7 @@ from medcov import bench, geomedian, linalg, mcm, online_pca
 from medcov.bench import calibrated_schedules
 from medcov.linalg import as_sym_matrix, eigh_descending, pack_array
 from medcov.online_pca import StreamingRobustPCA
-from oracles import projector, sym_eigen
+from oracles import projector, sym_eigen, tracker_readouts, tracker_step
 
 
 def tracker_with_raw(raw, *, n=0, seed=0):
@@ -239,6 +239,84 @@ def test_state_roundtrip_continues_identically():
     np.testing.assert_array_equal(clone.raw, t.raw)
 
 
+def _tracker_stream(rng, d, kind, n=24):
+    """``n`` exactly symmetric (d, d) operands.  "drift" is a random PSD
+    matrix under small symmetric noise; "swap" moves the large
+    eigenvalues to other coordinates at every step, so the carrier norms
+    cross and get reordered; "zero" and "rank-one" open on matrices of
+    rank below q, which collapse carriers at gain 1 (reinits); "tiny" and
+    "huge" are "drift" scaled by 1e-30 and 1e100."""
+    a = rng.standard_normal((d, d))
+    base = a @ a.T / d
+    mats = []
+    for k in range(n):
+        if kind == "swap":
+            lam = np.zeros(d)
+            lam[rng.permutation(d)[:4]] = [8.0, 4.0, 2.0, 1.0][:min(d, 4)]
+            m = np.diag(lam)
+        else:
+            e = rng.standard_normal((d, d)) * 0.1
+            m = base + (e + e.T)
+        if kind == "zero" and k < 3:
+            m = np.zeros((d, d))
+        elif kind == "rank-one" and k < 6:
+            u = rng.standard_normal(d)
+            m = np.outer(u, u)
+        mats.append(m * {"tiny": 1e-30, "huge": 1e100}.get(kind, 1.0))
+    return mats
+
+
+_STREAM_KINDS = ("drift", "swap", "zero", "rank-one", "tiny", "huge")
+
+
+@pytest.mark.parametrize("d,q", [(1, 1)] + [(d, q) for d in (3, 7, 13, 101)
+                                            for q in range(1, min(d, 4) + 1)])
+def test_step_is_the_reference_step_bit_for_bit(d, q, monkeypatch):
+    # 20 streams per (d, q), 320 in all.  The reference computes every
+    # norm where it is used and always sorts; the step keeps squared
+    # norms and row norms and sorts only when the order changes.  Half
+    # the trackers start loaded from a snapshot, and each is reloaded
+    # mid-stream, so the kept norms start empty; a step there against
+    # 1e200 I overflows, and must raise and write nothing in both
+    sorts = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: sorts.append(1) or argsort(*a, **k))
+    reorders = reinits = 0
+    for seed in range(20):
+        rng = np.random.default_rng([d, q, seed])
+        start = OnlineEigenTracker(d, q, seed=seed)
+        for _ in range(seed % (q + 1)):
+            start.offer(rng.standard_normal(d))
+        start.force_ready()
+        state = start.state_dict()
+        tracker = OnlineEigenTracker.from_state_dict(state) if seed % 2 else start
+        ref = OnlineEigenTracker.from_state_dict(state)
+        mats = _tracker_stream(rng, d, _STREAM_KINDS[seed % len(_STREAM_KINDS)])
+        for k, m in enumerate(mats):
+            if k == len(mats) // 2:
+                tracker = OnlineEigenTracker.from_state_dict(
+                    json.loads(json.dumps(tracker.state_dict())))
+                before, errors = tracker.raw, []
+                for step, t in ((OnlineEigenTracker.step, tracker), (tracker_step, ref)):
+                    with pytest.raises(NumericalError) as exc:
+                        step(t, np.eye(d) * 1e200)
+                    errors.append(str(exc.value))
+                assert errors[0] == errors[1]
+                assert np.array_equal(tracker.raw, before)
+            del sorts[:]
+            tracker.step(m)
+            reorders += len(sorts)
+            tracker_step(ref, m)
+            raw, basis, eigenvalues = tracker_readouts(ref)
+            assert np.array_equal(tracker.raw, raw), (seed, k)
+            assert np.array_equal(tracker.basis, basis), (seed, k)
+            assert np.array_equal(tracker.eigenvalues, eigenvalues), (seed, k)
+            assert tracker.state_dict() == ref.state_dict(), (seed, k)
+        reinits += tracker.n_reinits
+    assert reinits > 0
+    assert reorders > 0 or q == 1
+
+
 # ---------------------------------------------------------------------------
 # scores
 
@@ -387,6 +465,9 @@ def test_resume_at_every_split_matches_single_pass(known):
         for x in xs[k:]:
             model.update(x)
         assert model.state_dict() == full.state_dict()
+        # the resumed tracker rebuilds the carrier norms it keeps
+        assert np.array_equal(model.tracker.basis, full.tracker.basis)
+        assert np.array_equal(model.tracker.eigenvalues, full.tracker.eigenvalues)
     assert warmup_splits >= 3
 
 
