@@ -28,6 +28,7 @@ import time
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,13 +41,6 @@ from .online_pca import StreamingRobustPCA
 from .simgen import ScenarioConfig, brownian_cov, draw_sample
 
 ESTIMATORS = ("pca", "mcm_w", "mcm_r", "mcm_rplus")
-
-REPORT_COLUMNS = (
-    "estimator", "scenario", "delta", "d", "n", "q",
-    "reps", "excluded", "median_R", "q1_R", "q3_R", "mean_R", "seed",
-)
-
-CURVE_COLUMNS = ("checkpoint", "series", "mean_R", "reps")
 
 WORKERS_ENV = "MEDCOV_MAX_WORKERS"
 
@@ -127,7 +121,7 @@ def _cell_error(path, line_no, cells):
 # ---------------------------------------------------------------------------
 # Benchmark configuration and report rows
 
-def calibrated_schedules(d, *, c_median=None, c_mcm=None, alpha=0.75):
+def calibrated_schedules(d, *, c_median=None, c_mcm=None, alpha=StepSchedule.alpha):
     """Step schedules matched to the benchmark generator's scale.
 
     The recursions are scale-equivariant (scaling the data by s maps the
@@ -198,8 +192,7 @@ class RunConfig:
         object.__setattr__(self, "estimators", canonical)
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     estimator: str
     scenario: str
     delta: float
@@ -214,6 +207,9 @@ class ReportRow:
     mean_R: float
     seed: int
     wall_time_ms: float
+
+
+REPORT_COLUMNS = ReportRow._fields[:-1]  # the wall time goes to the JSON sidecar only
 
 
 @lru_cache(maxsize=32)
@@ -273,14 +269,18 @@ def _fit_streams(x, cfg, names):
         return {name: _fit_streams(x, cfg, [name])[name] for name in names}
 
 
+def _draw(cfg, r):
+    """Replication r's sample (seed ``cfg.seed + r``) and the true top-q projector."""
+    scen = dataclasses.replace(cfg.scenario, seed=cfg.seed + r)
+    return draw_sample(scen, cfg.n), _true_projector(cfg.scenario.d, cfg.q)
+
+
 def _run_replication(task):
     """Eigenspace errors (None for a failed fit) and fit times in ms, by
     estimator.  The streaming estimators share one pass, whose time is
     split evenly between them."""
     cfg, r = task
-    scen = dataclasses.replace(cfg.scenario, seed=cfg.seed + r)
-    x = draw_sample(scen, cfg.n)
-    p_true = _true_projector(cfg.scenario.d, cfg.q)
+    x, p_true = _draw(cfg, r)
     streams = [est for est in cfg.estimators if est in _PSD_MODES]
     t0 = time.perf_counter()
     fits = _fit_streams(x, cfg, streams) if streams else {}
@@ -340,6 +340,7 @@ def run_benchmark(cfg, *, workers=None):
         _run_replication, [(cfg, r) for r in range(cfg.replications)], workers
     )
     rows = []
+    scen = cfg.scenario
     for est in cfg.estimators:
         values = [errs[est] for errs, _ in results if errs[est] is not None]
         excluded = cfg.replications - len(values)
@@ -348,22 +349,8 @@ def run_benchmark(cfg, *, workers=None):
         else:
             stats = SummaryStats(float("nan"), float("nan"), float("nan"), float("nan"))
         wall = sum(times[est] for _, times in results)
-        rows.append(ReportRow(
-            estimator=est,
-            scenario=cfg.scenario.contamination,
-            delta=cfg.scenario.delta,
-            d=cfg.scenario.d,
-            n=cfg.n,
-            q=cfg.q,
-            reps=cfg.replications,
-            excluded=excluded,
-            median_R=stats.median,
-            q1_R=stats.q1,
-            q3_R=stats.q3,
-            mean_R=stats.mean,
-            seed=cfg.seed,
-            wall_time_ms=wall,
-        ))
+        rows.append(ReportRow(est, scen.contamination, scen.delta, scen.d, cfg.n, cfg.q,
+                              cfg.replications, excluded, *stats, cfg.seed, wall))
     if cfg.output_path:
         write_report(rows, cfg.output_path, cfg=cfg, workers=workers)
     return rows
@@ -407,30 +394,27 @@ def write_report(rows, path, *, cfg, workers):
         "wall_time_ms": {row.estimator: row.wall_time_ms for row in rows},
         "excluded": {row.estimator: row.excluded for row in rows},
     }
-    with open(path + ".meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    _write_lines(path + ".meta.json", [json.dumps(meta, indent=2)])
 
 
 # ---------------------------------------------------------------------------
 # Convergence curves
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     checkpoint: int
     series: str
     mean_R: float
     reps: int
 
 
+CURVE_COLUMNS = CurvePoint._fields
+
 CURVE_SERIES = ("pca", "mcm", "mcm_online", "online_vs_batch")
 
 
 def _curve_replication(task):
     cfg, checkpoints, psd_mode, eigen_lag, r = task
-    scen = dataclasses.replace(cfg.scenario, seed=cfg.seed + r)
-    x = draw_sample(scen, cfg.n)
-    p_true = _true_projector(cfg.scenario.d, cfg.q)
+    x, p_true = _draw(cfg, r)
     model = StreamingRobustPCA(
         cfg.scenario.d, cfg.q,
         median_schedule=cfg.median_schedule,
@@ -502,8 +486,7 @@ def convergence_curve(cfg, checkpoints, *, psd_mode=True, eigen_lag=None,
 
 def save_snapshot(state, path):
     # json.dumps runs the C encoder; json.dump streams through the Python one
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(state) + "\n")
+    _write_lines(path, [json.dumps(state)])
 
 
 def load_snapshot(path):

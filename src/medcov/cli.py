@@ -56,7 +56,7 @@ _OPTIONS = {
     "reps": ("--reps", int, 100, "Monte Carlo replications"),
     "seed": ("--seed", int, 0, "base seed"),
     "q": ("--q", int, 2, "eigenspace dimension"),
-    "alpha": ("--alpha", float, 0.75, "step decay exponent in (0.5, 1)"),
+    "alpha": ("--alpha", float, StepSchedule.alpha, "step decay exponent in (0.5, 1)"),
     # bench/curve generate their own data, so missing step constants are
     # calibrated to the scenario dimension (see calibrated_schedules).
     "c_median": ("--c-median", float, None, _step_help("median", "0.5*sqrt(d)")),
@@ -198,7 +198,9 @@ def _cmd_fit_stream(opts):
 
 
 def _cmd_fit_weiszfeld(opts):
-    points = _load_points(_require_input(opts), opts["header"])
+    csv_in = _require_input(opts)
+    _bench._refuse_overwrite(opts["out"], csv_in, "result", "input")
+    points = _load_points(csv_in, opts["header"])
     if not (1 <= opts["q"] <= points.shape[1]):
         raise ConfigError(f"q must be in [1, {points.shape[1]}], got {opts['q']}")
     m_hat = weiszfeld_median(points, eps=opts["eps"], max_iter=opts["max_iter"])
@@ -212,8 +214,7 @@ def _cmd_fit_weiszfeld(opts):
     }
     text = json.dumps(result)
     if opts["out"]:
-        with open(opts["out"], "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _bench._write_lines(opts["out"], [text])
     else:
         print(text)
     return 0
@@ -273,7 +274,8 @@ _COMMANDS = {
                  "d n delta scenario seed out header", {"out": "-"}),
     "fit-stream": (_cmd_fit_stream, "one-pass streaming robust fit of a CSV stream",
                    "input q alpha c_median c_mcm psd_mode eigen_seed eigen_lag out "
-                   "scores_out resume header", {"c_median": 2.0, "c_mcm": 2.0}),
+                   "scores_out resume header",
+                   {"c_median": StepSchedule.c, "c_mcm": StepSchedule.c}),
     "fit-weiszfeld": (_cmd_fit_weiszfeld, "batch Weiszfeld median + MCM fit of a CSV file",
                       "input q eps max_iter out header", {}),
     "bench": (_cmd_bench, "Monte Carlo benchmark table over replications",
@@ -302,6 +304,10 @@ def main(argv=None):
         return 2
     except (DataError, OSError) as exc:
         print(f"medcov: data error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # numpy's names the allocation; a bare one has no message
+        detail = f": {exc}" if str(exc) else ""
+        print(f"medcov: data error: out of memory{detail}", file=sys.stderr)
         return 3
 
 

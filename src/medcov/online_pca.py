@@ -11,11 +11,12 @@ followed by a deflation pass (sequential Gram-Schmidt, written back into
 the carriers) that keeps the q directions from collapsing onto the top
 eigenvector.  The deflation takes each finished carrier's squared norm
 once and reuses it to project every later carrier, and the tracker keeps
-the carriers' norms from one step to the next.  The carrier u_j
-converges to lambda_j e_j, so its norm estimates the eigenvalue and its
-direction the eigenvector.  The tracker takes Vbar as given and checks
-only its shape: the MCM owns Vbar's exact symmetry (its update keeps
-it, its loader checks it).
+the carriers' norms from one step to the next.  One deflation routine,
+``_deflate``, serves the warm-up, the reinits and the step.  The carrier
+u_j converges to lambda_j e_j, so its norm estimates the eigenvalue and
+its direction the eigenvector.  The tracker takes Vbar as given and
+checks only its shape: the MCM owns Vbar's exact symmetry (its update
+keeps it, its loader checks it).
 
 :class:`StreamingRobustPCA` steps the tracker against the averaged MCM;
 its ``state_dict`` is the snapshot that ``fit-stream`` resumes from.
@@ -111,28 +112,21 @@ class OnlineEigenTracker:
             seq = np.random.SeedSequence([self._seed, self._rng_draws])
             self._rng_draws += 1
             rng = np.random.Generator(np.random.Philox(seq))
-            v = _orthogonalize(rng.standard_normal(self._d), prefix)
-            norm = float(np.linalg.norm(v))
+            v = _deflate(rng.standard_normal(self._d), prefix, [u @ u for u in prefix])
+            norm = vector_norm(v)
             if norm > 1e-6:
                 return v / norm
 
-    def offer(self, centered_x):
-        """Feed one centered observation to the warm-up buffer.
+    def _offer(self, v):
+        """Feed one centered observation, a checked vector that this may
+        overwrite, to the warm-up buffer of a tracker that is not ready.
 
         Returns True once the tracker has become ready.  Observations
         that are numerically dependent on the buffered ones are ignored.
         """
-        if self.ready:
-            raise RuntimeError("tracker is already initialized")
-        return self._offer(as_vector(centered_x, dim=self._d).copy())
-
-    def _offer(self, v):
-        """:meth:`offer` of a checked vector that it may overwrite, to a
-        tracker that is not ready."""
         if np.isinf(np.vdot(v, v)):  # |v|^2 overflows past ~1e154
             v /= np.abs(v).max()
-        for row in self._raw[:self._filled]:
-            v -= (row @ v) * row
+        _deflate(v, self._raw[:self._filled], [1.0] * self._filled)  # unit rows: / 1.0 is exact
         norm = vector_norm(v)
         if norm > _DISTINCT_EPS:
             self._raw[self._filled] = v / norm
@@ -173,8 +167,7 @@ class OnlineEigenTracker:
         # each finished carrier's squared norm serves every later one
         sq = []
         for j, v in enumerate(r):
-            for u, uu in zip(r, sq):
-                v -= u.dot(v) / uu * u
+            _deflate(v, r, sq)
             vv = float(v.dot(v))  # the ddot that np.linalg.norm(v) takes the root of
             if math.sqrt(vv) < _COLLAPSE_EPS:
                 r[j] = self._fresh_unit(r[:j])
@@ -274,11 +267,12 @@ def _row_norms(r):
     return np.sqrt(np.add.reduce(r * r, axis=1))
 
 
-def _orthogonalize(v, rows):
-    """Subtract from ``v``, in place and in turn, its projection on each
-    of ``rows``; returns ``v``."""
-    for u in rows:
-        v -= (u @ v) / (u @ u) * u
+def _deflate(v, rows, sq):
+    """Sequential Gram-Schmidt: subtract from ``v``, in place and in turn,
+    its projection on each of the first ``len(sq)`` of ``rows``, whose
+    squared norms ``sq`` holds; returns ``v``."""
+    for u, uu in zip(rows, sq):
+        v -= u.dot(v) / uu * u
     return v
 
 

@@ -13,7 +13,9 @@ mode, the reference for the lanes that share one pass;
 ``csv_rows_per_cell`` parses a CSV one cell at a time, the reference
 for ``medcov.bench.iter_csv_rows``; ``tracker_step`` and
 ``tracker_readouts`` are the eigen tracker's step and readouts with a
-norm computed wherever one is used, the bitwise reference for
+norm computed wherever one is used, and ``tracker_offer``,
+``tracker_force_ready`` and ``tracker_fresh_unit`` its warm-up and
+reinit with a Gram-Schmidt loop of their own, the bitwise reference for
 ``medcov.OnlineEigenTracker``;
 ``median_objective`` and ``mcm_objective`` are the sums the batch
 Weiszfeld solvers minimize; ``entrywise_median`` is the Weiszfeld MCM's
@@ -27,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from medcov.errors import ConvergenceError, DataError, NumericalError
-from medcov.linalg import as_sym_matrix, as_vector
+from medcov.linalg import as_sym_matrix, as_vector, vector_norm
 from medcov.mcm import (
     _FRO2_REFRESH,
     _HUGE_ENTRY,
@@ -36,7 +38,7 @@ from medcov.mcm import (
     _rank_one_distances,
     _step,
 )
-from medcov.online_pca import _COLLAPSE_EPS, _orthogonalize
+from medcov.online_pca import _COLLAPSE_EPS, _DISTINCT_EPS
 
 
 class EigenPair(NamedTuple):
@@ -266,12 +268,58 @@ def tracker_step(self, v_bar):
     for j in range(self._q):
         _orthogonalize(r[j], r[:j])
         if float(np.linalg.norm(r[j])) < _COLLAPSE_EPS:
-            r[j] = self._fresh_unit(r[:j])
+            r[j] = tracker_fresh_unit(self, r[:j])
             self._reinits += 1
     norms = np.linalg.norm(r, axis=1)
     order = np.argsort(-norms, kind="stable")
     self._raw = r[order]
     self._n += 1
+
+
+def _orthogonalize(v, rows):
+    """Subtract from ``v``, in place and in turn, its projection on each
+    of ``rows``; returns ``v``."""
+    for u in rows:
+        v -= (u @ v) / (u @ u) * u
+    return v
+
+
+def tracker_fresh_unit(self, prefix):
+    """Reference for ``OnlineEigenTracker._fresh_unit``: the same Philox
+    draw, deflated by ``_orthogonalize`` and normalized by
+    ``np.linalg.norm``."""
+    while True:
+        seq = np.random.SeedSequence([self._seed, self._rng_draws])
+        self._rng_draws += 1
+        rng = np.random.Generator(np.random.Philox(seq))
+        v = _orthogonalize(rng.standard_normal(self._d), prefix)
+        norm = float(np.linalg.norm(v))
+        if norm > 1e-6:
+            return v / norm
+
+
+def tracker_offer(self, v):
+    """Reference for ``OnlineEigenTracker._offer``: the warm-up rows are
+    unit vectors, so each projection is ``(row @ v) * row``, with no
+    division."""
+    if np.isinf(np.vdot(v, v)):  # |v|^2 overflows past ~1e154
+        v /= np.abs(v).max()
+    for row in self._raw[:self._filled]:
+        v -= (row @ v) * row
+    norm = vector_norm(v)
+    if norm > _DISTINCT_EPS:
+        self._raw[self._filled] = v / norm
+        self._filled += 1
+    return self.ready
+
+
+def tracker_force_ready(self):
+    """Reference for ``OnlineEigenTracker.force_ready``, drawing each open
+    slot with ``tracker_fresh_unit``."""
+    while not self.ready:
+        self._raw[self._filled] = tracker_fresh_unit(self, self._raw[:self._filled])
+        self._filled += 1
+    return self
 
 
 def tracker_readouts(tracker):

@@ -562,9 +562,10 @@ def test_perfbench_trace_points_resolve():
     # Retired entries are callables deleted on purpose; their layers read
     # 0 by design.  The tracker no longer symmetrizes Vbar on each step,
     # and the package steps the median and the MCM only through their
-    # unchecked ``_update``, so both inherit the public ``update``.
+    # unchecked ``_update``, so both inherit the public ``update``.  The
+    # tracker warms up only through ``_offer``; the public ``offer`` is gone.
     retired = {("medcov.online_pca", "as_sym_matrix"), ("GeometricMedianSGD", "update"),
-               ("MedianCovariationSGD", "update")}
+               ("MedianCovariationSGD", "update"), ("OnlineEigenTracker", "offer")}
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)

@@ -595,6 +595,47 @@ def test_fit_weiszfeld_linalg_error_is_numerical_failure(tmp_path, capsys, monke
     assert err == "medcov: numerical failure: Singular matrix\n"
 
 
+def test_fit_weiszfeld_refuses_a_result_that_is_the_input(tmp_path, capsys, monkeypatch):
+    # the result JSON would replace the CSV it was fitted from; refused
+    # before any row is read, for the same name and for a hard link
+    path = tmp_path / "a.csv"
+    assert run_cli(capsys, "simulate", "--d", "3", "--n", "20", "--out", str(path))[0] == 0
+    before = path.read_bytes()
+    alias = tmp_path / "alias.csv"
+    os.link(path, alias)  # another name for the same file
+    calls = []
+    rows = _bench.iter_csv_rows
+    monkeypatch.setattr(_bench, "iter_csv_rows", lambda *a, **k: calls.append(a) or rows(*a, **k))
+    for out_path in (path, alias):
+        rc, out, err = run_cli(capsys, "fit-weiszfeld", "--in", str(path), "--out", str(out_path))
+        assert (rc, out) == (2, "")
+        assert err == f"medcov: config error: {out_path}: the result would overwrite the input\n"
+    assert path.read_bytes() == before
+    assert calls == []
+
+
+def test_memory_error_is_a_data_error(tmp_path, capsys, monkeypatch):
+    # one stderr line and exit 3, not a traceback; numpy's message names
+    # the allocation, and a bare MemoryError has none
+    def no_room_for_rows(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                          "(1000000000000,) and data type float64")
+
+    path, _ = sample_csv(tmp_path, "x.csv", 20)
+    monkeypatch.setattr(cli, "_load_points", no_room_for_rows)
+    rc, out, err = run_cli(capsys, "fit-weiszfeld", "--in", path)
+    assert (rc, out) == (3, "")
+    assert err == ("medcov: data error: out of memory: Unable to allocate 7.28 TiB for an "
+                   "array with shape (1000000000000,) and data type float64\n")
+
+    def no_room(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(_bench, "StreamingRobustPCA", no_room)
+    rc, out, err = run_cli(capsys, "fit-stream", "--in", path)
+    assert (rc, out, err) == (3, "", "medcov: data error: out of memory\n")
+
+
 # ---------------------------------------------------------------------------
 # bench and curve
 

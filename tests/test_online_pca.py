@@ -23,7 +23,14 @@ from medcov import bench, geomedian, linalg, mcm, online_pca
 from medcov.bench import calibrated_schedules
 from medcov.linalg import as_sym_matrix, eigh_descending, pack_array
 from medcov.online_pca import StreamingRobustPCA
-from oracles import projector, sym_eigen, tracker_readouts, tracker_step
+from oracles import (
+    projector,
+    sym_eigen,
+    tracker_force_ready,
+    tracker_offer,
+    tracker_readouts,
+    tracker_step,
+)
 
 
 def tracker_with_raw(raw, *, n=0, seed=0):
@@ -36,14 +43,20 @@ def tracker_with_raw(raw, *, n=0, seed=0):
     })
 
 
+def offer(tracker, x):
+    """Offer one finite row to an unready tracker's warm-up as the
+    pipeline does: as a new float64 vector."""
+    return tracker._offer(np.array(x, dtype=np.float64))
+
+
 # ---------------------------------------------------------------------------
 # warm-up
 
 def test_warmup_requires_distinct_observations():
     t = OnlineEigenTracker(3, 2)
-    assert not t.offer([1.0, 0.0, 0.0])
-    assert not t.offer([2.0, 0.0, 0.0])  # dependent: ignored
-    assert t.offer([1.0, 1.0, 0.0])
+    assert not offer(t, [1.0, 0.0, 0.0])
+    assert not offer(t, [2.0, 0.0, 0.0])  # dependent: ignored
+    assert offer(t, [1.0, 1.0, 0.0])
     np.testing.assert_allclose(t.basis, [[1, 0, 0], [0, 1, 0]], atol=1e-12)
 
 
@@ -53,24 +66,17 @@ def test_warmup_normalizes_huge_rows():
     # the row's unit direction, not v / inf = 0 (NaN after the first step),
     # and the overflow test itself must not warn
     t = OnlineEigenTracker(3, 2)
-    assert not t.offer([1e200, 0.0, 0.0])
-    assert not t.offer([-3e250, 0.0, 0.0])  # dependent at every scale
-    assert t.offer([3e307, 4e307, 0.0])
+    assert not offer(t, [1e200, 0.0, 0.0])
+    assert not offer(t, [-3e250, 0.0, 0.0])  # dependent at every scale
+    assert offer(t, [3e307, 4e307, 0.0])
     np.testing.assert_array_equal(t.basis, [[1, 0, 0], [0, 1, 0]])
     t.step(np.diag([3.0, 2.0, 1.0]))
     np.testing.assert_allclose(t.eigenvalues, [3.0, 2.0])
 
 
-def test_offer_after_ready_is_an_error():
-    t = OnlineEigenTracker(2, 1)
-    t.offer([1.0, 0.0])
-    with pytest.raises(RuntimeError):
-        t.offer([0.0, 1.0])
-
-
 def test_the_pipeline_checks_a_row_once(monkeypatch):
     # update_many checks the block once; the warm-up offers of its
-    # centered rows check nothing again, while the public offer still does
+    # centered rows check nothing again
     calls = []
 
     def counting(x, *, dim=None):
@@ -83,11 +89,6 @@ def test_the_pipeline_checks_a_row_once(monkeypatch):
     model = StreamingRobustPCA(4, 2).update_many(rows)
     assert model.tracker.ready
     assert calls == []
-    tracker = OnlineEigenTracker(4, 2)
-    assert not tracker.offer(rows[0])
-    with pytest.raises(ValueError, match="non-finite"):
-        tracker.offer([np.nan, 0.0, 0.0, 0.0])
-    assert calls == [4, 4]
 
 
 def test_step_before_ready_is_an_error():
@@ -98,7 +99,7 @@ def test_step_before_ready_is_an_error():
 
 def test_force_ready_fills_remaining_slots():
     t = OnlineEigenTracker(5, 3)
-    t.offer([1.0, 0.0, 0.0, 0.0, 0.0])
+    offer(t, [1.0, 0.0, 0.0, 0.0, 0.0])
     t.force_ready()
     assert t.ready
     b = t.basis
@@ -183,7 +184,7 @@ def test_power_iteration_example():
     # constant matrix diag(3,1,0), start (1,1,1): 500 steps must align
     # the top carrier with e1 to within 1e-2 radians
     t = OnlineEigenTracker(3, 1)
-    t.offer([1.0, 1.0, 1.0])
+    offer(t, [1.0, 1.0, 1.0])
     v = np.diag([3.0, 1.0, 0.0])
     for _ in range(500):
         t.step(v)
@@ -196,7 +197,7 @@ def test_eigenvalues_sorted_and_nonnegative():
     rng = np.random.default_rng(0)
     t = OnlineEigenTracker(6, 3)
     for _ in range(3):
-        t.offer(rng.standard_normal(6))
+        offer(t, rng.standard_normal(6))
     m = np.diag([5.0, 3.0, 2.0, 1.0, 0.5, 0.1])
     for _ in range(200):
         t.step(m)
@@ -219,7 +220,7 @@ def test_basis_spans_match_raw_spans():
 
 def test_readouts_before_ready_are_errors():
     t = OnlineEigenTracker(3, 2)
-    t.offer([1.0, 0.0, 0.0])
+    offer(t, [1.0, 0.0, 0.0])
     for read in (lambda: t.raw, lambda: t.eigenvalues, lambda: t.basis):
         with pytest.raises(RuntimeError, match="tracker not initialized"):
             read()
@@ -274,8 +275,9 @@ _STREAM_KINDS = ("drift", "swap", "zero", "rank-one", "tiny", "huge")
 def test_step_is_the_reference_step_bit_for_bit(d, q, monkeypatch):
     # 20 streams per (d, q), 320 in all.  The reference computes every
     # norm where it is used and always sorts; the step keeps squared
-    # norms and row norms and sorts only when the order changes.  Half
-    # the trackers start loaded from a snapshot, and each is reloaded
+    # norms and row norms and sorts only when the order changes.  The
+    # reference warms up and reinits through its own Gram-Schmidt loop.
+    # Half the trackers start loaded from a snapshot, and each is reloaded
     # mid-stream, so the kept norms start empty; a step there against
     # 1e200 I overflows, and must raise and write nothing in both
     sorts = []
@@ -284,13 +286,15 @@ def test_step_is_the_reference_step_bit_for_bit(d, q, monkeypatch):
     reorders = reinits = 0
     for seed in range(20):
         rng = np.random.default_rng([d, q, seed])
-        start = OnlineEigenTracker(d, q, seed=seed)
+        start, ref = OnlineEigenTracker(d, q, seed=seed), OnlineEigenTracker(d, q, seed=seed)
         for _ in range(seed % (q + 1)):
-            start.offer(rng.standard_normal(d))
+            x = rng.standard_normal(d)
+            assert start._offer(x.copy()) == tracker_offer(ref, x)
         start.force_ready()
+        tracker_force_ready(ref)
         state = start.state_dict()
+        assert ref.state_dict() == state
         tracker = OnlineEigenTracker.from_state_dict(state) if seed % 2 else start
-        ref = OnlineEigenTracker.from_state_dict(state)
         mats = _tracker_stream(rng, d, _STREAM_KINDS[seed % len(_STREAM_KINDS)])
         for k, m in enumerate(mats):
             if k == len(mats) // 2:
@@ -315,6 +319,69 @@ def test_step_is_the_reference_step_bit_for_bit(d, q, monkeypatch):
         reinits += tracker.n_reinits
     assert reinits > 0
     assert reorders > 0 or q == 1
+
+
+def _warmup_rows(rng, d, n, first_kind):
+    """``n`` seeded warm-up rows of kinds ``first_kind``, ``first_kind`` + 1,
+    ... (mod 6): Gaussian at unit scale, past 1e154 (|x|^2 overflows),
+    near 1e307, a combination of two earlier rows (dependent at any
+    scale), zero, and a spike of 1e300 in one entry."""
+    rows = []
+    for k in range(first_kind, first_kind + n):
+        kind = k % 6
+        z = rng.standard_normal(d)
+        if kind == 1:
+            z *= 1e160
+        elif kind == 2:
+            z = np.clip(z, -5.0, 5.0) * 3e307
+        elif kind == 3 and rows:
+            a, b = rng.integers(len(rows), size=2)
+            z = rng.uniform(-0.5, 0.5) * rows[a] + rng.uniform(-0.5, 0.5) * rows[b]
+        elif kind == 4:
+            z[:] = 0.0
+        elif kind == 5:
+            z[rng.integers(d)] = 1e300
+        assert np.isfinite(z).all()
+        rows.append(z)
+    return rows
+
+
+@pytest.mark.parametrize("d,q", [(1, 1)] + [(d, q) for d in (3, 7, 13)
+                                            for q in range(1, min(d, 4) + 1)])
+def test_warmup_and_reinits_are_the_reference_bit_for_bit(d, q):
+    # the warm-up, force_ready and the step's reinits deflate through one
+    # routine; the reference keeps the Gram-Schmidt loops they replaced
+    ignored = draws = reinits = 0
+    for seed in range(12):
+        rng = np.random.default_rng([d, q, seed, 1])
+        tracker, ref = OnlineEigenTracker(d, q, seed=seed), OnlineEigenTracker(d, q, seed=seed)
+        for x in _warmup_rows(rng, d, seed % 9, seed % 6):
+            if tracker.ready:
+                break
+            filled = tracker._filled
+            assert tracker._offer(x.copy()) == tracker_offer(ref, x.copy())
+            assert tracker._filled == ref._filled
+            assert np.array_equal(tracker._raw, ref._raw), seed
+            ignored += tracker._filled == filled
+        tracker.force_ready()
+        tracker_force_ready(ref)
+        assert np.array_equal(tracker._raw, ref._raw), seed
+        assert tracker._rng_draws == ref._rng_draws
+        draws += tracker._rng_draws
+        state = tracker.state_dict()
+        assert ref.state_dict() == state
+        # at gain 1 these collapse every carrier, or all but the first
+        u = rng.standard_normal(d)
+        for m in (np.zeros((d, d)), np.outer(u, u), np.outer(u, u) * 1e100, np.eye(d) * 1e-30):
+            tracker, ref = (OnlineEigenTracker.from_state_dict(state) for _ in range(2))
+            tracker.step(m)
+            tracker_step(ref, m)
+            assert np.array_equal(tracker.raw, ref.raw), seed
+            assert tracker.state_dict() == ref.state_dict(), seed
+            reinits += tracker.n_reinits
+    assert ignored > 0
+    assert draws > 0
+    assert reinits > 0
 
 
 # ---------------------------------------------------------------------------

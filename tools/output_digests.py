@@ -10,7 +10,8 @@ report CSV, and its meta sidecar without ``wall_time_ms``) and ``curve``
 at 1 and 2 workers, plus one ``curve`` whose last checkpoint is below n;
 every ``--help``; the ragged-row and resume-width errors; the refusals
 of a ``--scores-out`` and of an ``--out`` that name the ``--in`` file,
-with the input's bytes after each; and a missing input and a row that
+for ``fit-stream`` and, for ``--out``, ``fit-weiszfeld``, with the
+input's bytes after each; and a missing input and a row that
 is ragged at line 21, each run over an existing scores sidecar, with the
 sidecar's bytes after it.
 
@@ -107,6 +108,8 @@ def main():
     run("fit-stream-scores-out-is-input", "fit-stream", "--in", "victim.csv",
         "--scores-out", "victim.csv", files=["victim.csv"])
     run("fit-stream-out-is-input", "fit-stream", "--in", "victim.csv",
+        "--out", "victim.csv", files=["victim.csv"])
+    run("fit-weiszfeld-out-is-input", "fit-weiszfeld", "--in", "victim.csv",
         "--out", "victim.csv", files=["victim.csv"])
     Path("late-ragged.csv").write_text("".join(lines[:20]) + "1,2\n")
     for tag, csv in (("missing-input", "nope.csv"), ("late-ragged", "late-ragged.csv")):
