@@ -68,7 +68,8 @@ _OPTIONS = {
                   "tracking starts (default: one per dimension)"),
     "input": ("--in", str, None, "input observations, one row each",
               {"metavar": "CSV"}),
-    "eps": ("--eps", float, 1e-8, "Weiszfeld stopping displacement"),
+    "eps": ("--eps", float, 1e-8, "Weiszfeld stop: the median's displacement, and the MCM's "
+            "relative to the Frobenius norm of its start"),
     "max_iter": ("--max-iter", int, 1000, "Weiszfeld iteration cap"),
     "resume": ("--resume", str, None, "snapshot JSON to continue from",
                {"metavar": "SNAPSHOT"}),

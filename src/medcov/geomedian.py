@@ -194,7 +194,7 @@ def weiszfeld_median(points, eps=1e-8, max_iter=1000):
                          lambda rows, w: w @ rows, eps, max_iter)
 
 
-def weiszfeld(rows, x0, dists, wmean, eps, max_iter):
+def weiszfeld(rows, x0, dists, wmean, eps, max_iter, scale=1.0):
     """Weiszfeld iteration with the Vardi-Zhang anchor rule, shared by
     :func:`weiszfeld_median` and :func:`medcov.mcm.weiszfeld_mcm`.
 
@@ -204,7 +204,7 @@ def weiszfeld(rows, x0, dists, wmean, eps, max_iter):
 
         x <- sum_i w_i X_i,   w_i = (1/|X_i - x|) / sum_j (1/|X_j - x|)
 
-    until the iterate moves by at most ``eps``.  Each sweep is a
+    until the iterate moves by at most ``eps * scale``.  Each sweep is a
     majorize-minimize step, so the objective never increases.  A sweep
     whose displacement is not finite means the iterate overflowed
     float64; it raises :class:`NumericalError` at once.
@@ -221,6 +221,7 @@ def weiszfeld(rows, x0, dists, wmean, eps, max_iter):
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if not 0.0 <= eps < np.inf:
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
+    tol = eps * scale
     x = x0
     disp = np.inf
     for _ in range(max_iter):
@@ -246,7 +247,7 @@ def weiszfeld(rows, x0, dists, wmean, eps, max_iter):
         if not np.isfinite(disp):
             raise NumericalError(f"Weiszfeld iterate overflowed (displacement {disp})")
         x = x_new
-        if disp <= eps:
+        if disp <= tol:
             return x
     raise ConvergenceError(
         f"Weiszfeld iteration did not converge in {max_iter} sweeps "

@@ -66,6 +66,19 @@ def pack_array(a):
     return base64.b64encode(raw).decode("ascii")
 
 
+def pack_triangle(m):
+    """:func:`pack_array` of a square matrix's upper triangle, row by row."""
+    return pack_array(m[np.triu(np.ones(m.shape, dtype=bool))])
+
+
+def unpack_triangle(t, out):
+    """Fill ``out`` with the symmetric matrix that :func:`pack_triangle` packed."""
+    upper = np.triu(np.ones(out.shape, dtype=bool))
+    out[upper] = t
+    out.T[upper] = t
+    return out
+
+
 def _unpack_array(key, text, shape):
     size = math.prod(shape)
     expected = 4 * -(-8 * size // 3)  # checked before decoding anything

@@ -19,7 +19,9 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .geomedian import GeometricMedianSGD, RowUpdates, StepSchedule, load_schedule, weiszfeld
-from .linalg import as_sample, as_vector, load_state_part, pack_array, state_field
+from .linalg import (
+    as_sample, as_vector, load_state_part, pack_array, pack_triangle, state_field, unpack_triangle,
+)
 
 # Above this largest entry the step rescales c by it, which keeps every
 # intermediate product (including squared squared-norms) inside float64.
@@ -31,6 +33,11 @@ _FRO2_REFRESH = 4096
 # that a panel of V, Vbar and the scratch stays in L2 between the passes;
 # at d <= 256 there is one panel.
 _PANEL_ENTRIES = 65536
+# The pipeline steps its MCM in deferred blocks of this many updates
+# (_BlockMCM; it divides _FRO2_REFRESH) from the dimension where
+# tools/layer_sweep.py measures the block path to pay.
+_BLOCK_ROWS = 64
+_BLOCK_MIN_DIM = 100
 
 
 class MedianCovariationSGD(RowUpdates):
@@ -161,16 +168,15 @@ class MedianCovariationSGD(RowUpdates):
         """The live center: the median's average (not a copy) or the known median."""
         return self._known_m if self._median is None else self._median._mbar
 
-    def _update(self, x):
+    def _scaled_row(self, x):
+        """Write u = (x - center) / scale to ``_c``; ``(scale, |u|^2)``, or
+        None for a row that only seeds the median."""
         c = self._c
         median = self._median
         if median is not None and not median.initialized:
             median._update(x)
-            return self
+            return None
         np.subtract(x, self._center, out=c)
-        # Each lane's move is V <- omt * V + t_gain * u u^T, with u = c /
-        # scale.  The moves read nothing the median's update writes, so
-        # every lane is sized and checked before any state changes.
         su = float(np.vdot(c, c))  # vdot overflows to inf without a warning
         scale = 1.0
         if not su < 1e139:  # else every |c_i| < 1e70, and no rescale is due
@@ -181,6 +187,18 @@ class MedianCovariationSGD(RowUpdates):
                 scale = mx
                 c /= scale
                 su = float(c @ c)
+        return scale, su
+
+    def _update(self, x):
+        scaled = self._scaled_row(x)
+        if scaled is None:
+            return self
+        scale, su = scaled
+        c = self._c
+        median = self._median
+        # Each lane's move is V <- omt * V + t_gain * u u^T.  The moves
+        # read nothing the median's update writes, so every lane is sized
+        # and checked before any state changes.
         gamma = self.cov_schedule.gamma(self._n + 1)
         moves = []
         for (v, vc), fro2, psd in zip(self._lane_views, self._fro2, self._psd_modes):
@@ -218,8 +236,8 @@ class MedianCovariationSGD(RowUpdates):
             "cov_alpha": self.cov_schedule.alpha,
             "n": self._n,
             "fro2": self._fro2[0],
-            "v": pack_array(self._v[0]),
-            "vbar": pack_array(self._vbar[0]),
+            "v": pack_triangle(self._v[0]),
+            "vbar": pack_triangle(self._vbar[0]),
         }
         if self._median is not None:
             state["mode"] = "joint"
@@ -230,33 +248,172 @@ class MedianCovariationSGD(RowUpdates):
         return state
 
     @classmethod
-    def from_state_dict(cls, state):
+    def from_state_dict(cls, state, *, triangles=True):
+        """Rebuild from :meth:`state_dict`, or with ``triangles=False`` from
+        whole, exactly symmetric v and vbar (snapshot versions 1 and 2)."""
         d = state_field(state, "dim", int, low=1)
         mode = state_field(state, "mode", str)
         if mode not in ("joint", "known"):
             raise DataError(f"mode: expected 'joint' or 'known', got {mode!r}")
         known = state_field(state, "known_median", np.ndarray, (d,)) if mode == "known" else None
-        # v and vbar are read before anything d x d is allocated, so a
-        # lying dim is a misshapen v, not a huge allocation
-        v = state_field(state, "v", np.ndarray, (d, d))
-        vbar = state_field(state, "vbar", np.ndarray, (d, d))
-        for key, mat in (("v", v), ("vbar", vbar)):
+        # v, vbar and an open block are read before anything d x d is
+        # allocated, so a lying dim is a misshapen v, not a huge allocation
+        shape = (d * (d + 1) // 2,) if triangles else (d, d)
+        v = state_field(state, "v", np.ndarray, shape)
+        vbar = state_field(state, "vbar", np.ndarray, shape)
+        for key, mat in (() if triangles else (("v", v), ("vbar", vbar))):
             if not np.array_equal(mat, mat.T):  # every update keeps exact symmetry
                 raise DataError(f"{key}: not symmetric")
+        n = state_field(state, "n", int, low=0)
+        block = cls._read_block(state, d, n)
         est = cls(d, cov_schedule=load_schedule(state, "cov_c", "cov_alpha"),
                   psd_mode=state_field(state, "psd_mode", bool), known_median=known)
         if mode == "joint":
             est._median = load_state_part(state, "median", GeometricMedianSGD.from_state_dict)
             if est._median.dim != d:
                 raise DataError(f"median.dim: expected {d}, got {est._median.dim}")
-        est._v[0], est._vbar[0] = v, vbar
+        if triangles:
+            unpack_triangle(v, est._v[0])
+            unpack_triangle(vbar, est._vbar[0])
+        else:
+            est._v[0], est._vbar[0] = v, vbar
+        est._n = n
+        live = est._v[0] if block is None else est._open(*block)
         fro2 = float(state_field(state, "fro2", float, low=0.0))
-        exact = float(np.vdot(v, v))  # inf, without a warning, if |v|_F^2 overflows
+        exact = float(np.vdot(live, live))  # inf, without a warning, if |v|_F^2 overflows
         if exact == np.inf or abs(fro2 - exact) > 1e-8 * exact + 1e-300:  # V = 0 floor
             raise DataError(f"fro2: {fro2!r} disagrees with |v|_F^2 = {exact!r}")
         est._fro2 = [fro2]
-        est._n = state_field(state, "n", int, low=0)
         return est
+
+    @staticmethod
+    def _read_block(state, d, n):  # the row path keeps no open block
+        return None
+
+
+class _BlockMCM(MedianCovariationSGD):
+    """The one-lane recursion as a deferred rank-64 update.  Past the
+    last block boundary, n0 = n - k updates ago, V and Vbar are
+
+        V = a V0 + sum_i w_i u_i u_i^T,  n Vbar = n0 Vbar0 + A V0 + sum_i S_i u_i u_i^T
+
+    over the block's k scaled rows u_i (the rows of U).  A row costs the
+    mat-vec V0 u and the Gram row U u, and the row path's ``_step`` takes
+    u^T V u = a u^T V0 u + sum_i w_i (u_i^T u)^2.  At each multiple of
+    ``_BLOCK_ROWS`` updates the block folds into V0 and Vbar0 through
+    exactly symmetric Z^T Z products; reads and snapshots never fold, so
+    the bits do not depend on where a stream is read or cut.
+    """
+
+    __array_ufunc__ = None  # ``w @ estimate_view`` calls __rmatmul__
+
+    def __init__(self, dim, **kwargs):
+        super().__init__(dim, **kwargs)
+        self._u = np.zeros((_BLOCK_ROWS, self._dim))
+        self._w, self._s = np.zeros((2, _BLOCK_ROWS))
+        self._k, self._a, self._a_sum = 0, 1.0, 0.0
+        self.shape = (self._dim, self._dim)  # of Vbar, as an operand
+
+    def _update(self, x):
+        scaled = self._scaled_row(x)
+        if scaled is None:
+            return self
+        c, k, (v0, vc) = self._c, self._k, self._lane_views[0]
+        uvu = (self._a * float(c @ np.dot(v0, c, out=vc))
+               + float(self._w[:k] @ np.square(self._u[:k] @ c)))
+        move = _step(self.cov_schedule.gamma(self._n + 1), *scaled, uvu, self._fro2[0],
+                     self.psd_mode)
+        if self._median is not None:
+            self._median._update(x)
+        self._u[k] = c
+        w = self._w[:k + 1]
+        omt, w[k], self._fro2[0] = move or (1.0, 0.0, self._fro2[0])  # x 1.0 is exact
+        self._a *= omt
+        w[:k] *= omt
+        self._a_sum += self._a
+        self._s[:k + 1] += w
+        self._k, self._n = k + 1, self._n + 1
+        if self._n % _BLOCK_ROWS == 0:
+            self._read(self._vbar[0], average=True)
+            self._read(v0, average=False)
+            self._s[:] = 0.0
+            self._k, self._a, self._a_sum = 0, 1.0, 0.0
+        if self._n % _FRO2_REFRESH == 0:
+            self._fro2 = [float(np.tensordot(v0, v0))]
+        return self
+
+    def _read(self, out, *, average):
+        """Write V, or Vbar, to ``out``, which may be V0 or Vbar0 itself."""
+        k, n, v0, buf = self._k, self._n, self._v[0], self._buf[0]
+        if average:
+            np.multiply(self._vbar[0], (n - k) / n, out=out)
+            if self._a_sum:
+                out += np.multiply(v0, self._a_sum / n, out=buf)
+            weights = self._s[:k] / n
+        else:
+            np.multiply(v0, self._a, out=out)
+            weights = self._w[:k]
+        for sign, fold in ((1.0, np.add), (-1.0, np.subtract)):
+            z = np.sqrt(np.maximum(sign * weights, 0.0))
+            if z.any():
+                z = self._u[:k] * z[:, None]
+                fold(out, np.matmul(z.T, z, out=buf), out=out)  # a syrk: exactly symmetric
+        return out
+
+    @property
+    def iterate(self):
+        return self._read(np.empty_like(self._v[0]), average=False)
+
+    def _lane_estimates(self):
+        return [self._read(vbar, average=True) for vbar in super()._lane_estimates()]
+
+    @property
+    def estimate_view(self):
+        """The estimator itself, as the operand of ``w @ view`` = w Vbar."""
+        return self
+
+    def __rmatmul__(self, w):
+        k, n = self._k, self._n
+        if not k:
+            return w @ self._vbar[0]
+        rows = self._u[:k]
+        out = w @ self._v[0]  # first, while the step's pass over V0 is in cache
+        out *= self._a_sum / n
+        out += (w @ self._vbar[0]) * ((n - k) / n)
+        out += ((w @ rows.T) * (self._s[:k] / n)) @ rows
+        return out
+
+    def state_dict(self):
+        state = super().state_dict()  # v and vbar are V0 and Vbar0
+        k = self._k
+        state["block"] = {"k": k, "a": self._a, "a_sum": self._a_sum, "w": pack_array(self._w[:k]),
+                          "s": pack_array(self._s[:k]), "u": pack_array(self._u[:k])}
+        return state
+
+    @staticmethod
+    def _read_block(state, d, n):
+        def fields(part):
+            k = state_field(part, "k", int, low=0)
+            if k > n % _BLOCK_ROWS:  # a boundary would pass unfolded
+                raise DataError(f"k: expected at most n mod {_BLOCK_ROWS} = {n % _BLOCK_ROWS}, got {k}")
+            return (k, state_field(part, "a", float), state_field(part, "a_sum", float),
+                    *(state_field(part, key, np.ndarray, (k,)) for key in "ws"),
+                    state_field(part, "u", np.ndarray, (k, d)))
+
+        # a state without a block (the row path's, or version 2's) opens a short one
+        return load_state_part(state, "block", fields) if "block" in state else None
+
+    def _open(self, k, a, a_sum, w, s, u):
+        """Install a loaded block; returns the live V."""
+        self._k, self._a, self._a_sum = k, a, a_sum
+        self._w[:k], self._s[:k], self._u[:k] = w, s, u
+        return self.iterate
+
+
+def _pipeline_form(dim, state=None):
+    """The pipeline's MCM class: the deferred form from ``_BLOCK_MIN_DIM``
+    on, and for a loaded ``state`` that holds a block."""
+    return _BlockMCM if dim >= _BLOCK_MIN_DIM or "block" in (state or {}) else MedianCovariationSGD
 
 
 def _step(gamma, scale, su, uvu, fro2, psd):
@@ -312,8 +469,11 @@ def weiszfeld_mcm(points, m_hat, eps=1e-8, max_iter=1000):
     Frobenius geometry; never materializes the Y_i against the iterate
     thanks to the rank-one distance identity.  Runs
     :func:`medcov.geomedian.weiszfeld` from the spatial-sign covariance of
-    the c_i scaled by their median squared norm; each weighted mean is
-    symmetrized, so every iterate is exactly symmetric.  Memory is
+    the c_i scaled by their median squared norm, and stops once a sweep
+    moves the iterate by at most ``eps`` times that start's Frobenius
+    norm, so the stop does not depend on the data's scale.  Each
+    weighted mean is symmetrized, so every iterate is exactly symmetric.
+    Memory is
     O(n d + d^2).  A row keeps its pull until its distance overflows
     float64 (past about |c| = 1e154); then it gets weight 0, silently.
     """
@@ -329,7 +489,7 @@ def weiszfeld_mcm(points, m_hat, eps=1e-8, max_iter=1000):
             g = (rows * w[:, None]).T @ rows
             return (g + g.T) / 2.0
 
-        return weiszfeld(c, start, dists, wmean, eps, max_iter)
+        return weiszfeld(c, start, dists, wmean, eps, max_iter, float(np.linalg.norm(start)))
 
 
 def _sign_covariance(c, s):

@@ -32,10 +32,10 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericalError
 from .geomedian import RowUpdates
 from .linalg import as_vector, load_state_part, state_field, vector_norm
-from .mcm import MedianCovariationSGD
+from .mcm import _pipeline_form
 
 SNAPSHOT_FORMAT = "medcov-snapshot"
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 _COLLAPSE_EPS = 1e-12
 _DISTINCT_EPS = 1e-10
@@ -298,7 +298,7 @@ class StreamingRobustPCA(RowUpdates):
                  psd_mode=True, known_median=None, eigen_seed=0,
                  eigen_lag=None):
         super().__init__(dim)
-        self.mcm = MedianCovariationSGD(
+        self.mcm = _pipeline_form(self._dim)(
             dim,
             median_schedule=median_schedule,
             cov_schedule=cov_schedule,
@@ -346,19 +346,25 @@ class StreamingRobustPCA(RowUpdates):
 
     @classmethod
     def from_state_dict(cls, state):
-        """Rebuild the pipeline from a snapshot payload of version 2 or
-        of version 1, which stores ``mcm.v`` and ``mcm.vbar`` as nested
-        lists instead of packed text.
+        """Rebuild the pipeline from a snapshot payload of version 3, or
+        of versions 2 and 1, which store ``mcm.v`` and ``mcm.vbar`` as
+        whole matrices (packed text, or nested lists in version 1).
 
         Raises :class:`DataError` naming the first field that is missing,
         mistyped, misshapen or non-finite (``mcm.v``, ``tracker.q``, ...).
         """
         if state.get("format") != SNAPSHOT_FORMAT:
             raise DataError(f"format: not a medcov snapshot: {state.get('format')!r}")
-        if state.get("version") not in (1, SNAPSHOT_VERSION):
-            raise DataError(f"version: unsupported snapshot version {state.get('version')!r}")
+        version = state.get("version")
+        if version not in (1, 2, SNAPSHOT_VERSION):
+            raise DataError(f"version: unsupported snapshot version {version!r}")
+
+        def load_mcm(part):
+            form = _pipeline_form(state_field(part, "dim", int, low=1), part)
+            return form.from_state_dict(part, triangles=version == SNAPSHOT_VERSION)
+
         model = cls.__new__(cls)
-        model.mcm = load_state_part(state, "mcm", MedianCovariationSGD.from_state_dict)
+        model.mcm = load_state_part(state, "mcm", load_mcm)
         model._dim = model.mcm.dim
         # checked before the tracker allocates its (q, d) carriers
         dim = load_state_part(state, "tracker", lambda part: state_field(part, "dim", int, low=1))

@@ -501,17 +501,18 @@ def test_snapshot_roundtrip_and_size_independent_of_n(tmp_path):
     assert sizes[2000] <= 1.05 * sizes[200]
 
 
-def test_snapshot_v2_packs_the_mcm_matrices(tmp_path):
+def test_snapshot_v3_packs_the_mcm_triangles(tmp_path):
     est = StreamingRobustPCA(4, 2, eigen_seed=0)
     for x in np.random.default_rng(6).standard_normal((30, 4)):
         est.update(x)
     path = tmp_path / "snap.json"
     save_snapshot(est.state_dict(), str(path))
     state = load_snapshot(str(path))
-    assert state["version"] == 2
+    assert state["version"] == 3 and "block" not in state["mcm"]  # d=4 runs the row path
+    rows, cols = np.triu_indices(4)
     for key, mat in (("v", est.mcm.iterate), ("vbar", est.mcm.estimate)):
         raw = base64.b64decode(state["mcm"][key], validate=True)
-        assert raw == mat.astype("<f8").tobytes(order="C")
+        assert raw == mat[rows, cols].astype("<f8").tobytes(order="C")
     assert path.read_text(encoding="utf-8") == json.dumps(est.state_dict()) + "\n"
 
 
@@ -526,7 +527,7 @@ def test_snapshot_v1_resumes_as_its_own_version_did():
 
     snapshot, _ = fit_stream(str(DATA / "snapshot_v1_d3_tail.csv"),
                              resume=str(DATA / "snapshot_v1_d3.json"))
-    assert snapshot["version"] == 2
+    assert snapshot["version"] == 3
     ours = StreamingRobustPCA.from_state_dict(snapshot)
     theirs = StreamingRobustPCA.from_state_dict(
         load_snapshot(str(DATA / "snapshot_v1_d3_resumed.json")))

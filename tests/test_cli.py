@@ -348,10 +348,11 @@ _CORRUPT_SNAPSHOTS = [
     # the carried |V|_F^2 must agree with mcm.v (drift is ~1e-14 at most)
     pytest.param("mcm.fro2", ("mcm", "fro2"), 1e300, id="mcm.fro2-huge"),
     pytest.param("mcm.fro2", ("mcm", "fro2"), -5.0, id="mcm.fro2-negative"),
-    pytest.param("mcm.fro2", ("mcm", "v"), pack_array(np.full((3, 3), 1e200)),
+    pytest.param("mcm.fro2", ("mcm", "v"), pack_array(np.full(6, 1e200)),
                  id="mcm.v-fro2-overflows"),
-    # snapshot v2 packs mcm.v and mcm.vbar as base64 float64 (96 characters at d=3)
-    pytest.param("mcm.v", ("mcm", "v"), "!" * 96, id="mcm.v-not-base64"),
+    # snapshot v3 packs the upper triangles of mcm.v and mcm.vbar as base64
+    # float64 (64 characters at d=3); a whole matrix is a misshapen field
+    pytest.param("mcm.v", ("mcm", "v"), "!" * 64, id="mcm.v-not-base64"),
     pytest.param("mcm.v", ("mcm", "v"), pack_array(np.eye(2)), id="mcm.v-packed-length"),
     pytest.param("mcm.vbar", ("mcm", "vbar"), pack_array(np.full((3, 3), np.nan)),
                  id="mcm.vbar-packed-nan"),
@@ -571,6 +572,16 @@ def test_fit_weiszfeld_overflow_stops_at_once(tmp_path, capsys):
     assert rc == 4
     assert err.count("\n") == 1
     assert "numerical failure: Weiszfeld iterate overflowed" in err
+
+
+def test_fit_weiszfeld_converges_at_a_large_scale(tmp_path, capsys):
+    # the MCM's stop is relative to its start's Frobenius norm: an
+    # absolute 1e-8 never came here (last displacement 1.2e-4, exit 4)
+    path = tmp_path / "big.csv"
+    write_csv(path, np.random.default_rng(4).standard_normal((200, 5)) * 1e6)
+    rc, out, err = run_cli(capsys, "fit-weiszfeld", "--in", str(path))
+    assert (rc, err) == (0, "")
+    assert 1e11 < json.loads(out)["eigenvalues"][0] < 1e13
 
 
 def test_fit_weiszfeld_writes_out_file(tmp_path, capsys):

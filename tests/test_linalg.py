@@ -12,7 +12,8 @@ import pytest
 from medcov import ConvergenceError, DataError
 from medcov import linalg
 from medcov.linalg import (
-    as_sym_matrix, as_vector, eigh_descending, pack_array, state_field, vector_norm,
+    as_sym_matrix, as_vector, eigh_descending, pack_array, pack_triangle, state_field,
+    unpack_triangle, vector_norm,
 )
 from medcov.mcm import _rank_one_distances
 from oracles import fix_signs, projector, sym_eigen
@@ -85,6 +86,21 @@ def test_pack_array_is_base64_little_endian_float64_bitwise():
     assert back.tobytes() == a.tobytes()
     listed = state_field({"m": a.tolist()}, "m", np.ndarray, (4, 4))  # snapshot v1
     assert listed.tobytes() == a.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 64])
+def test_packed_triangle_rebuilds_the_symmetric_matrix_bitwise(d):
+    a = np.random.default_rng(d).standard_normal((d, d)) * 1e300
+    a[0, -1] = -0.0
+    a[-1, 0] = 5e-324
+    a[d // 2, d // 3] = np.finfo(float).max
+    a = np.triu(a) + np.triu(a, 1).T  # the upper triangle, mirrored
+    text = pack_triangle(a)
+    assert len(text) == 4 * -(-8 * (d * (d + 1) // 2) // 3)
+    tri = state_field({"m": text}, "m", np.ndarray, (d * (d + 1) // 2,))
+    back = unpack_triangle(tri, np.full((d, d), np.nan))
+    assert back.tobytes() == a.tobytes()  # -0, subnormal and 1e300 entries bit for bit
+    assert np.array_equal(np.signbit(back), np.signbit(a))
 
 
 def test_state_field_checks_packed_length_before_decoding(monkeypatch):

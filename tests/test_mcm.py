@@ -580,6 +580,15 @@ def test_weiszfeld_mcm_keeps_a_far_rows_pull():
         assert np.linalg.norm(fit - fits[0]) <= 1e-6 * np.linalg.norm(fits[0])
 
 
+def test_weiszfeld_mcm_stop_is_scale_equivariant():
+    # the stop is eps times the start's Frobenius norm, so the x1e3 and
+    # x1e6 fits (the second never met an absolute stop of 1e-8) agree
+    # once rescaled; they differ by 1e-13 relative here
+    x = np.random.default_rng(4).standard_normal((200, 5))
+    fits = [weiszfeld_mcm(x * s, weiszfeld_median(x * s)) / s / s for s in (1e3, 1e6)]
+    assert np.abs(fits[1] - fits[0]).max() <= 1e-10 * np.abs(fits[0]).max()
+
+
 def test_weiszfeld_mcm_single_point_at_center():
     g = weiszfeld_mcm([[2.0, 1.0]], [2.0, 1.0])
     np.testing.assert_allclose(g, np.zeros((2, 2)), atol=1e-12)
