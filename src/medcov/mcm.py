@@ -281,7 +281,7 @@ class MedianCovariationSGD(RowUpdates):
         live = est._v[0] if block is None else est._open(*block)
         fro2 = float(state_field(state, "fro2", float, low=0.0))
         exact = float(np.vdot(live, live))  # inf, without a warning, if |v|_F^2 overflows
-        if exact == np.inf or abs(fro2 - exact) > 1e-8 * exact + 1e-300:  # V = 0 floor
+        if not exact < np.inf or abs(fro2 - exact) > 1e-8 * exact + 1e-300:  # V = 0 floor
             raise DataError(f"fro2: {fro2!r} disagrees with |v|_F^2 = {exact!r}")
         est._fro2 = [fro2]
         return est
@@ -404,10 +404,12 @@ class _BlockMCM(MedianCovariationSGD):
         return load_state_part(state, "block", fields) if "block" in state else None
 
     def _open(self, k, a, a_sum, w, s, u):
-        """Install a loaded block; returns the live V."""
+        """Install a loaded block; returns the live V, which a corrupt one
+        may overflow (silently: the loader's fro2 check rejects it)."""
         self._k, self._a, self._a_sum = k, a, a_sum
         self._w[:k], self._s[:k], self._u[:k] = w, s, u
-        return self.iterate
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.iterate
 
 
 def _pipeline_form(dim, state=None):

@@ -202,14 +202,16 @@ def test_a_v2_snapshot_opens_a_short_first_block(monkeypatch):
 
 
 @pytest.mark.parametrize("key,value,message", [
-    ("k", 64, "k: expected at most n mod 64 = 32, got 64"),
-    ("k", 33, "k: expected at most n mod 64 = 32, got 33"),
-    ("k", -1, "k: must be >= 0"),
-    ("a", float("inf"), "a: expected float"),
-    ("a_sum", "x", "a_sum: expected float"),
-    ("w", pack_array(np.ones(3)), r"w: expected 344 base64 characters for shape \(32,\)"),
-    ("s", [1.0] * 7, "s: expected shape"),
-    ("u", pack_array(np.ones((2, 10))), "u: expected "),
+    ("k", 64, "block.k: expected at most n mod 64 = 32, got 64"),
+    ("k", 33, "block.k: expected at most n mod 64 = 32, got 33"),
+    ("k", -1, "block.k: must be >= 0"),
+    ("a", float("inf"), "block.a: expected float"),
+    ("a_sum", "x", "block.a_sum: expected float"),
+    ("w", pack_array(np.ones(3)), r"block.w: expected 344 base64 characters for shape \(32,\)"),
+    ("s", [1.0] * 7, "block.s: expected shape"),
+    ("u", pack_array(np.ones((2, 10))), "block.u: expected "),
+    # weights of both signs whose products overflow: inf - inf is NaN
+    ("w", pack_array(np.repeat([1e308, -1e308], 16)), "fro2: "),
 ])
 def test_a_corrupt_block_field_is_named(monkeypatch, key, value, message):
     monkeypatch.setattr(mcm, "_BLOCK_MIN_DIM", 1)
@@ -217,7 +219,7 @@ def test_a_corrupt_block_field_is_named(monkeypatch, key, value, message):
     state = json.loads(json.dumps(model.state_dict()))
     assert state["mcm"]["block"]["k"] == 32 and state["mcm"]["n"] == 96
     state["mcm"]["block"][key] = value
-    with pytest.raises(DataError, match=f"^mcm.block.{message}"):
+    with pytest.raises(DataError, match=f"^mcm.{message}"):
         StreamingRobustPCA.from_state_dict(state)
 
 

@@ -23,7 +23,7 @@ row-path MCM's log-log cost slope over d = 100..400 (the engineering
 contract's band is [1.6, 2.4]), its ratio to the floor, and the smallest
 swept d from which the block pipeline is faster at every larger d.
 
-    PYTHONPATH=src python tools/layer_sweep.py                # about a minute
+    PYTHONPATH=src python tools/layer_sweep.py                # about 20 s
     PYTHONPATH=src python tools/layer_sweep.py --smoke --out sweep.json
     python tools/layer_sweep.py --check sweep.json tools/sweeps/BENCH_*.json
 
@@ -228,7 +228,7 @@ def check(doc):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--smoke", action="store_true", help="d in {10, 50}, 3 repeats")
-    parser.add_argument("--repeats", type=int, default=15)
+    parser.add_argument("--repeats", type=int, default=61)
     parser.add_argument("--out", help="output path (default: tools/sweeps/BENCH_<commit>.json)")
     parser.add_argument("--check", nargs="+", metavar="JSON", help="validate files and exit")
     args = parser.parse_args(argv)
