@@ -393,9 +393,9 @@ class _BlockMCM(MedianCovariationSGD):
     @staticmethod
     def _read_block(state, d, n):
         def fields(part):
-            k = state_field(part, "k", int, low=0)
-            if k > n % _BLOCK_ROWS:  # a boundary would pass unfolded
-                raise DataError(f"k: expected at most n mod {_BLOCK_ROWS} = {n % _BLOCK_ROWS}, got {k}")
+            k, most = state_field(part, "k", int, low=0), n % _BLOCK_ROWS
+            if k > most:  # a boundary would pass unfolded
+                raise DataError(f"k: expected at most n mod {_BLOCK_ROWS} = {most}, got {k}")
             return (k, state_field(part, "a", float), state_field(part, "a_sum", float),
                     *(state_field(part, key, np.ndarray, (k,)) for key in "ws"),
                     state_field(part, "u", np.ndarray, (k, d)))

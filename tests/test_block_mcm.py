@@ -215,7 +215,8 @@ def test_a_v2_snapshot_opens_a_short_first_block(monkeypatch):
 ])
 def test_a_corrupt_block_field_is_named(monkeypatch, key, value, message):
     monkeypatch.setattr(mcm, "_BLOCK_MIN_DIM", 1)
-    model = StreamingRobustPCA(10, 2).update_many(np.random.default_rng(6).standard_normal((97, 10)))
+    model = StreamingRobustPCA(10, 2).update_many(
+        np.random.default_rng(6).standard_normal((97, 10)))
     state = json.loads(json.dumps(model.state_dict()))
     assert state["mcm"]["block"]["k"] == 32 and state["mcm"]["n"] == 96
     state["mcm"]["block"][key] = value

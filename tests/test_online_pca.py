@@ -613,7 +613,8 @@ def test_a_row_is_checked_once(monkeypatch):
 
 def _fuzz_bases():
     """Valid snapshots: a ready joint one (d=3, q=2), one mid-warm-up
-    (d=4, q=3) and a known-median one."""
+    (d=4, q=3), a known-median one, and one of the deferred MCM with an
+    open block of 5 rows."""
     rng = np.random.default_rng(9)
     ready = StreamingRobustPCA(3, 2, eigen_lag=0)
     warming = StreamingRobustPCA(4, 3, eigen_lag=0)
@@ -623,7 +624,10 @@ def _fuzz_bases():
         known.update(x)
     warming.update(np.zeros(4)).update(np.ones(4)).update(np.ones(4))
     assert ready.tracker.ready and not warming.tracker.ready
-    return [json.loads(json.dumps(m.state_dict())) for m in (ready, warming, known)]
+    blocked = StreamingRobustPCA(mcm._BLOCK_MIN_DIM, 2, eigen_lag=0).update_many(
+        rng.standard_normal((mcm._BLOCK_ROWS + 6, mcm._BLOCK_MIN_DIM)))
+    assert blocked.mcm._k == 5
+    return [json.loads(json.dumps(m.state_dict())) for m in (ready, warming, known, blocked)]
 
 
 _FUZZ_BASES = _fuzz_bases()
@@ -647,7 +651,7 @@ def _paths(node, prefix=()):
 def _values_like(path, original):
     """Corrupt values of the field's own size: any float64 entries in a
     packed matrix or a nested list, so the shape checks pass."""
-    if path[-1] in ("v", "vbar") and isinstance(original, str):
+    if path[-1] in ("v", "vbar", "u", "w", "s") and isinstance(original, str):
         size = len(base64.b64decode(original)) // 8
         return hnp.arrays(np.float64, size).map(pack_array)
     if isinstance(original, list) and original:

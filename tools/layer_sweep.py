@@ -55,6 +55,7 @@ VERSION = 1
 LAYERS = ("pipeline_row", "pipeline_block", "mcm_row", "mcm_block", "tracker", "floor", "np_add")
 DIMS = (10, 50, 100, 200, 400)
 ROWS = 64  # rows per timed batch: one block of the deferred MCM
+REPEATS = 61
 STATS = ("median_ns", "q1_ns", "q3_ns")
 
 
@@ -228,7 +229,6 @@ def check(doc):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--smoke", action="store_true", help="d in {10, 50}, 3 repeats")
-    parser.add_argument("--repeats", type=int, default=61)
     parser.add_argument("--out", help="output path (default: tools/sweeps/BENCH_<commit>.json)")
     parser.add_argument("--check", nargs="+", metavar="JSON", help="validate files and exit")
     args = parser.parse_args(argv)
@@ -240,7 +240,7 @@ def main(argv=None):
                 return 1
             print(f"{path}: ok")
         return 0
-    doc = run((10, 50) if args.smoke else DIMS, 3 if args.smoke else args.repeats)
+    doc = run((10, 50) if args.smoke else DIMS, 3 if args.smoke else REPEATS)
     problems = check(doc)
     if problems:
         print("; ".join(problems), file=sys.stderr)
