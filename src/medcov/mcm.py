@@ -29,10 +29,6 @@ _HUGE_ENTRY = 1e70
 # Recompute the cached squared Frobenius norm exactly every so often so
 # incremental-update roundoff cannot accumulate over long streams.
 _FRO2_REFRESH = 4096
-# A row's d x d passes run on row panels of about this many entries, so
-# that a panel of V, Vbar and the scratch stays in L2 between the passes;
-# at d <= 256 there is one panel.
-_PANEL_ENTRIES = 65536
 # The pipeline steps its MCM in deferred blocks of this many updates
 # (_BlockMCM; it divides _FRO2_REFRESH) from the dimension where
 # tools/layer_sweep.py measures the block path to pay.
@@ -74,10 +70,7 @@ class MedianCovariationSGD(RowUpdates):
     before any state changes.
 
     Internally it steps K lanes, one per PSD mode, on one row stream
-    (:meth:`_set_lanes`); an estimator built here has one lane.  A row's
-    d x d passes (the outer product, the moves and the averaging fold)
-    run row panel by row panel, all of them on one panel before the
-    next, which changes no bit of the result.
+    (:meth:`_set_lanes`); an estimator built here has one lane.
     """
 
     def __init__(self, dim, *, median_schedule=None, cov_schedule=None,
@@ -109,20 +102,11 @@ class MedianCovariationSGD(RowUpdates):
         # does not depend on what else the heap holds
         self._v, self._vbar, self._buf = np.zeros((3, k, d, d))
         self._fro2 = [0.0] * k
-        # views bound once: ``self._v[k] *= s`` would also copy the
-        # product back through __setitem__.  Each lane's V and V c, and
-        # per row panel of equal height: c's rows as a column, lane 0's
-        # scratch (it holds u u^T), each lane's V and scratch, and all
-        # lanes' V, Vbar and scratch for the averaging fold
-        self._lane_views = list(zip(self._v, np.empty((k, d))))
-        panels = min(d, -(-d * d // _PANEL_ENTRIES))
-        cuts = [d * i // panels for i in range(panels + 1)]
-        self._panels = [
-            (self._c[lo:hi, None], self._buf[0, lo:hi],
-             [(v[lo:hi], buf[lo:hi]) for v, buf in zip(self._v, self._buf)][::-1],
-             self._v[:, lo:hi], self._vbar[:, lo:hi], self._buf[:, lo:hi])
-            for lo, hi in zip(cuts, cuts[1:])
-        ]
+        # each lane's V, V c and scratch as views bound once: views made
+        # on every row would cost about 2 us a row at d = 50, and
+        # ``self._v[k] *= s`` would also copy the product back through
+        # __setitem__
+        self._lane_views = list(zip(self._v, np.empty((k, d)), self._buf))
 
     @property
     def psd_mode(self):
@@ -201,30 +185,28 @@ class MedianCovariationSGD(RowUpdates):
         # and checked before any state changes.
         gamma = self.cov_schedule.gamma(self._n + 1)
         moves = []
-        for (v, vc), fro2, psd in zip(self._lane_views, self._fro2, self._psd_modes):
+        for (v, vc, _), fro2, psd in zip(self._lane_views, self._fro2, self._psd_modes):
             np.dot(v, c, out=vc)
             moves.append(_step(gamma, scale, su, float(c @ vc), fro2, psd))
         if median is not None:
             median._update(x)
         # None: the target coincides with the iterate, and the lane stays
         self._fro2 = [f if m is None else m[2] for f, m in zip(self._fro2, moves)]
-        moving = any(moves)
-        moves.reverse()  # lane 0 goes last, since its scratch holds u u^T until then
+        if any(moves):
+            outer = self._lane_views[0][2]
+            np.copyto(outer, c)
+            np.multiply(outer, c[:, None], out=outer)
+            # lane 0 goes last, since its scratch holds u u^T until then
+            for move, (v, _, buf) in zip(moves[::-1], self._lane_views[::-1]):
+                if move is not None:
+                    v *= move[0]
+                    np.multiply(outer, move[1], out=buf)
+                    v += buf
         self._n += 1
-        n = self._n
-        for col, outer, lanes, v_all, vbar_all, buf_all in self._panels:
-            if moving:
-                np.copyto(outer, c)
-                np.multiply(outer, col, out=outer)
-                for move, (v, buf) in zip(moves, lanes):
-                    if move is not None:
-                        v *= move[0]
-                        np.multiply(outer, move[1], out=buf)
-                        v += buf
-            np.subtract(v_all, vbar_all, out=buf_all)
-            buf_all /= n
-            vbar_all += buf_all
-        if n % _FRO2_REFRESH == 0:
+        np.subtract(self._v, self._vbar, out=self._buf)
+        self._buf /= self._n
+        self._vbar += self._buf
+        if self._n % _FRO2_REFRESH == 0:
             self._fro2 = [float(np.tensordot(v, v)) for v in self._v]
         return self
 
@@ -318,7 +300,7 @@ class _BlockMCM(MedianCovariationSGD):
         scaled = self._scaled_row(x)
         if scaled is None:
             return self
-        c, k, (v0, vc) = self._c, self._k, self._lane_views[0]
+        c, k, (v0, vc, _) = self._c, self._k, self._lane_views[0]
         uvu = (self._a * float(c @ np.dot(v0, c, out=vc))
                + float(self._w[:k] @ np.square(self._u[:k] @ c)))
         move = _step(self.cov_schedule.gamma(self._n + 1), *scaled, uvu, self._fro2[0],

@@ -6,10 +6,11 @@ eigenvector sign convention, so its pairs compare directly with
 ``medcov.linalg.eigh_descending``; ``projector`` builds U U^T from an
 arbitrary basis by Gram-Schmidt; ``dense_mcm_recursion`` runs the MCM
 recursion on explicit d x d targets, the reference any faster MCM
-kernel must match; ``whole_matrix_mcm_step`` is the MCM step with each
-d x d pass over the whole matrices, the bitwise reference for the
-panel loop; ``per_mode_mcm_fits`` fits one one-lane MCM per PSD
-mode, the reference for the lanes that share one pass;
+kernel must match; ``whole_matrix_mcm_step`` is the MCM step with
+c c^T from one broadcast product and the rescale checked on every row,
+the bitwise reference for the row step; ``per_mode_mcm_fits`` fits one
+one-lane MCM per PSD mode, the reference for the lanes that share one
+pass;
 ``csv_rows_per_cell`` parses a CSV one cell at a time, the reference
 for ``medcov.bench.iter_csv_rows``; ``tracker_step`` and
 ``tracker_readouts`` are the eigen tracker's step and readouts with a
@@ -199,7 +200,7 @@ def whole_matrix_mcm_step(est, x):
     """Reference for ``MedianCovariationSGD._update``: the same step on a
     checked row, with every d x d pass over the whole matrices of all
     lanes in turn and c c^T from one broadcast product.  Steps ``est``
-    in place; the panel loop must match it bit for bit."""
+    in place; the step must match it bit for bit."""
     c = est._c
     median = est._median
     if median is not None and not median.initialized:

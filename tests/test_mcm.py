@@ -297,39 +297,48 @@ def _assert_same_lanes(est, ref):
     assert est._fro2 == ref._fro2
 
 
-# 60 entries a panel: d = 3 is one panel, d = 10 two of 5 rows, and
-# d = 50 42 ragged panels of 1 or 2 rows
-_SMALL_PANELS = {3: 1, 10: 2, 50: 42}
-
-
 @pytest.mark.parametrize("modes", [(True,), (False,), (False, True), (True, False, True)],
                          ids=["psd", "raw", "r-rplus", "3-lanes"])
 @pytest.mark.parametrize("joint", [True, False], ids=["joint", "known"])
-@pytest.mark.parametrize("d", sorted(_SMALL_PANELS))
-def test_panel_step_is_the_whole_matrix_step_bit_for_bit(monkeypatch, d, joint, modes):
-    monkeypatch.setattr("medcov.mcm._PANEL_ENTRIES", 60)
+@pytest.mark.parametrize("d", [3, 10, 50])
+def test_panel_step_is_the_whole_matrix_step_bit_for_bit(d, joint, modes):
+    # the "panel step" of this test's name and the resume test's is the
+    # row step, ``update``, on whole matrices
     known = None if joint else np.zeros(d)
     ms, cs = calibrated_schedules(d)
     for seed, flat in ((0, False), (1, True)):
         x = _edge_stream(d, seed, ms, cs, known, flat=flat)
-        panels, whole = (MedianCovariationSGD(d, median_schedule=ms, cov_schedule=cs,
-                                              known_median=known) for _ in range(2))
-        panels._set_lanes(modes)
-        whole._set_lanes(modes)
-        assert len(panels._panels) == _SMALL_PANELS[d]
-        negative_zero = False
-        for row in x:  # row by row: a -0 in V may not last to the end
-            panels.update(row)
-            whole_matrix_mcm_step(whole, row)
-            _assert_same_lanes(panels, whole)
-            negative_zero |= bool(np.signbit(whole._v[whole._v == 0]).any())
-        assert negative_zero or not flat or all(modes)
+        _assert_steps_as_the_whole_matrix_step(x, modes, flat, median_schedule=ms,
+                                               cov_schedule=cs, known_median=known)
+
+
+def test_row_step_at_d300_is_the_whole_matrix_step_bit_for_bit():
+    # two lanes on 30 edge-stream rows: a row on the center, a short first
+    # move whose unclipped step leaves -0s, and the two rescaled rows
+    d = 300
+    ms, cs = calibrated_schedules(d)
+    x = _edge_stream(d, 3, ms, cs, None, flat=True)[np.r_[0:27, 40, 60, 90]]
+    _assert_steps_as_the_whole_matrix_step(x, (False, True), True, median_schedule=ms,
+                                           cov_schedule=cs)
+
+
+def _assert_steps_as_the_whole_matrix_step(x, modes, flat, **kwargs):
+    """``update`` and ``whole_matrix_mcm_step`` agree after every row of ``x``."""
+    est, whole = (MedianCovariationSGD(x.shape[1], **kwargs) for _ in range(2))
+    est._set_lanes(modes)
+    whole._set_lanes(modes)
+    negative_zero = False
+    for row in x:  # row by row: a -0 in V may not last to the end
+        est.update(row)
+        whole_matrix_mcm_step(whole, row)
+        _assert_same_lanes(est, whole)
+        negative_zero |= bool(np.signbit(whole._v[whole._v == 0]).any())
+    assert negative_zero or not flat or all(modes)
 
 
 @pytest.mark.parametrize("joint", [True, False], ids=["joint", "known"])
-def test_panel_step_resumes_from_a_snapshot_bit_for_bit(monkeypatch, joint):
-    # loading assigns into lane 0's V and Vbar, which the panels view
-    monkeypatch.setattr("medcov.mcm._PANEL_ENTRIES", 60)
+def test_panel_step_resumes_from_a_snapshot_bit_for_bit(joint):
+    # the loader writes lane 0's V and Vbar in place, where the step reads them
     d = 10
     known = None if joint else np.zeros(d)
     ms, cs = calibrated_schedules(d)
@@ -340,7 +349,6 @@ def test_panel_step_resumes_from_a_snapshot_bit_for_bit(monkeypatch, joint):
     head = MedianCovariationSGD(d, median_schedule=ms, cov_schedule=cs, known_median=known)
     state = json.loads(json.dumps(head.update_many(x[:50]).state_dict()))
     resumed = MedianCovariationSGD.from_state_dict(state)
-    assert len(resumed._panels) == 2
     _assert_same_lanes(resumed.update_many(x[50:]), whole)
 
 

@@ -22,4 +22,5 @@ def test_output_digests_runs_and_names_each_artefact_once(tmp_path):
     names = [line.split("  ")[1] for line in lines]
     assert len(names) == len(set(names)) > 100
     assert "fit-stream-q3-psd-off-resume:q3-psd-off-resumed.json" in names
+    assert "bench-d300:stdout" in names  # the row MCM step at a large d
     assert list(tmp_path.iterdir()) == []  # the temporary directory is gone

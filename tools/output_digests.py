@@ -5,9 +5,11 @@ stderr of a run.  The runs cover ``simulate`` for every contamination
 law; ``fit-stream`` (report, snapshot and scores sidecar) for q in
 {1, 3} with PSD clipping on and off, each as one pass and as a head
 pass plus a ``--resume`` tail pass, and one pass at d=300, where the
-MCM step splits into row panels; ``fit-weiszfeld``; ``bench`` (the
-report CSV, and its meta sidecar without ``wall_time_ms``) and ``curve``
-at 1 and 2 workers, plus one ``curve`` whose last checkpoint is below n;
+pipeline steps its MCM in deferred blocks; ``fit-weiszfeld``; ``bench``
+(the report CSV, and its meta sidecar without ``wall_time_ms``) and
+``curve`` at 1 and 2 workers, plus one ``curve`` whose last checkpoint
+is below n; one ``bench`` at d=300, whose two MCM lanes take the row
+step at a large d, with a constant at which the PSD clip binds;
 every ``--help``; the ragged-row and resume-width errors; the refusals
 of a ``--scores-out`` and of an ``--out`` that name the ``--in`` file,
 for ``fit-stream`` and, for ``--out``, ``fit-weiszfeld``, with the
@@ -135,6 +137,9 @@ def main():
         "--checkpoints", "20,60", "--seed", "7")
     run("bench-stdout", "bench", "--d", "5", "--n", "60", "--reps", "2",
         "--estimators", "pca,mcm_rplus")
+    run("bench-d300", "bench", "--d", "300", "--n", "150", "--reps", "1", "--delta", "0.05",
+        "--scenario", "student_t2", "--estimators", "mcm_r,mcm_rplus", "--seed", "3",
+        "--c-mcm", "2000")
 
 
 if __name__ == "__main__":
