@@ -262,7 +262,7 @@ def _fit_streams(x, cfg, names):
         est = MedianCovariationSGD(x.shape[1], median_schedule=cfg.median_schedule,
                                    cov_schedule=cfg.cov_schedule)
         est._set_lanes(_PSD_MODES[name] for name in names)
-        return dict(zip(names, est.update_many(x)._lane_estimates()))
+        return dict(zip(names, est._update_block(x)._lane_estimates()))
     except _FAIL_EXC:
         if len(names) == 1:
             return {names[0]: None}

@@ -85,14 +85,17 @@ class RowUpdates:
         return self._update(as_vector(x, dim=self._dim))
 
     def update_many(self, xs):
+        for row in self._checked(xs):
+            self._update(row)
+        return self
+
+    def _checked(self, xs):
         xs = np.asarray(xs, dtype=np.float64)
         if xs.shape[1:] != (self._dim,):
             raise ValueError(f"expected a 2-D sample array {self._dim} wide, got shape {xs.shape}")
         if not np.isfinite(xs).all():
             raise ValueError("sample contains non-finite entries")
-        for row in xs:
-            self._update(row)
-        return self
+        return xs
 
 
 class GeometricMedianSGD(RowUpdates):

@@ -31,7 +31,8 @@ _HUGE_ENTRY = 1e70
 _FRO2_REFRESH = 4096
 # The pipeline steps its MCM in deferred blocks of this many updates
 # (_BlockMCM; it divides _FRO2_REFRESH) from the dimension where
-# tools/layer_sweep.py measures the block path to pay.
+# tools/layer_sweep.py measures the block path to pay; bench's block fit
+# (_update_block) uses the same blocks at every dimension.
 _BLOCK_ROWS = 64
 _BLOCK_MIN_DIM = 100
 
@@ -98,9 +99,11 @@ class MedianCovariationSGD(RowUpdates):
         d = self._dim
         self._psd_modes = tuple(psd_modes)
         k = len(self._psd_modes)
-        # V, Vbar and the scratch share one allocation, so their layout
-        # does not depend on what else the heap holds
-        self._v, self._vbar, self._buf = np.zeros((3, k, d, d))
+        # V, Vbar and the scratch share one 64-byte aligned allocation, so
+        # their layout does not depend on what else the heap holds
+        block = np.zeros(3 * k * d * d + 8)
+        start = -block.__array_interface__["data"][0] % 64 // 8
+        self._v, self._vbar, self._buf = block[start:start + 3 * k * d * d].reshape(3, k, d, d)
         self._fro2 = [0.0] * k
         # each lane's V, V c and scratch as views bound once: views made
         # on every row would cost about 2 us a row at d = 50, and
@@ -162,16 +165,8 @@ class MedianCovariationSGD(RowUpdates):
             return None
         np.subtract(x, self._center, out=c)
         su = float(np.vdot(c, c))  # vdot overflows to inf without a warning
-        scale = 1.0
-        if not su < 1e139:  # else every |c_i| < 1e70, and no rescale is due
-            mx = float(np.abs(c).max())
-            if mx == np.inf:
-                raise NumericalError("the row minus the center overflows float64")
-            if mx > _HUGE_ENTRY:
-                scale = mx
-                c /= scale
-                su = float(c @ c)
-        return scale, su
+        # below 1e139 every |c_i| < 1e70, and no rescale is due
+        return (1.0, su) if su < 1e139 else _rescale(c, su)
 
     def _update(self, x):
         scaled = self._scaled_row(x)
@@ -208,6 +203,39 @@ class MedianCovariationSGD(RowUpdates):
         self._vbar += self._buf
         if self._n % _FRO2_REFRESH == 0:
             self._fro2 = [float(np.tensordot(v, v)) for v in self._v]
+        return self
+
+    def _update_block(self, xs):
+        """``update_many(xs)`` in exact block form, for ``bench``'s lanes:
+        blocks end at multiples of ``_BLOCK_ROWS`` updates; the median steps
+        over a block's rows first, then each lane through ``_block_lane``.
+        A lane's bits do not depend on the other lanes, and differ from the
+        row path's within 1e-12 relative.  A raise leaves the estimator
+        unusable: its only caller refits each lane alone."""
+        xs = self._checked(xs)
+        median = self._median
+        if median is not None and not median.initialized and len(xs):
+            median._update(xs[0])
+            xs = xs[1:]
+        while len(xs):
+            n0, cut = self._n, _BLOCK_ROWS - self._n % _BLOCK_ROWS
+            rows, xs = xs[:cut], xs[cut:]
+            if median is None:
+                u = rows - self._known_m
+            else:
+                u = np.empty_like(rows)
+                for center, x in zip(u, rows):
+                    center[:] = median._mbar
+                    median._update(x)
+                np.subtract(rows, u, out=u)
+            su = np.einsum("ij,ij->i", u, u).tolist()  # inf, without a warning, on overflow
+            steps = [(self.cov_schedule.gamma(n0 + j), 1.0, sq) if sq < 1e139  # as _scaled_row
+                     else (self.cov_schedule.gamma(n0 + j), *_rescale(c, sq))
+                     for j, (c, sq) in enumerate(zip(u, su), start=1)]
+            gram2 = np.square(u @ u.T)
+            self._n += len(u)
+            for k, lane in enumerate(zip(self._v, self._vbar, self._buf, self._psd_modes)):
+                self._fro2[k] = _block_lane(u, gram2, steps, self._fro2[k], self._n, *lane)
         return self
 
     def state_dict(self):
@@ -326,21 +354,9 @@ class _BlockMCM(MedianCovariationSGD):
 
     def _read(self, out, *, average):
         """Write V, or Vbar, to ``out``, which may be V0 or Vbar0 itself."""
-        k, n, v0, buf = self._k, self._n, self._v[0], self._buf[0]
-        if average:
-            np.multiply(self._vbar[0], (n - k) / n, out=out)
-            if self._a_sum:
-                out += np.multiply(v0, self._a_sum / n, out=buf)
-            weights = self._s[:k] / n
-        else:
-            np.multiply(v0, self._a, out=out)
-            weights = self._w[:k]
-        for sign, fold in ((1.0, np.add), (-1.0, np.subtract)):
-            z = np.sqrt(np.maximum(sign * weights, 0.0))
-            if z.any():
-                z = self._u[:k] * z[:, None]
-                fold(out, np.matmul(z.T, z, out=buf), out=out)  # a syrk: exactly symmetric
-        return out
+        k = self._k
+        return _block_read(out, self._v[0], self._vbar[0], self._u[:k], self._w[:k], self._s[:k],
+                           self._a, self._a_sum, self._n, self._buf[0], average=average)
 
     @property
     def iterate(self):
@@ -398,6 +414,64 @@ def _pipeline_form(dim, state=None):
     """The pipeline's MCM class: the deferred form from ``_BLOCK_MIN_DIM``
     on, and for a loaded ``state`` that holds a block."""
     return _BlockMCM if dim >= _BLOCK_MIN_DIM or "block" in (state or {}) else MedianCovariationSGD
+
+
+def _block_read(out, v0, vbar0, u, w, s, a, a_sum, n, buf, *, average):
+    """Write to ``out`` (V0 or Vbar0 itself, or not) a block's V, or Vbar
+    (see ``_BlockMCM``), from V0, Vbar0 and its k = len(u) rows; each
+    signed part of the rank-k sum is one exactly symmetric Z^T Z (syrk)."""
+    if average:
+        np.multiply(vbar0, (n - len(u)) / n, out=out)
+        if a_sum:
+            out += np.multiply(v0, a_sum / n, out=buf)
+        weights = s / n
+    else:
+        np.multiply(v0, a, out=out)
+        weights = w
+    for sign, fold in ((1.0, np.add), (-1.0, np.subtract)):
+        z = np.sqrt(np.maximum(sign * weights, 0.0))
+        if z.any():
+            z = u * z[:, None]
+            fold(out, np.matmul(z.T, z, out=buf), out=out)
+    return out
+
+
+def _block_lane(u, gram2, steps, fro2, n, v, vbar, buf, psd):
+    """Step one lane over a block's rows u as ``_BlockMCM._update`` does, from
+    one product for u^T V0 u, ``gram2`` = (U U^T)^2 and each row's gamma,
+    scale and |u|^2 (``steps``); fold the block; return the new |V|_F^2."""
+    w, a, a_sum, moves = np.zeros(len(u)), 1.0, 0.0, []
+    uvu0 = np.einsum("ij,ij->i", u @ v, u).tolist()
+    for j, (g2, h, step) in enumerate(zip(gram2, uvu0, steps)):
+        omt, t, fro2 = _step(*step, a * h + float(w @ g2), fro2, psd) or (1.0, 0.0, fro2)
+        w *= omt
+        w[j] = t
+        a *= omt
+        a_sum += a
+        moves.append((omt, t))
+    # s_i, the sum of w_i over the block's later rows, is t_i r_i for
+    # r_i = 1 + omt_{i+1} r_{i+1}, taken from the last row back
+    s, r, omt = [], 0.0, 0.0
+    for prev_omt, t in moves[::-1]:
+        r = 1.0 + omt * r
+        s.append(t * r)
+        omt = prev_omt
+    block = (u, w, np.array(s[::-1]), a, a_sum, n, buf)
+    _block_read(vbar, v, vbar, *block, average=True)  # it reads V0, so it goes first
+    _block_read(v, v, vbar, *block, average=False)
+    return float(np.tensordot(v, v)) if n % _FRO2_REFRESH == 0 else fro2
+
+
+def _rescale(c, su):
+    """``(scale, |u|^2)`` of u = c / scale, written to ``c``, for su = |c|^2
+    past 1e139: past 1e70 the step works on c / max|c_i|."""
+    mx = float(np.abs(c).max())
+    if mx == np.inf:
+        raise NumericalError("the row minus the center overflows float64")
+    if mx > _HUGE_ENTRY:
+        c /= mx
+        return mx, float(c @ c)
+    return 1.0, su
 
 
 def _step(gamma, scale, su, uvu, fro2, psd):

@@ -238,12 +238,14 @@ def whole_matrix_mcm_step(est, x):
     return est
 
 
-def per_mode_mcm_fits(xs, psd_modes, **kwargs):
+def per_mode_mcm_fits(xs, psd_modes, *, block=False, **kwargs):
     """Reference for ``MedianCovariationSGD._set_lanes``: one one-lane
-    ``update_many`` fit of ``xs`` per PSD mode, each as (V, Vbar, |V|_F^2)."""
+    ``update_many`` fit of ``xs`` per PSD mode (``_update_block`` with
+    ``block``), each as (V, Vbar, |V|_F^2)."""
     fits = []
     for psd in psd_modes:
-        est = MedianCovariationSGD(xs.shape[1], psd_mode=psd, **kwargs).update_many(xs)
+        est = MedianCovariationSGD(xs.shape[1], psd_mode=psd, **kwargs)
+        est = est._update_block(xs) if block else est.update_many(xs)
         fits.append((est.iterate, est.estimate, est.state_dict()["fro2"]))
     return fits
 

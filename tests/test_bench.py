@@ -30,6 +30,7 @@ from medcov import (
     write_csv,
 )
 from medcov.bench import write_report
+from medcov.online_pca import SNAPSHOT_VERSION
 from oracles import csv_rows_per_cell, per_mode_mcm_fits
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -274,15 +275,15 @@ def test_overflowing_sample_excludes_its_pca_replication(monkeypatch):
 
 
 def test_streaming_estimators_share_one_pass(monkeypatch):
-    # mcm_r and mcm_rplus as lanes of one pass report what two one-lane
-    # fits report, at every worker count
+    # mcm_r and mcm_rplus as lanes of one block-form pass report what two
+    # one-lane block-form fits report, at every worker count
     cfg = RunConfig(scenario=ScenarioConfig(d=6, delta=0.1, contamination="student_t1"),
                     n=120, q=2, replications=4, seed=5)
     lines = {w: bench.report_lines(run_benchmark(cfg, workers=w)) for w in (1, 2)}
 
     def per_mode(x, cfg, names):
         fits = per_mode_mcm_fits(x, [bench._PSD_MODES[name] for name in names],
-                                 median_schedule=cfg.median_schedule,
+                                 block=True, median_schedule=cfg.median_schedule,
                                  cov_schedule=cfg.cov_schedule)
         return {name: vbar for name, (_, vbar, _) in zip(names, fits)}
 
@@ -527,7 +528,7 @@ def test_snapshot_v1_resumes_as_its_own_version_did():
 
     snapshot, _ = fit_stream(str(DATA / "snapshot_v1_d3_tail.csv"),
                              resume=str(DATA / "snapshot_v1_d3.json"))
-    assert snapshot["version"] == 3
+    assert snapshot["version"] == SNAPSHOT_VERSION
     ours = StreamingRobustPCA.from_state_dict(snapshot)
     theirs = StreamingRobustPCA.from_state_dict(
         load_snapshot(str(DATA / "snapshot_v1_d3_resumed.json")))

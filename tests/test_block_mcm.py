@@ -1,7 +1,10 @@
-"""The streaming pipeline's deferred MCM (``mcm._BlockMCM``) against the
-row path: the same recursion to 1e-12, exact symmetry at every fold, the
-row path's failure rule, and a resume that is bitwise the one-pass run
-wherever the stream is cut."""
+"""The MCM's block forms against the row path.  The streaming
+pipeline's deferred MCM (``mcm._BlockMCM``): the same recursion to
+1e-12, exact symmetry at every fold, the row path's failure rule, and a
+resume that is bitwise the one-pass run wherever the stream is cut.
+``bench``'s block fit (``MedianCovariationSGD._update_block``): the same
+recursion to 1e-12, exact symmetry, and lanes that are bit for bit
+one-lane fits."""
 
 import json
 
@@ -13,6 +16,7 @@ from medcov import DataError, MedianCovariationSGD, NumericalError, StepSchedule
 from medcov.bench import calibrated_schedules
 from medcov.cli import main
 from medcov.linalg import pack_array
+from oracles import per_mode_mcm_fits
 from test_mcm import _edge_stream
 
 ROW_PATH = 10**9  # a _BLOCK_MIN_DIM that no test dimension reaches
@@ -254,3 +258,79 @@ def test_chunked_fit_stream_is_the_single_pass_byte_for_byte(tmp_path, capsys):
     assert "".join(sidecar) == "".join(
         (tmp_path / "single.csv").read_text().splitlines(keepends=True)[1:])
     assert json.loads(state.read_text())["mcm"]["block"]["k"] == 199 - 3 * 64
+
+
+# ---------------------------------------------------------------------------
+# bench's block fit
+
+
+def _lanes(d, modes, **kwargs):
+    est = MedianCovariationSGD(d, **kwargs)
+    est._set_lanes(modes)
+    return est
+
+
+@pytest.mark.parametrize("modes", [(True,), (False, True), (True, False, True)],
+                         ids=["1-lane", "2-lanes", "3-lanes"])
+@pytest.mark.parametrize("joint", [True, False], ids=["joint", "known"])
+@pytest.mark.parametrize("d", [3, 10, 50, 300])
+def test_block_fit_is_the_row_path_to_1e_12(d, joint, modes):
+    known = None if joint else np.zeros(d)
+    ms, cs = calibrated_schedules(d)
+    kwargs = {"median_schedule": ms, "cov_schedule": cs, "known_median": known}
+    for flat in (False, True) if d < 300 else (len(modes) % 2 == 0,):
+        # three whole blocks and a ragged one, in one call and in calls
+        # that start and end inside a block
+        x = _stream(d, len(modes), ms, cs, known, flat)
+        assert len(x) % mcm._BLOCK_ROWS
+        row = _lanes(d, modes, **kwargs).update_many(x)
+        block = _lanes(d, modes, **kwargs)._update_block(x)
+        split = _lanes(d, modes, **kwargs)
+        for part in np.split(x, [1, 50, 51, 180]):
+            split._update_block(part)
+        for est in (block, split):
+            assert est.n_updates == row.n_updates
+            assert np.array_equal(est.median_estimate, row.median_estimate)
+            for k in range(len(modes)):
+                for mat, ref in ((est._v[k], row._v[k]), (est._vbar[k], row._vbar[k])):
+                    assert np.array_equal(mat, mat.T)
+                    assert _close(mat, ref), (flat, k)
+                assert abs(est._fro2[k] - row._fro2[k]) <= 1e-12 * row._fro2[k]
+        solo = per_mode_mcm_fits(x, modes, block=True, **kwargs)
+        for k, (v, vbar, fro2) in enumerate(solo):
+            # each lane is bit for bit its one-lane fit, the sign of zero included
+            assert np.array_equal(block._v[k], v) and np.array_equal(block._vbar[k], vbar)
+            assert np.array_equal(np.signbit(block._v[k]), np.signbit(v))
+            assert block._fro2[k] == fro2
+        if flat and not joint and d < 300:
+            assert np.signbit(block._v[0][0]).any()  # the -0s of the flat stream
+
+
+def test_block_fit_refreshes_the_carried_norm_where_the_row_path_does():
+    x = np.random.default_rng(9).standard_t(3, (mcm._FRO2_REFRESH + 101, 3))
+    block = MedianCovariationSGD(3)._update_block(x[:1000])._update_block(
+        x[1000:mcm._FRO2_REFRESH + 1])
+    v = block._v[0]
+    assert block.n_updates == mcm._FRO2_REFRESH
+    assert block._fro2 == [float(np.tensordot(v, v))]
+    row = MedianCovariationSGD(3).update_many(x)
+    block._update_block(x[mcm._FRO2_REFRESH + 1:])
+    assert _close(block.iterate, row.iterate) and _close(block.estimate, row.estimate)
+    assert abs(block._fro2[0] - row._fro2[0]) <= 1e-12 * row._fro2[0]
+
+
+def test_block_fit_blocks_end_at_multiples_of_the_block_rows(monkeypatch):
+    ends, lane = [], mcm._block_lane
+    monkeypatch.setattr(mcm, "_block_lane", lambda *args: ends.append(args[4]) or lane(*args))
+    x = np.random.default_rng(10).standard_normal((300, 3))
+    MedianCovariationSGD(3)._update_block(x[:100])._update_block(x[100:])
+    assert ends == [64, 99, 128, 192, 256, 299]
+
+
+def test_block_fit_refuses_a_bad_sample_whole():
+    est = MedianCovariationSGD(3)._update_block(np.ones((5, 3)))
+    before = est.state_dict()
+    for bad in (np.ones((4, 2)), np.array([[1.0, 2.0, np.nan]] * 4)):
+        with pytest.raises(ValueError):
+            est._update_block(bad)
+        assert est.state_dict() == before

@@ -10,6 +10,11 @@ Layers, each timed in ns per row at d in {10, 50, 100, 200, 400}:
 - ``mcm_row``: ``MedianCovariationSGD._update``, the step that the
   engineering-contract test times through ``update``;
 - ``mcm_block``: the deferred MCM's ``_update`` alone (null without it);
+- ``fit_streams_row``: ``bench._fit_streams``'s two-lane fit (``mcm_r``
+  and ``mcm_rplus``), a fresh estimator on each batch, stepped on the row
+  path (``update_many``), as ``bench`` ran it before the block form;
+- ``fit_streams_block``: the same fit in exact block form
+  (``_update_block``), as ``bench`` runs it now (null without it);
 - ``tracker``: ``OnlineEigenTracker.step`` (q=3) against a fixed matrix;
 - ``floor``: one BLAS ``dsyr`` plus one ``dsymv`` on a Fortran-order
   matrix, the BLAS-2 cost of a rank-one step (null without scipy);
@@ -20,8 +25,9 @@ Each repeat times one batch of 64 rows per layer and dimension, the
 batches interleaved in one process with one BLAS thread; the file holds
 the median and the quartiles over repeats.  ``derived`` holds the
 row-path MCM's log-log cost slope over d = 100..400 (the engineering
-contract's band is [1.6, 2.4]), its ratio to the floor, and the smallest
-swept d from which the block pipeline is faster at every larger d.
+contract's band is [1.6, 2.4]), its ratio to the floor, the smallest
+swept d from which the block pipeline is faster at every larger d, and
+the two-lane fit's row-to-block time ratio at each d.
 
     PYTHONPATH=src python tools/layer_sweep.py                # about 20 s
     PYTHONPATH=src python tools/layer_sweep.py --smoke --out sweep.json
@@ -29,7 +35,8 @@ swept d from which the block pipeline is faster at every larger d.
 
 The full sweep writes ``BENCH_<commit>.json`` (the commit of the medcov
 package's checkout) into ``tools/sweeps/``; ``--check`` validates files
-against the schema and exits 1 on the first that fails.
+against the schema of their version (1, without the two fit layers and
+their ratio, or 2) and exits 1 on the first that fails.
 """
 
 from __future__ import annotations
@@ -51,8 +58,18 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 FORMAT = "medcov-layer-sweep"
-VERSION = 1
-LAYERS = ("pipeline_row", "pipeline_block", "mcm_row", "mcm_block", "tracker", "floor", "np_add")
+VERSION = 2
+LAYERS = ("pipeline_row", "pipeline_block", "mcm_row", "mcm_block", "fit_streams_row",
+          "fit_streams_block", "tracker", "floor", "np_add")
+# what each version's files hold: its layers, the ones that may be null, its derived keys
+SCHEMAS = {
+    1: (tuple(name for name in LAYERS if not name.startswith("fit_streams")),
+        {"pipeline_block", "mcm_block", "floor"},
+        {"mcm_row_slope_100_400", "block_crossover_dim", "mcm_row_floor_ratio"}),
+    2: (LAYERS, {"pipeline_block", "mcm_block", "fit_streams_block", "floor"},
+        {"mcm_row_slope_100_400", "block_crossover_dim", "mcm_row_floor_ratio",
+         "fit_streams_block_gain"}),
+}
 DIMS = (10, 50, 100, 200, 400)
 ROWS = 64  # rows per timed batch: one block of the deferred MCM
 REPEATS = 61
@@ -81,6 +98,25 @@ def _pipeline(d, block):
     return model
 
 
+def _fit_streams(d, block):
+    """``bench._fit_streams``'s two-lane fit on one path, or None where the
+    tree has no block fit."""
+    from medcov import MedianCovariationSGD
+    from medcov.bench import calibrated_schedules
+
+    if block and not hasattr(MedianCovariationSGD, "_update_block"):
+        return None
+    ms, cs = calibrated_schedules(d)
+
+    def fit(rows):
+        est = MedianCovariationSGD(d, median_schedule=ms, cov_schedule=cs)
+        est._set_lanes((False, True))
+        (est._update_block if block else est.update_many)(rows)
+        return est._lane_estimates()
+
+    return fit
+
+
 def _layers(d):
     """{layer: (per-batch callable taking the batch's rows, or None)}."""
     from medcov import MedianCovariationSGD, OnlineEigenTracker
@@ -98,6 +134,7 @@ def _layers(d):
     for name, obj in (*pipes.items(), *mcms.items()):
         out[name] = None if obj is None else (lambda rows, f=obj._update: [f(x) for x in rows])
     out.setdefault("mcm_block", None)
+    out["fit_streams_row"], out["fit_streams_block"] = (_fit_streams(d, b) for b in (False, True))
     out["tracker"] = lambda rows: [tracker.step(vbar) for _ in rows]
     try:
         from scipy.linalg.blas import dsymv, dsyr
@@ -158,8 +195,10 @@ def _derived(layers, dims):
                 break
             crossover = d
     floor = {str(d): med["mcm_row"][d] / med["floor"][d] for d in dims if d in med["floor"]}
+    gain = {str(d): med["fit_streams_row"][d] / med["fit_streams_block"][d]
+            for d in dims if d in med["fit_streams_block"]}
     return {"mcm_row_slope_100_400": slope, "block_crossover_dim": crossover,
-            "mcm_row_floor_ratio": floor or None}
+            "mcm_row_floor_ratio": floor or None, "fit_streams_block_gain": gain or None}
 
 
 def _commit(package_dir):
@@ -193,10 +232,13 @@ def run(dims, repeats):
 
 
 def check(doc):
-    """The schema's problems with ``doc``, as a list of strings (empty when valid)."""
+    """The problems with ``doc`` under its version's schema, as a list of
+    strings (empty when valid)."""
     problems = []
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT or doc.get("version") != VERSION:
-        return [f"not a {FORMAT} version {VERSION} document"]
+    if not (isinstance(doc, dict) and doc.get("format") == FORMAT
+            and doc.get("version") in SCHEMAS):
+        return [f"not a {FORMAT} document of version {' or '.join(map(str, SCHEMAS))}"]
+    layer_names, nullable, derived_keys = SCHEMAS[doc["version"]]
     dims = doc.get("dims")
     if not (isinstance(dims, list) and dims and all(isinstance(d, int) and d > 0 for d in dims)):
         return ["dims: expected a non-empty list of positive ints"]
@@ -204,15 +246,15 @@ def check(doc):
         if key not in doc:
             problems.append(f"{key}: missing")
     layers = doc.get("layers")
-    if not isinstance(layers, dict) or sorted(layers) != sorted(LAYERS):
-        return problems + [f"layers: expected exactly {', '.join(LAYERS)}"]
-    for name in LAYERS:
+    if not isinstance(layers, dict) or sorted(layers) != sorted(layer_names):
+        return problems + [f"layers: expected exactly {', '.join(layer_names)}"]
+    for name in layer_names:
         per = layers[name]
         if not isinstance(per, dict) or sorted(per) != sorted(map(str, dims)):
             problems.append(f"layers.{name}: expected one entry per dim")
             continue
         for d, stats in per.items():
-            if stats is None and name in ("pipeline_block", "mcm_block", "floor"):
+            if stats is None and name in nullable:
                 continue
             if not (isinstance(stats, dict) and sorted(stats) == sorted(STATS)
                     and all(isinstance(v, (int, float)) and 0 < v < math.inf
@@ -220,9 +262,8 @@ def check(doc):
                     and stats["q1_ns"] <= stats["median_ns"] <= stats["q3_ns"]):
                 problems.append(f"layers.{name}.{d}: expected positive {', '.join(STATS)} in order")
     derived = doc.get("derived")
-    if not (isinstance(derived, dict) and {"mcm_row_slope_100_400", "block_crossover_dim",
-                                            "mcm_row_floor_ratio"} <= set(derived)):
-        problems.append("derived: expected the slope, the crossover and the floor ratio")
+    if not (isinstance(derived, dict) and derived_keys <= set(derived)):
+        problems.append(f"derived: expected {', '.join(sorted(derived_keys))}")
     return problems
 
 
@@ -251,7 +292,7 @@ def main(argv=None):
     out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     for name in LAYERS:
         cells = [doc["layers"][name][str(d)] for d in doc["dims"]]
-        print(f"{name:15s}" + "".join(f"{c['median_ns'] / 1e3:9.1f}" if c else "        -"
+        print(f"{name:18s}" + "".join(f"{c['median_ns'] / 1e3:9.1f}" if c else "        -"
                                       for c in cells))
     print(f"derived: {json.dumps(doc['derived'])}; {doc['wall_s']:.0f} s; wrote {out}")
     return 0

@@ -8,8 +8,8 @@ pass plus a ``--resume`` tail pass, and one pass at d=300, where the
 pipeline steps its MCM in deferred blocks; ``fit-weiszfeld``; ``bench``
 (the report CSV, and its meta sidecar without ``wall_time_ms``) and
 ``curve`` at 1 and 2 workers, plus one ``curve`` whose last checkpoint
-is below n; one ``bench`` at d=300, whose two MCM lanes take the row
-step at a large d, with a constant at which the PSD clip binds;
+is below n; one ``bench`` at d=300, whose two MCM lanes take the block
+fit at a large d, with a constant at which the PSD clip binds;
 every ``--help``; the ragged-row and resume-width errors; the refusals
 of a ``--scores-out`` and of an ``--out`` that name the ``--in`` file,
 for ``fit-stream`` and, for ``--out``, ``fit-weiszfeld``, with the
