@@ -29,7 +29,7 @@ contract's band is [1.6, 2.4]), its ratio to the floor, the smallest
 swept d from which the block pipeline is faster at every larger d, and
 the two-lane fit's row-to-block time ratio at each d.
 
-    PYTHONPATH=src python tools/layer_sweep.py                # about 20 s
+    PYTHONPATH=src python tools/layer_sweep.py                # about 30 s
     PYTHONPATH=src python tools/layer_sweep.py --smoke --out sweep.json
     python tools/layer_sweep.py --check sweep.json tools/sweeps/BENCH_*.json
 
