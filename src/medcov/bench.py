@@ -35,7 +35,7 @@ import numpy as np
 from .errors import ConfigError, DataError, MedcovError, NumericalError
 from .geomedian import StepSchedule, weiszfeld_median
 from .linalg import as_vector, eigh_descending
-from .mcm import MedianCovariationSGD, weiszfeld_mcm
+from .mcm import _block_fits, weiszfeld_mcm
 from .metrics import SummaryStats, eigenspace_error, mc_summary
 from .online_pca import StreamingRobustPCA
 from .simgen import ScenarioConfig, brownian_cov, draw_sample
@@ -255,14 +255,13 @@ _PSD_MODES = {"mcm_r": False, "mcm_rplus": True}
 
 def _fit_streams(x, cfg, names):
     """{name: averaged MCM, or None where its fit failed} for the
-    streaming estimators ``names``, fitted in one pass with one lane each.
-    If the shared pass fails, each is refitted alone, so a failure (say,
+    streaming estimators ``names``, one lane each of one ``_block_fits``
+    pass.  If that pass fails, each is refitted alone, so a failure (say,
     one lane's |V|_F^2 overflowing) excludes only its own estimator."""
     try:
-        est = MedianCovariationSGD(x.shape[1], median_schedule=cfg.median_schedule,
-                                   cov_schedule=cfg.cov_schedule)
-        est._set_lanes(_PSD_MODES[name] for name in names)
-        return dict(zip(names, est._update_block(x)._lane_estimates()))
+        fits = _block_fits(x, [_PSD_MODES[name] for name in names],
+                           median_schedule=cfg.median_schedule, cov_schedule=cfg.cov_schedule)
+        return {name: vbar for name, (_, vbar, _) in zip(names, fits)}
     except _FAIL_EXC:
         if len(names) == 1:
             return {names[0]: None}

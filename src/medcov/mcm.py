@@ -32,7 +32,7 @@ _FRO2_REFRESH = 4096
 # The pipeline steps its MCM in deferred blocks of this many updates
 # (_BlockMCM; it divides _FRO2_REFRESH) from the dimension where
 # tools/layer_sweep.py measures the block path to pay; bench's block fit
-# (_update_block) uses the same blocks at every dimension.
+# (_block_fits) uses the same blocks at every dimension.
 _BLOCK_ROWS = 64
 _BLOCK_MIN_DIM = 100
 
@@ -69,9 +69,6 @@ class MedianCovariationSGD(RowUpdates):
     as everywhere else.  It stops where |V|_F passes about 1.3e154: a step
     whose |V|_F^2 would overflow float64 raises :class:`NumericalError`
     before any state changes.
-
-    Internally it steps K lanes, one per PSD mode, on one row stream
-    (:meth:`_set_lanes`); an estimator built here has one lane.
     """
 
     def __init__(self, dim, *, median_schedule=None, cov_schedule=None,
@@ -79,6 +76,7 @@ class MedianCovariationSGD(RowUpdates):
         super().__init__(dim)
         d = self._dim
         self.cov_schedule = cov_schedule if cov_schedule is not None else StepSchedule()
+        self.psd_mode = bool(psd_mode)
         if known_median is not None:
             self._known_m = as_vector(known_median, dim=d).copy()
             self._median = None
@@ -86,35 +84,10 @@ class MedianCovariationSGD(RowUpdates):
             self._known_m = None
             self._median = GeometricMedianSGD(dim=d, schedule=median_schedule)
         self._n = 0
-        self._c = np.empty(d)  # scratch, so the hot loop never allocates
-        self._set_lanes((bool(psd_mode),))
-
-    def _set_lanes(self, psd_modes):
-        """Give a fresh estimator one lane per PSD mode, all stepped on
-        one row stream.  The lanes share the center, the median update,
-        gamma_n and the outer product c c^T; lane k's V, Vbar and |V|_F^2
-        (``_v[k]``, ``_vbar[k]``, ``_fro2[k]``) are bit for bit those of a
-        one-lane fit in its mode.  A row that overflows any lane raises
-        before any lane changes.  Several lanes are never snapshotted."""
-        d = self._dim
-        self._psd_modes = tuple(psd_modes)
-        k = len(self._psd_modes)
-        # V, Vbar and the scratch share one 64-byte aligned allocation, so
-        # their layout does not depend on what else the heap holds
-        block = np.zeros(3 * k * d * d + 8)
-        start = -block.__array_interface__["data"][0] % 64 // 8
-        self._v, self._vbar, self._buf = block[start:start + 3 * k * d * d].reshape(3, k, d, d)
-        self._fro2 = [0.0] * k
-        # each lane's V, V c and scratch as views bound once: views made
-        # on every row would cost about 2 us a row at d = 50, and
-        # ``self._v[k] *= s`` would also copy the product back through
-        # __setitem__
-        self._lane_views = list(zip(self._v, np.empty((k, d)), self._buf))
-
-    @property
-    def psd_mode(self):
-        """Whether steps are PSD-clipped (lane 0's mode)."""
-        return self._psd_modes[0]
+        self._fro2 = 0.0
+        # scratch, so the hot loop never allocates: c, V c and a d x d buffer
+        self._c, self._vc = np.empty(d), np.empty(d)
+        self._v, self._vbar, self._buf = _aligned_zeros(3, d)
 
     @property
     def n_updates(self):
@@ -123,23 +96,20 @@ class MedianCovariationSGD(RowUpdates):
 
     @property
     def iterate(self):
-        return self._v[0].copy()
+        return self._v.copy()
 
     @property
     def estimate(self):
         """Averaged iterate Vbar: the matrix estimate to report."""
-        return self._lane_estimates()[0]
-
-    def _lane_estimates(self):
         if self._n == 0:
             raise ValueError("no observations: the estimator has taken no matrix update yet")
-        return [vbar.copy() for vbar in self._vbar]
+        return self._vbar.copy()
 
     @property
     def estimate_view(self):
         """Read-only view of the live Vbar: no d x d copy, and it follows
         later updates (``estimate`` is the copy to keep)."""
-        view = self._vbar[0]
+        view = self._vbar.view()  # flagged itself, Vbar would refuse the next update
         view.flags.writeable = False
         return view
 
@@ -172,70 +142,27 @@ class MedianCovariationSGD(RowUpdates):
         scaled = self._scaled_row(x)
         if scaled is None:
             return self
-        scale, su = scaled
-        c = self._c
-        median = self._median
-        # Each lane's move is V <- omt * V + t_gain * u u^T.  The moves
-        # read nothing the median's update writes, so every lane is sized
-        # and checked before any state changes.
-        gamma = self.cov_schedule.gamma(self._n + 1)
-        moves = []
-        for (v, vc, _), fro2, psd in zip(self._lane_views, self._fro2, self._psd_modes):
-            np.dot(v, c, out=vc)
-            moves.append(_step(gamma, scale, su, float(c @ vc), fro2, psd))
-        if median is not None:
-            median._update(x)
-        # None: the target coincides with the iterate, and the lane stays
-        self._fro2 = [f if m is None else m[2] for f, m in zip(self._fro2, moves)]
-        if any(moves):
-            outer = self._lane_views[0][2]
-            np.copyto(outer, c)
-            np.multiply(outer, c[:, None], out=outer)
-            # lane 0 goes last, since its scratch holds u u^T until then
-            for move, (v, _, buf) in zip(moves[::-1], self._lane_views[::-1]):
-                if move is not None:
-                    v *= move[0]
-                    np.multiply(outer, move[1], out=buf)
-                    v += buf
+        c, v, buf = self._c, self._v, self._buf
+        # The move is V <- omt * V + t_gain * u u^T.  It reads nothing the
+        # median's update writes, so it is sized and checked before any
+        # state changes; None: the target coincides with the iterate
+        move = _step(self.cov_schedule.gamma(self._n + 1), *scaled,
+                     float(c @ np.dot(v, c, out=self._vc)), self._fro2, self.psd_mode)
+        if self._median is not None:
+            self._median._update(x)
+        if move is not None:
+            omt, t_gain, self._fro2 = move
+            np.copyto(buf, c)
+            np.multiply(buf, c[:, None], out=buf)
+            v *= omt
+            buf *= t_gain
+            v += buf
         self._n += 1
-        np.subtract(self._v, self._vbar, out=self._buf)
-        self._buf /= self._n
-        self._vbar += self._buf
+        np.subtract(v, self._vbar, out=buf)
+        buf /= self._n
+        self._vbar += buf
         if self._n % _FRO2_REFRESH == 0:
-            self._fro2 = [float(np.tensordot(v, v)) for v in self._v]
-        return self
-
-    def _update_block(self, xs):
-        """``update_many(xs)`` in exact block form, for ``bench``'s lanes:
-        blocks end at multiples of ``_BLOCK_ROWS`` updates; the median steps
-        over a block's rows first, then each lane through ``_block_lane``.
-        A lane's bits do not depend on the other lanes, and differ from the
-        row path's within 1e-12 relative.  A raise leaves the estimator
-        unusable: its only caller refits each lane alone."""
-        xs = self._checked(xs)
-        median = self._median
-        if median is not None and not median.initialized and len(xs):
-            median._update(xs[0])
-            xs = xs[1:]
-        while len(xs):
-            n0, cut = self._n, _BLOCK_ROWS - self._n % _BLOCK_ROWS
-            rows, xs = xs[:cut], xs[cut:]
-            if median is None:
-                u = rows - self._known_m
-            else:
-                u = np.empty_like(rows)
-                for center, x in zip(u, rows):
-                    center[:] = median._mbar
-                    median._update(x)
-                np.subtract(rows, u, out=u)
-            su = np.einsum("ij,ij->i", u, u).tolist()  # inf, without a warning, on overflow
-            steps = [(self.cov_schedule.gamma(n0 + j), 1.0, sq) if sq < 1e139  # as _scaled_row
-                     else (self.cov_schedule.gamma(n0 + j), *_rescale(c, sq))
-                     for j, (c, sq) in enumerate(zip(u, su), start=1)]
-            gram2 = np.square(u @ u.T)
-            self._n += len(u)
-            for k, lane in enumerate(zip(self._v, self._vbar, self._buf, self._psd_modes)):
-                self._fro2[k] = _block_lane(u, gram2, steps, self._fro2[k], self._n, *lane)
+            self._fro2 = float(np.tensordot(v, v))
         return self
 
     def state_dict(self):
@@ -245,9 +172,9 @@ class MedianCovariationSGD(RowUpdates):
             "cov_c": self.cov_schedule.c,
             "cov_alpha": self.cov_schedule.alpha,
             "n": self._n,
-            "fro2": self._fro2[0],
-            "v": pack_triangle(self._v[0]),
-            "vbar": pack_triangle(self._vbar[0]),
+            "fro2": self._fro2,
+            "v": pack_triangle(self._v),
+            "vbar": pack_triangle(self._vbar),
         }
         if self._median is not None:
             state["mode"] = "joint"
@@ -283,17 +210,17 @@ class MedianCovariationSGD(RowUpdates):
             if est._median.dim != d:
                 raise DataError(f"median.dim: expected {d}, got {est._median.dim}")
         if triangles:
-            unpack_triangle(v, est._v[0])
-            unpack_triangle(vbar, est._vbar[0])
-        else:
-            est._v[0], est._vbar[0] = v, vbar
+            unpack_triangle(v, est._v)
+            unpack_triangle(vbar, est._vbar)
+        else:  # copied into the aligned arrays, not rebound
+            est._v[...], est._vbar[...] = v, vbar
         est._n = n
-        live = est._v[0] if block is None else est._open(*block)
+        live = est._v if block is None else est._open(*block)
         fro2 = float(state_field(state, "fro2", float, low=0.0))
         exact = float(np.vdot(live, live))  # inf, without a warning, if |v|_F^2 overflows
         if not exact < np.inf or abs(fro2 - exact) > 1e-8 * exact + 1e-300:  # V = 0 floor
             raise DataError(f"fro2: {fro2!r} disagrees with |v|_F^2 = {exact!r}")
-        est._fro2 = [fro2]
+        est._fro2 = fro2
         return est
 
     @staticmethod
@@ -328,42 +255,43 @@ class _BlockMCM(MedianCovariationSGD):
         scaled = self._scaled_row(x)
         if scaled is None:
             return self
-        c, k, (v0, vc, _) = self._c, self._k, self._lane_views[0]
-        uvu = (self._a * float(c @ np.dot(v0, c, out=vc))
+        c, k, v0 = self._c, self._k, self._v
+        uvu = (self._a * float(c @ np.dot(v0, c, out=self._vc))
                + float(self._w[:k] @ np.square(self._u[:k] @ c)))
-        move = _step(self.cov_schedule.gamma(self._n + 1), *scaled, uvu, self._fro2[0],
+        move = _step(self.cov_schedule.gamma(self._n + 1), *scaled, uvu, self._fro2,
                      self.psd_mode)
         if self._median is not None:
             self._median._update(x)
         self._u[k] = c
         w = self._w[:k + 1]
-        omt, w[k], self._fro2[0] = move or (1.0, 0.0, self._fro2[0])  # x 1.0 is exact
+        omt, w[k], self._fro2 = move or (1.0, 0.0, self._fro2)  # x 1.0 is exact
         self._a *= omt
         w[:k] *= omt
         self._a_sum += self._a
         self._s[:k + 1] += w
         self._k, self._n = k + 1, self._n + 1
         if self._n % _BLOCK_ROWS == 0:
-            self._read(self._vbar[0], average=True)
+            self._read(self._vbar, average=True)
             self._read(v0, average=False)
             self._s[:] = 0.0
             self._k, self._a, self._a_sum = 0, 1.0, 0.0
         if self._n % _FRO2_REFRESH == 0:
-            self._fro2 = [float(np.tensordot(v0, v0))]
+            self._fro2 = float(np.tensordot(v0, v0))
         return self
 
     def _read(self, out, *, average):
         """Write V, or Vbar, to ``out``, which may be V0 or Vbar0 itself."""
         k = self._k
-        return _block_read(out, self._v[0], self._vbar[0], self._u[:k], self._w[:k], self._s[:k],
-                           self._a, self._a_sum, self._n, self._buf[0], average=average)
+        return _block_read(out, self._v, self._vbar, self._u[:k], self._w[:k], self._s[:k],
+                           self._a, self._a_sum, self._n, self._buf, average=average)
 
     @property
     def iterate(self):
-        return self._read(np.empty_like(self._v[0]), average=False)
+        return self._read(np.empty_like(self._v), average=False)
 
-    def _lane_estimates(self):
-        return [self._read(vbar, average=True) for vbar in super()._lane_estimates()]
+    @property
+    def estimate(self):
+        return self._read(super().estimate, average=True)
 
     @property
     def estimate_view(self):
@@ -373,11 +301,11 @@ class _BlockMCM(MedianCovariationSGD):
     def __rmatmul__(self, w):
         k, n = self._k, self._n
         if not k:
-            return w @ self._vbar[0]
+            return w @ self._vbar
         rows = self._u[:k]
-        out = w @ self._v[0]  # first, while the step's pass over V0 is in cache
+        out = w @ self._v  # first, while the step's pass over V0 is in cache
         out *= self._a_sum / n
-        out += (w @ self._vbar[0]) * ((n - k) / n)
+        out += (w @ self._vbar) * ((n - k) / n)
         out += ((w @ rows.T) * (self._s[:k] / n)) @ rows
         return out
 
@@ -436,6 +364,38 @@ def _block_read(out, v0, vbar0, u, w, s, a, a_sum, n, buf, *, average):
     return out
 
 
+def _block_fits(xs, psd_modes, *, median_schedule, cov_schedule):
+    """For each PSD mode, the [V, Vbar, |V|_F^2] of a fresh joint
+    estimator's ``update_many(xs)``, in exact block form, for ``bench``'s
+    lanes.  Blocks end at multiples of ``_BLOCK_ROWS`` updates.  The lanes
+    share the median's steps over a block's rows, the scaled rows, their
+    steps, the squared Gram and a scratch matrix; then each folds the
+    block through ``_block_lane``.  A lane's bits do not depend on the
+    other lanes, and differ from the row path's within 1e-12 relative."""
+    median = GeometricMedianSGD(np.shape(xs)[-1], schedule=median_schedule)
+    xs = median._checked(xs)
+    if len(xs) < 2:
+        raise ValueError("no observations: the estimator has taken no matrix update yet")
+    scratch, *mats = _aligned_zeros(2 * len(psd_modes) + 1, median.dim)
+    fits = [[v, vbar, 0.0] for v, vbar in zip(mats[::2], mats[1::2])]
+    median._update(xs[0])
+    for n0 in range(0, len(xs) - 1, _BLOCK_ROWS):
+        rows = xs[n0 + 1:n0 + 1 + _BLOCK_ROWS]
+        u = np.empty_like(rows)
+        for center, x in zip(u, rows):
+            center[:] = median._mbar
+            median._update(x)
+        np.subtract(rows, u, out=u)
+        su = np.einsum("ij,ij->i", u, u).tolist()  # inf, without a warning, on overflow
+        steps = [(cov_schedule.gamma(n0 + j), 1.0, sq) if sq < 1e139  # as _scaled_row
+                 else (cov_schedule.gamma(n0 + j), *_rescale(c, sq))
+                 for j, (c, sq) in enumerate(zip(u, su), start=1)]
+        gram2 = np.square(u @ u.T)
+        for fit, psd in zip(fits, psd_modes):
+            fit[2] = _block_lane(u, gram2, steps, fit[2], n0 + len(u), *fit[:2], scratch, psd)
+    return fits
+
+
 def _block_lane(u, gram2, steps, fro2, n, v, vbar, buf, psd):
     """Step one lane over a block's rows u as ``_BlockMCM._update`` does, from
     one product for u^T V0 u, ``gram2`` = (U U^T)^2 and each row's gamma,
@@ -460,6 +420,17 @@ def _block_lane(u, gram2, steps, fro2, n, v, vbar, buf, psd):
     _block_read(vbar, v, vbar, *block, average=True)  # it reads V0, so it goes first
     _block_read(v, v, vbar, *block, average=False)
     return float(np.tensordot(v, v)) if n % _FRO2_REFRESH == 0 else fro2
+
+
+def _aligned_zeros(k, d):
+    """k zero d x d matrices, each on a 64-byte boundary, so that kernel
+    times do not depend on the heap.  One allocation: k smaller ones keep
+    glibc's trim threshold low, and were faulted in again on every
+    ``_block_fits`` call (up to twice its time at d = 400)."""
+    stride = -(-d * d // 8) * 8  # doubles per matrix, a multiple of 64 bytes
+    raw = np.zeros(k * stride + 8)
+    start = -raw.__array_interface__["data"][0] % 64 // 8
+    return raw[start:start + k * stride].reshape(k, stride)[:, :d * d].reshape(k, d, d)
 
 
 def _rescale(c, su):

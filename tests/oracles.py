@@ -8,8 +8,8 @@ arbitrary basis by Gram-Schmidt; ``dense_mcm_recursion`` runs the MCM
 recursion on explicit d x d targets, the reference any faster MCM
 kernel must match; ``whole_matrix_mcm_step`` is the MCM step with
 c c^T from one broadcast product and the rescale checked on every row,
-the bitwise reference for the row step; ``per_mode_mcm_fits`` fits one
-one-lane MCM per PSD mode, the reference for the lanes that share one
+the bitwise reference for the row step; ``per_mode_mcm_fits`` runs one
+block fit per PSD mode, the reference for the lanes that share one
 pass;
 ``csv_rows_per_cell`` parses a CSV one cell at a time, the reference
 for ``medcov.bench.iter_csv_rows``; ``tracker_step`` and
@@ -34,7 +34,7 @@ from medcov.linalg import as_sym_matrix, as_vector, vector_norm
 from medcov.mcm import (
     _FRO2_REFRESH,
     _HUGE_ENTRY,
-    MedianCovariationSGD,
+    _block_fits,
     _centered,
     _rank_one_distances,
     _step,
@@ -198,9 +198,9 @@ def dense_mcm_recursion(xs, cov_schedule, *, psd_mode=True, median_schedule=None
 
 def whole_matrix_mcm_step(est, x):
     """Reference for ``MedianCovariationSGD._update``: the same step on a
-    checked row, with every d x d pass over the whole matrices of all
-    lanes in turn and c c^T from one broadcast product.  Steps ``est``
-    in place; the step must match it bit for bit."""
+    checked row, with every d x d pass over the whole matrix and c c^T
+    from one broadcast product.  Steps ``est`` in place; the step must
+    match it bit for bit."""
     c = est._c
     median = est._median
     if median is not None and not median.initialized:
@@ -214,40 +214,30 @@ def whole_matrix_mcm_step(est, x):
     if scale != 1.0:
         c /= scale
     su = float(c @ c)
-    gamma = est.cov_schedule.gamma(est._n + 1)
-    moves = [_step(gamma, scale, su, float(c @ np.dot(v, c)), fro2, psd)
-             for v, fro2, psd in zip(est._v, est._fro2, est._psd_modes)]
+    move = _step(est.cov_schedule.gamma(est._n + 1), scale, su, float(c @ np.dot(est._v, c)),
+                 est._fro2, est.psd_mode)
     if median is not None:
         median._update(x)
-    if any(moves):
-        outer = est._buf[0]
+    if move is not None:
+        omt, t_gain, est._fro2 = move
+        outer = est._buf
         np.multiply(c[:, None], c, out=outer)
-        for k in range(len(moves) - 1, -1, -1):  # lane 0's scratch holds c c^T
-            if moves[k] is not None:
-                omt, t_gain, est._fro2[k] = moves[k]
-                v, buf = est._v[k], est._buf[k]
-                v *= omt
-                np.multiply(outer, t_gain, out=buf)
-                v += buf
+        est._v *= omt
+        np.multiply(outer, t_gain, out=outer)
+        est._v += outer
     est._n += 1
     np.subtract(est._v, est._vbar, out=est._buf)
     est._buf /= est._n
     est._vbar += est._buf
     if est._n % _FRO2_REFRESH == 0:
-        est._fro2 = [float(np.tensordot(v, v)) for v in est._v]
+        est._fro2 = float(np.tensordot(est._v, est._v))
     return est
 
 
-def per_mode_mcm_fits(xs, psd_modes, *, block=False, **kwargs):
-    """Reference for ``MedianCovariationSGD._set_lanes``: one one-lane
-    ``update_many`` fit of ``xs`` per PSD mode (``_update_block`` with
-    ``block``), each as (V, Vbar, |V|_F^2)."""
-    fits = []
-    for psd in psd_modes:
-        est = MedianCovariationSGD(xs.shape[1], psd_mode=psd, **kwargs)
-        est = est._update_block(xs) if block else est.update_many(xs)
-        fits.append((est.iterate, est.estimate, est.state_dict()["fro2"]))
-    return fits
+def per_mode_mcm_fits(xs, psd_modes, **schedules):
+    """Reference for the lanes of ``mcm._block_fits``: one one-mode
+    ``_block_fits`` of ``xs`` per PSD mode, each as (V, Vbar, |V|_F^2)."""
+    return [_block_fits(xs, [psd], **schedules)[0] for psd in psd_modes]
 
 
 def tracker_step(self, v_bar):

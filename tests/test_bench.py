@@ -276,14 +276,14 @@ def test_overflowing_sample_excludes_its_pca_replication(monkeypatch):
 
 def test_streaming_estimators_share_one_pass(monkeypatch):
     # mcm_r and mcm_rplus as lanes of one block-form pass report what two
-    # one-lane block-form fits report, at every worker count
+    # one-mode block-form fits report, at every worker count
     cfg = RunConfig(scenario=ScenarioConfig(d=6, delta=0.1, contamination="student_t1"),
                     n=120, q=2, replications=4, seed=5)
     lines = {w: bench.report_lines(run_benchmark(cfg, workers=w)) for w in (1, 2)}
 
     def per_mode(x, cfg, names):
         fits = per_mode_mcm_fits(x, [bench._PSD_MODES[name] for name in names],
-                                 block=True, median_schedule=cfg.median_schedule,
+                                 median_schedule=cfg.median_schedule,
                                  cov_schedule=cfg.cov_schedule)
         return {name: vbar for name, (_, vbar, _) in zip(names, fits)}
 

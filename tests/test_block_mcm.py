@@ -2,9 +2,8 @@
 pipeline's deferred MCM (``mcm._BlockMCM``): the same recursion to
 1e-12, exact symmetry at every fold, the row path's failure rule, and a
 resume that is bitwise the one-pass run wherever the stream is cut.
-``bench``'s block fit (``MedianCovariationSGD._update_block``): the same
-recursion to 1e-12, exact symmetry, and lanes that are bit for bit
-one-lane fits."""
+``bench``'s block fit (``mcm._block_fits``): the same recursion to
+1e-12, exact symmetry, and lanes that are bit for bit one-mode fits."""
 
 import json
 
@@ -64,13 +63,13 @@ def test_block_pipeline_is_the_row_path_to_1e_12(monkeypatch, d, psd, joint):
                 if block.mcm.n_updates and block.mcm._k == 0:  # a fold just ran
                     folds += 1
                     for mat, ref in ((block.mcm._v, row.mcm._v), (block.mcm._vbar, row.mcm._vbar)):
-                        assert np.array_equal(mat[0], mat[0].T)
-                        assert _close(mat[0], ref[0])
+                        assert np.array_equal(mat, mat.T)
+                        assert _close(mat, ref)
             assert _close(block.mcm.iterate, row.mcm.iterate), (q, flat)
             assert _close(block.mcm.estimate, row.mcm.estimate), (q, flat)
             assert _close(block.tracker.raw, row.tracker.raw), (q, flat)
             assert block.tracker.n_reinits == row.tracker.n_reinits
-            assert abs(block.mcm._fro2[0] - row.mcm._fro2[0]) <= 1e-12 * row.mcm._fro2[0]
+            assert abs(block.mcm._fro2 - row.mcm._fro2) <= 1e-12 * row.mcm._fro2
     assert folds >= 3
 
 
@@ -79,9 +78,9 @@ def test_the_carried_norm_is_refreshed_on_a_folded_block(monkeypatch):
     for x in np.random.default_rng(8).standard_t(3, (mcm._FRO2_REFRESH + 1, 3)):
         block.update(x)
         row.update(x)
-    v0 = block.mcm._v[0]
+    v0 = block.mcm._v
     assert block.mcm.n_updates == mcm._FRO2_REFRESH and block.mcm._k == 0
-    assert block.mcm._fro2 == [float(np.tensordot(v0, v0))]
+    assert block.mcm._fro2 == float(np.tensordot(v0, v0))
     assert _close(v0, row.mcm.iterate)
 
 
@@ -264,73 +263,55 @@ def test_chunked_fit_stream_is_the_single_pass_byte_for_byte(tmp_path, capsys):
 # bench's block fit
 
 
-def _lanes(d, modes, **kwargs):
-    est = MedianCovariationSGD(d, **kwargs)
-    est._set_lanes(modes)
-    return est
-
-
 @pytest.mark.parametrize("modes", [(True,), (False, True), (True, False, True)],
-                         ids=["1-lane", "2-lanes", "3-lanes"])
-@pytest.mark.parametrize("joint", [True, False], ids=["joint", "known"])
+                         ids=["joint-1-lane", "joint-2-lanes", "joint-3-lanes"])
 @pytest.mark.parametrize("d", [3, 10, 50, 300])
-def test_block_fit_is_the_row_path_to_1e_12(d, joint, modes):
-    known = None if joint else np.zeros(d)
+def test_block_fit_is_the_row_path_to_1e_12(d, modes):
+    # the block fit always runs the median jointly
     ms, cs = calibrated_schedules(d)
-    kwargs = {"median_schedule": ms, "cov_schedule": cs, "known_median": known}
+    schedules = {"median_schedule": ms, "cov_schedule": cs}
     for flat in (False, True) if d < 300 else (len(modes) % 2 == 0,):
-        # three whole blocks and a ragged one, in one call and in calls
-        # that start and end inside a block
-        x = _stream(d, len(modes), ms, cs, known, flat)
+        # three whole blocks and a ragged one
+        x = _stream(d, len(modes), ms, cs, None, flat)
         assert len(x) % mcm._BLOCK_ROWS
-        row = _lanes(d, modes, **kwargs).update_many(x)
-        block = _lanes(d, modes, **kwargs)._update_block(x)
-        split = _lanes(d, modes, **kwargs)
-        for part in np.split(x, [1, 50, 51, 180]):
-            split._update_block(part)
-        for est in (block, split):
-            assert est.n_updates == row.n_updates
-            assert np.array_equal(est.median_estimate, row.median_estimate)
-            for k in range(len(modes)):
-                for mat, ref in ((est._v[k], row._v[k]), (est._vbar[k], row._vbar[k])):
-                    assert np.array_equal(mat, mat.T)
-                    assert _close(mat, ref), (flat, k)
-                assert abs(est._fro2[k] - row._fro2[k]) <= 1e-12 * row._fro2[k]
-        solo = per_mode_mcm_fits(x, modes, block=True, **kwargs)
-        for k, (v, vbar, fro2) in enumerate(solo):
-            # each lane is bit for bit its one-lane fit, the sign of zero included
-            assert np.array_equal(block._v[k], v) and np.array_equal(block._vbar[k], vbar)
-            assert np.array_equal(np.signbit(block._v[k]), np.signbit(v))
-            assert block._fro2[k] == fro2
-        if flat and not joint and d < 300:
-            assert np.signbit(block._v[0][0]).any()  # the -0s of the flat stream
+        fits = mcm._block_fits(x, modes, **schedules)
+        solo = per_mode_mcm_fits(x, modes, **schedules)
+        for psd, (v, vbar, fro2), (v1, vbar1, fro21) in zip(modes, fits, solo):
+            row = MedianCovariationSGD(d, psd_mode=psd, **schedules).update_many(x)
+            for mat, ref in ((v, row._v), (vbar, row._vbar)):
+                assert np.array_equal(mat, mat.T)
+                assert _close(mat, ref), (flat, psd)
+            assert abs(fro2 - row._fro2) <= 1e-12 * row._fro2
+            # each lane is bit for bit its one-mode fit, the sign of zero included
+            assert np.array_equal(v, v1) and np.array_equal(vbar, vbar1)
+            assert np.array_equal(np.signbit(v), np.signbit(v1))
+            assert fro2 == fro21
+        if flat and d < 300:
+            assert np.signbit(fits[0][0][0]).any()  # the -0s of the flat stream
 
 
 def test_block_fit_refreshes_the_carried_norm_where_the_row_path_does():
     x = np.random.default_rng(9).standard_t(3, (mcm._FRO2_REFRESH + 101, 3))
-    block = MedianCovariationSGD(3)._update_block(x[:1000])._update_block(
-        x[1000:mcm._FRO2_REFRESH + 1])
-    v = block._v[0]
-    assert block.n_updates == mcm._FRO2_REFRESH
-    assert block._fro2 == [float(np.tensordot(v, v))]
+    schedules = {"median_schedule": StepSchedule(), "cov_schedule": StepSchedule()}
+    ((v, _, fro2),) = mcm._block_fits(x[:mcm._FRO2_REFRESH + 1], [True], **schedules)
+    assert fro2 == float(np.tensordot(v, v))
+    ((v, vbar, fro2),) = mcm._block_fits(x, [True], **schedules)
     row = MedianCovariationSGD(3).update_many(x)
-    block._update_block(x[mcm._FRO2_REFRESH + 1:])
-    assert _close(block.iterate, row.iterate) and _close(block.estimate, row.estimate)
-    assert abs(block._fro2[0] - row._fro2[0]) <= 1e-12 * row._fro2[0]
+    assert _close(v, row.iterate) and _close(vbar, row.estimate)
+    assert abs(fro2 - row._fro2) <= 1e-12 * row._fro2
 
 
 def test_block_fit_blocks_end_at_multiples_of_the_block_rows(monkeypatch):
     ends, lane = [], mcm._block_lane
     monkeypatch.setattr(mcm, "_block_lane", lambda *args: ends.append(args[4]) or lane(*args))
     x = np.random.default_rng(10).standard_normal((300, 3))
-    MedianCovariationSGD(3)._update_block(x[:100])._update_block(x[100:])
-    assert ends == [64, 99, 128, 192, 256, 299]
+    mcm._block_fits(x, [True], median_schedule=StepSchedule(), cov_schedule=StepSchedule())
+    assert ends == [64, 128, 192, 256, 299]
 
 
 def test_block_fit_refuses_a_bad_sample_whole():
-    est = MedianCovariationSGD(3)._update_block(np.ones((5, 3)))
-    before = est.state_dict()
-    for bad in (np.ones((4, 2)), np.array([[1.0, 2.0, np.nan]] * 4)):
+    # not 2-D, not finite, no column, or too short for one matrix update
+    for bad in (np.ones(3), np.array([[1.0, 2.0, np.nan]] * 4), np.ones((4, 0)), np.ones((1, 3))):
         with pytest.raises(ValueError):
-            est._update_block(bad)
-        assert est.state_dict() == before
+            mcm._block_fits(bad, [True], median_schedule=StepSchedule(),
+                            cov_schedule=StepSchedule())

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import medcov.mcm as mcm
 from medcov import (
     ConvergenceError,
     GeometricMedianSGD,
@@ -23,13 +24,12 @@ from medcov import (
     weiszfeld_median,
 )
 from medcov.bench import calibrated_schedules
-from medcov.linalg import eigh_descending
-from medcov.mcm import _sign_covariance
+from medcov.linalg import eigh_descending, pack_array
+from medcov.mcm import _BlockMCM, _block_fits, _sign_covariance
 from oracles import (
     dense_mcm_recursion,
     entrywise_median,
     mcm_objective,
-    per_mode_mcm_fits,
     projector,
     whole_matrix_mcm_step,
 )
@@ -270,75 +270,54 @@ def _edge_stream(d, seed, ms, cs, known, *, flat=False):
     return x
 
 
-@pytest.mark.parametrize("modes", [(False, True), (True, False, True)], ids=["r-rplus", "3-lanes"])
-@pytest.mark.parametrize("joint", [True, False], ids=["joint", "known"])
-@pytest.mark.parametrize("d", [3, 10, 50])
-def test_lanes_are_the_per_mode_fits_bit_for_bit(d, joint, modes):
-    known = None if joint else np.zeros(d)
-    ms, cs = calibrated_schedules(d)
-    for seed in range(4):
-        x = _edge_stream(d, seed, ms, cs, known)
-        lanes = MedianCovariationSGD(d, median_schedule=ms, cov_schedule=cs, known_median=known)
-        lanes._set_lanes(modes)
-        lanes.update_many(x)
-        ref = per_mode_mcm_fits(x, modes, median_schedule=ms, cov_schedule=cs,
-                                known_median=known)
-        for k, (v, vbar, fro2) in enumerate(ref):
-            assert np.array_equal(lanes._v[k], v), (seed, k)
-            assert np.array_equal(lanes._vbar[k], vbar), (seed, k)
-            assert lanes._fro2[k] == fro2, (seed, k)
-
-
-def _assert_same_lanes(est, ref):
-    """V, Vbar and |V|_F^2 of every lane equal, the sign of zero included."""
+def _assert_same_fit(est, ref):
+    """V, Vbar and |V|_F^2 equal, the sign of zero included."""
     for a, b in ((est._v, ref._v), (est._vbar, ref._vbar)):
         assert np.array_equal(a, b)
         assert np.array_equal(np.signbit(a), np.signbit(b))
     assert est._fro2 == ref._fro2
 
 
-@pytest.mark.parametrize("modes", [(True,), (False,), (False, True), (True, False, True)],
-                         ids=["psd", "raw", "r-rplus", "3-lanes"])
+@pytest.mark.parametrize("psd", [True, False], ids=["psd", "raw"])
 @pytest.mark.parametrize("joint", [True, False], ids=["joint", "known"])
 @pytest.mark.parametrize("d", [3, 10, 50])
-def test_panel_step_is_the_whole_matrix_step_bit_for_bit(d, joint, modes):
+def test_panel_step_is_the_whole_matrix_step_bit_for_bit(d, joint, psd):
     # the "panel step" of this test's name and the resume test's is the
     # row step, ``update``, on whole matrices
     known = None if joint else np.zeros(d)
     ms, cs = calibrated_schedules(d)
     for seed, flat in ((0, False), (1, True)):
         x = _edge_stream(d, seed, ms, cs, known, flat=flat)
-        _assert_steps_as_the_whole_matrix_step(x, modes, flat, median_schedule=ms,
+        _assert_steps_as_the_whole_matrix_step(x, flat, psd_mode=psd, median_schedule=ms,
                                                cov_schedule=cs, known_median=known)
 
 
 def test_row_step_at_d300_is_the_whole_matrix_step_bit_for_bit():
-    # two lanes on 30 edge-stream rows: a row on the center, a short first
+    # each mode on 30 edge-stream rows: a row on the center, a short first
     # move whose unclipped step leaves -0s, and the two rescaled rows
     d = 300
     ms, cs = calibrated_schedules(d)
     x = _edge_stream(d, 3, ms, cs, None, flat=True)[np.r_[0:27, 40, 60, 90]]
-    _assert_steps_as_the_whole_matrix_step(x, (False, True), True, median_schedule=ms,
-                                           cov_schedule=cs)
+    for psd in (False, True):
+        _assert_steps_as_the_whole_matrix_step(x, True, psd_mode=psd, median_schedule=ms,
+                                               cov_schedule=cs)
 
 
-def _assert_steps_as_the_whole_matrix_step(x, modes, flat, **kwargs):
+def _assert_steps_as_the_whole_matrix_step(x, flat, **kwargs):
     """``update`` and ``whole_matrix_mcm_step`` agree after every row of ``x``."""
     est, whole = (MedianCovariationSGD(x.shape[1], **kwargs) for _ in range(2))
-    est._set_lanes(modes)
-    whole._set_lanes(modes)
     negative_zero = False
     for row in x:  # row by row: a -0 in V may not last to the end
         est.update(row)
         whole_matrix_mcm_step(whole, row)
-        _assert_same_lanes(est, whole)
+        _assert_same_fit(est, whole)
         negative_zero |= bool(np.signbit(whole._v[whole._v == 0]).any())
-    assert negative_zero or not flat or all(modes)
+    assert negative_zero or not flat or est.psd_mode
 
 
 @pytest.mark.parametrize("joint", [True, False], ids=["joint", "known"])
 def test_panel_step_resumes_from_a_snapshot_bit_for_bit(joint):
-    # the loader writes lane 0's V and Vbar in place, where the step reads them
+    # the loader writes V and Vbar in place, where the step reads them
     d = 10
     known = None if joint else np.zeros(d)
     ms, cs = calibrated_schedules(d)
@@ -349,12 +328,52 @@ def test_panel_step_resumes_from_a_snapshot_bit_for_bit(joint):
     head = MedianCovariationSGD(d, median_schedule=ms, cov_schedule=cs, known_median=known)
     state = json.loads(json.dumps(head.update_many(x[:50]).state_dict()))
     resumed = MedianCovariationSGD.from_state_dict(state)
-    _assert_same_lanes(resumed.update_many(x[50:]), whole)
+    _assert_same_fit(resumed.update_many(x[50:]), whole)
+
+
+def test_the_view_is_read_only_and_follows_later_updates():
+    # the view is flagged, not Vbar itself, which the next update writes
+    x = np.random.default_rng(4).standard_normal((30, 5))
+    est = MedianCovariationSGD(5).update_many(x[:10])
+    view = est.estimate_view
+    with pytest.raises(ValueError, match="read-only"):
+        view[0, 0] = 1.0
+    est.update_many(x[10:])
+    assert est._vbar.flags.writeable
+    assert np.array_equal(view, est.estimate)
+
+
+def _aligned(*arrays):
+    """Each on a 64-byte boundary, and all from one allocation."""
+    return (all(a.__array_interface__["data"][0] % 64 == 0 for a in arrays)
+            and len({id(a.base) for a in arrays}) == 1)
+
+
+@pytest.mark.parametrize("d", [5, 6, 7])
+def test_the_matrices_are_64_byte_aligned(monkeypatch, d):
+    # d * d * 8 bytes is no multiple of 64, so each matrix is aligned on
+    # its own; the loaders copy into the aligned arrays, not rebind them.
+    # One allocation keeps the block fit's pages in the heap (see
+    # mcm._aligned_zeros)
+    x = np.random.default_rng(d).standard_normal((70, d))
+    est = MedianCovariationSGD(d).update_many(x)
+    state = json.loads(json.dumps(est.state_dict()))
+    whole = dict(state, v=pack_array(est.iterate), vbar=pack_array(est.estimate))
+    for loaded in (est, _BlockMCM(d), MedianCovariationSGD.from_state_dict(state),
+                   MedianCovariationSGD.from_state_dict(whole, triangles=False)):
+        assert _aligned(loaded._v, loaded._vbar, loaded._buf)
+    lanes, block_lane = [], mcm._block_lane
+    monkeypatch.setattr(mcm, "_block_lane",
+                        lambda *args: lanes.append(args[5:8]) or block_lane(*args))
+    fits = _block_fits(x, [False, True], median_schedule=StepSchedule(),
+                       cov_schedule=StepSchedule())
+    assert len(lanes) == 4 and all(_aligned(*lane) for lane in lanes)
+    assert all(_aligned(v, vbar) for v, vbar, _ in fits)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("modes", [(True,), (False, True)], ids=["psd", "r-rplus"])
-def test_rescale_threshold_is_the_whole_matrix_step_bit_for_bit(modes):
+@pytest.mark.parametrize("psd", [True, False], ids=["psd", "raw"])
+def test_rescale_threshold_is_the_whole_matrix_step_bit_for_bit(psd):
     # the step looks for max|c_i| only once |c|^2 reaches 1e139, where
     # the reference always does.  The rows' largest entries sit just
     # below, at and just above 1e70; at 3e69 (|c|^2 below 1e139) and
@@ -367,21 +386,18 @@ def test_rescale_threshold_is_the_whole_matrix_step_bit_for_bit(modes):
         x = rng.standard_normal(d)
         x[rng.integers(d)] = big
         rows += [x, rng.standard_normal(d), -x * np.sign(rng.standard_normal(d))]
-    ests = [MedianCovariationSGD(d, known_median=np.zeros(d)) for _ in range(2)]
-    for est in ests:
-        est._set_lanes(modes)
+    ests = [MedianCovariationSGD(d, psd_mode=psd, known_median=np.zeros(d)) for _ in range(2)]
     for x in rows:
         ests[0].update(x)
         whole_matrix_mcm_step(ests[1], x)
-        _assert_same_lanes(*ests)
+        _assert_same_fit(*ests)
     # a center at -1e308 in the last coordinate: the first row's c is
     # finite there (rescaled), the second's is not
-    ests = [MedianCovariationSGD(d, known_median=np.eye(d)[-1] * -1e308) for _ in range(2)]
-    for est in ests:
-        est._set_lanes(modes)
+    ests = [MedianCovariationSGD(d, psd_mode=psd, known_median=np.eye(d)[-1] * -1e308)
+            for _ in range(2)]
     ests[0].update(rows[0])
     whole_matrix_mcm_step(ests[1], rows[0])
-    _assert_same_lanes(*ests)
+    _assert_same_fit(*ests)
     before = [_state(est) for est in ests]
     for est, step in zip(ests, (MedianCovariationSGD.update, whole_matrix_mcm_step)):
         with np.errstate(over="ignore"), pytest.raises(NumericalError, match="row minus"):
@@ -416,7 +432,7 @@ def _state(est):
     if isinstance(est, GeometricMedianSGD):
         return est.state_dict()["n"], est.iterate, est.estimate
     median = () if est._median is None else _state(est._median)
-    return (est.n_updates, tuple(est._fro2), est.iterate, est._vbar.copy()) + median
+    return (est.n_updates, est._fro2, est.iterate, est._vbar.copy()) + median
 
 
 def _same(a, b):

@@ -10,11 +10,12 @@ Layers, each timed in ns per row at d in {10, 50, 100, 200, 400}:
 - ``mcm_row``: ``MedianCovariationSGD._update``, the step that the
   engineering-contract test times through ``update``;
 - ``mcm_block``: the deferred MCM's ``_update`` alone (null without it);
-- ``fit_streams_row``: ``bench._fit_streams``'s two-lane fit (``mcm_r``
-  and ``mcm_rplus``), a fresh estimator on each batch, stepped on the row
-  path (``update_many``), as ``bench`` ran it before the block form;
-- ``fit_streams_block``: the same fit in exact block form
-  (``_update_block``), as ``bench`` runs it now (null without it);
+- ``fit_streams_row``: ``bench``'s two streaming fits (``mcm_r`` and
+  ``mcm_rplus``) on the row path: one fresh one-lane estimator per PSD
+  mode, stepped through ``update_many`` on each batch;
+- ``fit_streams_block``: ``bench._fit_streams(rows, cfg, ["mcm_r",
+  "mcm_rplus"])``, the same two fits as ``bench`` runs them, in exact
+  block form (null on a tree without ``mcm._block_lane``);
 - ``tracker``: ``OnlineEigenTracker.step`` (q=3) against a fixed matrix;
 - ``floor``: one BLAS ``dsyr`` plus one ``dsymv`` on a Fortran-order
   matrix, the BLAS-2 cost of a rank-one step (null without scipy);
@@ -99,22 +100,20 @@ def _pipeline(d, block):
 
 
 def _fit_streams(d, block):
-    """``bench._fit_streams``'s two-lane fit on one path, or None where the
-    tree has no block fit."""
-    from medcov import MedianCovariationSGD
-    from medcov.bench import calibrated_schedules
+    """The fits of ``mcm_r`` and ``mcm_rplus`` on one batch: one one-lane
+    ``update_many`` fit per PSD mode, or with ``block`` the tree's
+    ``bench._fit_streams`` (None where the tree has no block form)."""
+    from medcov import MedianCovariationSGD, ScenarioConfig, bench, mcm
 
-    if block and not hasattr(MedianCovariationSGD, "_update_block"):
+    ms, cs = bench.calibrated_schedules(d)
+    if not block:
+        return lambda rows: [MedianCovariationSGD(d, median_schedule=ms, cov_schedule=cs,
+                                                  psd_mode=psd).update_many(rows).estimate
+                             for psd in (False, True)]
+    if not hasattr(mcm, "_block_lane"):
         return None
-    ms, cs = calibrated_schedules(d)
-
-    def fit(rows):
-        est = MedianCovariationSGD(d, median_schedule=ms, cov_schedule=cs)
-        est._set_lanes((False, True))
-        (est._update_block if block else est.update_many)(rows)
-        return est._lane_estimates()
-
-    return fit
+    cfg = bench.RunConfig(ScenarioConfig(d=d), n=ROWS, median_schedule=ms, cov_schedule=cs)
+    return lambda rows: bench._fit_streams(rows, cfg, ["mcm_r", "mcm_rplus"])
 
 
 def _layers(d):
