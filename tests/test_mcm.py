@@ -25,7 +25,7 @@ from medcov import (
 )
 from medcov.bench import calibrated_schedules
 from medcov.linalg import eigh_descending, pack_array
-from medcov.mcm import _BlockMCM, _block_fits, _sign_covariance
+from medcov.mcm import _sign_covariance
 from oracles import (
     dense_mcm_recursion,
     entrywise_median,
@@ -359,14 +359,14 @@ def test_the_matrices_are_64_byte_aligned(monkeypatch, d):
     est = MedianCovariationSGD(d).update_many(x)
     state = json.loads(json.dumps(est.state_dict()))
     whole = dict(state, v=pack_array(est.iterate), vbar=pack_array(est.estimate))
-    for loaded in (est, _BlockMCM(d), MedianCovariationSGD.from_state_dict(state),
+    for owner in (est, mcm._BlockMCM(d), MedianCovariationSGD.from_state_dict(state),
                    MedianCovariationSGD.from_state_dict(whole, triangles=False)):
-        assert _aligned(loaded._v, loaded._vbar, loaded._buf)
+        assert _aligned(owner._v, owner._vbar, owner._buf)
     lanes, block_lane = [], mcm._block_lane
     monkeypatch.setattr(mcm, "_block_lane",
                         lambda *args: lanes.append(args[5:8]) or block_lane(*args))
-    fits = _block_fits(x, [False, True], median_schedule=StepSchedule(),
-                       cov_schedule=StepSchedule())
+    fits = mcm._block_fits(x, [False, True], median_schedule=StepSchedule(),
+                           cov_schedule=StepSchedule())
     assert len(lanes) == 4 and all(_aligned(*lane) for lane in lanes)
     assert all(_aligned(v, vbar) for v, vbar, _ in fits)
 

@@ -28,7 +28,8 @@ the median and the quartiles over repeats.  ``derived`` holds the
 row-path MCM's log-log cost slope over d = 100..400 (the engineering
 contract's band is [1.6, 2.4]), its ratio to the floor, the smallest
 swept d from which the block pipeline is faster at every larger d, and
-the two-lane fit's row-to-block time ratio at each d.
+the two fits' row-to-block time ratio at each d.  It measures whichever
+medcov tree ``PYTHONPATH`` names, so it can time an older checkout too.
 
     PYTHONPATH=src python tools/layer_sweep.py                # about 30 s
     PYTHONPATH=src python tools/layer_sweep.py --smoke --out sweep.json
