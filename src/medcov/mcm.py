@@ -425,8 +425,8 @@ def _block_lane(u, gram2, steps, fro2, n, v, vbar, buf, psd):
 def _aligned_zeros(k, d):
     """k zero d x d matrices, each on a 64-byte boundary, so that kernel
     times do not depend on the heap.  One allocation: k smaller ones keep
-    glibc's trim threshold low, and were faulted in again on every
-    ``_block_fits`` call (up to twice its time at d = 400)."""
+    glibc's trim threshold low, and every ``_block_fits`` call then faults
+    their pages in again (up to twice its time at d = 400)."""
     stride = -(-d * d // 8) * 8  # doubles per matrix, a multiple of 64 bytes
     raw = np.zeros(k * stride + 8)
     start = -raw.__array_interface__["data"][0] % 64 // 8
