@@ -278,17 +278,19 @@ def _assert_same_fit(est, ref):
     assert est._fro2 == ref._fro2
 
 
-@pytest.mark.parametrize("psd", [True, False], ids=["psd", "raw"])
+@pytest.mark.parametrize("modes", [(True,), (False,), (False, True), (True, False, True)],
+                         ids=["psd", "raw", "r-rplus", "3-lanes"])
 @pytest.mark.parametrize("joint", [True, False], ids=["joint", "known"])
 @pytest.mark.parametrize("d", [3, 10, 50])
-def test_panel_step_is_the_whole_matrix_step_bit_for_bit(d, joint, psd):
+def test_panel_step_is_the_whole_matrix_step_bit_for_bit(d, joint, modes):
     # the "panel step" of this test's name and the resume test's is the
-    # row step, ``update``, on whole matrices
+    # row step, ``update``, on whole matrices.  Several modes step one
+    # estimator each, in turn on every row: no state is shared between them
     known = None if joint else np.zeros(d)
     ms, cs = calibrated_schedules(d)
     for seed, flat in ((0, False), (1, True)):
         x = _edge_stream(d, seed, ms, cs, known, flat=flat)
-        _assert_steps_as_the_whole_matrix_step(x, flat, psd_mode=psd, median_schedule=ms,
+        _assert_steps_as_the_whole_matrix_step(x, modes, flat, median_schedule=ms,
                                                cov_schedule=cs, known_median=known)
 
 
@@ -298,21 +300,23 @@ def test_row_step_at_d300_is_the_whole_matrix_step_bit_for_bit():
     d = 300
     ms, cs = calibrated_schedules(d)
     x = _edge_stream(d, 3, ms, cs, None, flat=True)[np.r_[0:27, 40, 60, 90]]
-    for psd in (False, True):
-        _assert_steps_as_the_whole_matrix_step(x, True, psd_mode=psd, median_schedule=ms,
-                                               cov_schedule=cs)
+    _assert_steps_as_the_whole_matrix_step(x, (False, True), True, median_schedule=ms,
+                                           cov_schedule=cs)
 
 
-def _assert_steps_as_the_whole_matrix_step(x, flat, **kwargs):
-    """``update`` and ``whole_matrix_mcm_step`` agree after every row of ``x``."""
-    est, whole = (MedianCovariationSGD(x.shape[1], **kwargs) for _ in range(2))
+def _assert_steps_as_the_whole_matrix_step(x, modes, flat, **kwargs):
+    """``update`` and ``whole_matrix_mcm_step`` agree after every row of ``x``,
+    for one pair of estimators per PSD mode in ``modes``."""
+    pairs = [[MedianCovariationSGD(x.shape[1], psd_mode=psd, **kwargs) for _ in range(2)]
+             for psd in modes]
     negative_zero = False
     for row in x:  # row by row: a -0 in V may not last to the end
-        est.update(row)
-        whole_matrix_mcm_step(whole, row)
-        _assert_same_fit(est, whole)
-        negative_zero |= bool(np.signbit(whole._v[whole._v == 0]).any())
-    assert negative_zero or not flat or est.psd_mode
+        for est, whole in pairs:
+            est.update(row)
+            whole_matrix_mcm_step(whole, row)
+            _assert_same_fit(est, whole)
+            negative_zero |= bool(np.signbit(whole._v[whole._v == 0]).any())
+    assert negative_zero or not flat or all(modes)
 
 
 @pytest.mark.parametrize("joint", [True, False], ids=["joint", "known"])
