@@ -48,10 +48,51 @@ _FAIL_EXC = (MedcovError, ValueError, ArithmeticError)
 
 
 # ---------------------------------------------------------------------------
-# CSV data files (observations; no header by default)
+# Output files (one writer) and CSV data files (observations, no header)
 
 def _fmt(x):
     return repr(float(x))
+
+
+@contextmanager
+def _replace_on_success(path):
+    """A text file open for writing on ``path``: the one writer behind
+    every file medcov writes.  A regular file, or a missing one, is written
+    to a temporary file beside it (beside a symlink's target), moved over
+    it with ``os.replace`` only if the block succeeds, and removed on any
+    failure; an existing file keeps its mode, and its owner where the
+    writer may set it.  Anything else, say a FIFO or /dev/null, is opened
+    and written as the block runs.  An OSError of the block or of the
+    replacement that names no file, or the temporary one, names ``path``."""
+    real = os.path.realpath(path)
+    if os.path.exists(real) and not os.path.isfile(real):
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    tmp = f"{real}.{os.urandom(8).hex()}.tmp"
+    fd = None
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # the umask applies
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            if os.path.exists(real):
+                old = os.stat(real)
+                with suppress(PermissionError):  # only root may give a file away
+                    os.chown(tmp, old.st_uid, old.st_gid)
+                os.chmod(tmp, old.st_mode & 0o7777)  # after chown, which may clear set-id bits
+            yield fh
+        os.replace(tmp, real)
+    except BaseException as exc:
+        if fd is not None:
+            os.remove(tmp)
+        if isinstance(exc, OSError) and exc.errno and exc.filename in (None, tmp):
+            raise OSError(exc.errno, exc.strerror, path) from None
+        raise
+
+
+def _write_lines(path, lines):
+    with _replace_on_success(path) as fh:
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def write_csv(path, rows, header=False):
@@ -63,7 +104,7 @@ def write_csv(path, rows, header=False):
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2:
         raise ValueError(f"expected a 2-D sample array, got shape {rows.shape}")
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replace_on_success(path) as fh:
         _write_csv_stream(fh, rows, header)
 
 
@@ -374,12 +415,6 @@ def report_lines(rows, columns=REPORT_COLUMNS):
     return lines
 
 
-def _write_lines(path, lines):
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")
-
-
 def write_report(rows, path, *, cfg, workers):
     """Write report rows as CSV (fixed column order, no timings) plus a
     ``<path>.meta.json`` sidecar with the config and wall-clock times."""
@@ -510,43 +545,6 @@ def _refuse_overwrite(path, other, what, whose):
         raise ConfigError(f"{path}: the {what} would overwrite the {whose}")
 
 
-@contextmanager
-def _replace_on_success(path):
-    """A text file open for writing on ``path``.  A regular file, or a
-    missing one, is written to a temporary file beside it (beside a
-    symlink's target), moved over it with ``os.replace`` only if the block
-    succeeds, and removed on any failure; an existing file keeps its mode,
-    and its owner where the writer may set it.  Anything else, say a FIFO
-    or /dev/null, is opened and written as the block runs, as
-    ``open(path, "w")`` would.  OSErrors name ``path``, not the temporary
-    file."""
-    real = os.path.realpath(path)
-    if os.path.exists(real) and not os.path.isfile(real):
-        with open(path, "w", encoding="utf-8") as fh:
-            yield fh
-        return
-    tmp = f"{real}.{os.urandom(8).hex()}.tmp"
-    try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # the umask applies
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, path) from None
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            if os.path.exists(real):
-                old = os.stat(real)
-                with suppress(PermissionError):  # only root may give a file away
-                    os.chown(tmp, old.st_uid, old.st_gid)
-                os.chmod(tmp, old.st_mode & 0o7777)  # after chown, which may clear set-id bits
-            yield fh
-        try:
-            os.replace(tmp, real)
-        except OSError as exc:
-            raise OSError(exc.errno, exc.strerror, path) from None
-    except BaseException:
-        os.remove(tmp)
-        raise
-
-
 def fit_stream(csv_in, *, q=2, median_schedule=None, cov_schedule=None,
                psd_mode=True, eigen_seed=0, eigen_lag=None, resume=None,
                scores_out=None, skip_header=False):
@@ -562,11 +560,13 @@ def fit_stream(csv_in, *, q=2, median_schedule=None, cov_schedule=None,
     k+1..n reproduces the single-pass state bit for bit.  With
     ``scores_out``, per-row principal-component scores and the
     orthogonal distance are written to a sidecar CSV (rows seen before
-    the tracker is ready get nan entries); it must not be ``csv_in``.  A
-    regular sidecar file is replaced only once the whole pass has
-    succeeded; a FIFO or a device gets the rows as they come.
+    the tracker is ready get nan entries); it must not be ``csv_in`` or
+    ``resume``, whose state it would replace.  The sidecar is written by
+    ``_replace_on_success``: a regular file is replaced only once the
+    whole pass has succeeded; a FIFO or a device gets the rows as they come.
     """
     _refuse_overwrite(scores_out, csv_in, "scores sidecar", "input")
+    _refuse_overwrite(scores_out, resume, "scores sidecar", "resumed snapshot")
     model = None
     if resume is not None:
         state = load_snapshot(resume)

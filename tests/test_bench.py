@@ -2,6 +2,7 @@
 snapshots, and determinism guarantees."""
 
 import base64
+import errno
 import importlib.util
 import json
 import os
@@ -135,6 +136,32 @@ def test_write_csv_rejects_a_vector(tmp_path):
     with pytest.raises(ValueError, match=r"^expected a 2-D sample array, got shape \(3,\)$"):
         write_csv(path, np.ones(3))
     assert not path.exists()
+
+
+@pytest.mark.parametrize("writer", ["write_lines", "write_csv"])
+def test_a_write_that_fails_part_way_keeps_the_old_file(tmp_path, monkeypatch, writer):
+    # each writer's source fails after its first line, as a full disk would
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"precious\n")
+    full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def lines():
+        yield "1.0,2.0"
+        raise full
+
+    def first_row_then_full(fh, rows, header, stream=bench._write_csv_stream):
+        stream(fh, rows[:1], header)
+        raise full
+
+    monkeypatch.setattr(bench, "_write_csv_stream", first_row_then_full)
+    with pytest.raises(OSError) as info:
+        if writer == "write_lines":
+            bench._write_lines(str(path), lines())
+        else:
+            write_csv(str(path), np.ones((2, 2)))
+    assert (info.value.errno, info.value.filename) == (errno.ENOSPC, str(path))
+    assert path.read_bytes() == b"precious\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]  # no *.tmp left beside it
 
 
 # (file text, skip_header): rows that parse in one call, and rows whose

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, config files, exit codes."""
 
+import errno
 import json
 import os
 import re
@@ -20,6 +21,13 @@ from medcov import bench as _bench
 from medcov import cli
 from medcov.cli import main
 from medcov.linalg import pack_array
+
+
+def _env_importing_this_medcov():
+    """The environment with the tested medcov package first on PYTHONPATH."""
+    src = str(Path(medcov.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
 
 def run_cli(capsys, *argv):
@@ -126,6 +134,29 @@ def test_fit_stream_refuses_a_sidecar_that_is_the_input(tmp_path, capsys):
     assert path.read_bytes() == before
 
 
+def test_fit_stream_refuses_a_sidecar_that_is_the_resumed_snapshot(tmp_path, capsys, monkeypatch):
+    # the sidecar would replace the only copy of the stream's state; refused
+    # before the snapshot or any row is read
+    path, _ = sample_csv(tmp_path, "d.csv", 20)
+    snap = tmp_path / "s.json"
+    assert run_cli(capsys, "fit-stream", "--in", path, "--out", str(snap))[0] == 0
+    before = snap.read_bytes()
+    calls = []
+    monkeypatch.setattr(_bench, "load_snapshot", lambda *a: calls.append(a))
+    monkeypatch.setattr(_bench, "iter_csv_rows", lambda *a, **k: calls.append(a))
+    alias = tmp_path / "alias.json"
+    os.link(snap, alias)  # another name for the same file
+    (tmp_path / "link.json").symlink_to(snap)
+    for out_path in (snap, alias, tmp_path / "link.json"):
+        rc, out, err = run_cli(capsys, "fit-stream", "--in", path, "--resume", str(snap),
+                               "--scores-out", str(out_path))
+        assert (rc, out) == (2, "")
+        assert err == (f"medcov: config error: {out_path}: "
+                       "the scores sidecar would overwrite the resumed snapshot\n")
+    assert snap.read_bytes() == before
+    assert calls == []
+
+
 def test_fit_stream_refuses_a_snapshot_that_is_the_input(tmp_path, capsys):
     path = tmp_path / "d.csv"
     assert run_cli(capsys, "simulate", "--d", "3", "--n", "20", "--out", str(path))[0] == 0
@@ -192,59 +223,71 @@ def _failing_inputs(tmp_path):
     ]
 
 
+# every output goes through one writer, so the writer tests below run
+# each on the scores sidecar and on the snapshot
+_OUTPUT_FLAGS = ("--scores-out", "--out")
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered in subtract:RuntimeWarning")
 def test_a_failed_fit_stream_keeps_an_existing_sidecar(tmp_path, capsys):
-    # the sidecar is written to a temporary file beside it, which replaces
+    # the output is written to a temporary file beside it, which replaces
     # it only once the pass has succeeded and is removed on failure
     sidecar = tmp_path / "old.scores.csv"
     cases = _failing_inputs(tmp_path)
     capsys.readouterr()  # the report of the run that wrote the snapshot
-    for name, argv, code in cases:
-        sidecar.write_bytes(b"precious\n")
-        files = set(tmp_path.iterdir())
-        rc, out, _ = run_cli(capsys, "fit-stream", *argv, "--scores-out", str(sidecar))
-        assert (rc, out) == (code, ""), name
-        assert sidecar.read_bytes() == b"precious\n", name
-        assert set(tmp_path.iterdir()) == files, name
+    for flag in _OUTPUT_FLAGS:
+        for name, argv, code in cases:
+            sidecar.write_bytes(b"precious\n")
+            files = set(tmp_path.iterdir())
+            rc, out, _ = run_cli(capsys, "fit-stream", *argv, flag, str(sidecar))
+            assert (rc, out) == (code, ""), (flag, name)
+            assert sidecar.read_bytes() == b"precious\n", (flag, name)
+            assert set(tmp_path.iterdir()) == files, (flag, name)
 
 
 def test_fit_stream_sidecar_replaces_an_existing_file(tmp_path, capsys):
     path, _ = sample_csv(tmp_path, "d.csv", 30)
-    fresh, old, ref = tmp_path / "fresh.csv", tmp_path / "old.csv", tmp_path / "ref"
-    old.write_text("precious\n" * 100)
-    old.chmod(0o640)
-    for sidecar in (fresh, old):
-        assert run_cli(capsys, "fit-stream", "--in", path, "--scores-out", str(sidecar))[0] == 0
-    assert old.read_bytes() == fresh.read_bytes()
-    assert (old.stat().st_mode & 0o777) == 0o640  # the existing file's mode is kept
-    ref.touch()  # a new file's mode under this umask, as open(path, "w") makes it
-    assert (fresh.stat().st_mode & 0o777) == (ref.stat().st_mode & 0o777)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "fresh.csv", "old.csv", "ref"]
+    for flag in _OUTPUT_FLAGS:
+        out_dir = tmp_path / flag.strip("-")
+        out_dir.mkdir()
+        fresh, old, ref = out_dir / "fresh.csv", out_dir / "old.csv", out_dir / "ref"
+        old.write_text("precious\n" * 100)
+        old.chmod(0o640)
+        for sidecar in (fresh, old):
+            assert run_cli(capsys, "fit-stream", "--in", path, flag, str(sidecar))[0] == 0
+        assert old.read_bytes() == fresh.read_bytes(), flag
+        assert (old.stat().st_mode & 0o777) == 0o640, flag  # the existing file's mode is kept
+        ref.touch()  # a new file's mode under this umask, as open(path, "w") makes it
+        assert (fresh.stat().st_mode & 0o777) == (ref.stat().st_mode & 0o777), flag
+        assert sorted(p.name for p in out_dir.iterdir()) == ["fresh.csv", "old.csv", "ref"]
 
 
 @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() != 0,
                     reason="only root may give a file to another owner")
 def test_fit_stream_sidecar_keeps_an_existing_owner(tmp_path, capsys):
     path, _ = sample_csv(tmp_path, "d.csv", 30)
-    old = tmp_path / "old.csv"
-    old.write_text("precious\n")
-    os.chown(old, 1, 1)
-    assert run_cli(capsys, "fit-stream", "--in", path, "--scores-out", str(old))[0] == 0
-    assert (old.stat().st_uid, old.stat().st_gid) == (1, 1)
-    assert old.read_text().startswith("pc1,pc2,ortho_dist\n")
+    fresh, old = tmp_path / "fresh.csv", tmp_path / "old.csv"
+    for flag in _OUTPUT_FLAGS:
+        old.write_text("precious\n")
+        os.chown(old, 1, 1)
+        for sidecar in (fresh, old):
+            assert run_cli(capsys, "fit-stream", "--in", path, flag, str(sidecar))[0] == 0
+        assert (old.stat().st_uid, old.stat().st_gid) == (1, 1), flag
+        assert old.read_bytes() == fresh.read_bytes(), flag
 
 
 def test_fit_stream_sidecar_through_a_symlink_replaces_its_target(tmp_path, capsys):
     path, _ = sample_csv(tmp_path, "d.csv", 30)
     fresh, target, link = tmp_path / "fresh.csv", tmp_path / "target.csv", tmp_path / "link.csv"
-    target.write_text("precious\n")
     link.symlink_to(target)
-    for sidecar in (fresh, link):
-        assert run_cli(capsys, "fit-stream", "--in", path, "--scores-out", str(sidecar))[0] == 0
-    assert link.is_symlink() and os.readlink(link) == str(target)
-    assert target.read_bytes() == fresh.read_bytes()
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "fresh.csv", "link.csv",
-                                                          "target.csv"]
+    for flag in _OUTPUT_FLAGS:
+        target.write_text("precious\n")
+        for sidecar in (fresh, link):
+            assert run_cli(capsys, "fit-stream", "--in", path, flag, str(sidecar))[0] == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == fresh.read_bytes(), flag
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "fresh.csv", "link.csv",
+                                                              "target.csv"]
 
 
 def test_fit_stream_writes_a_fifo_sidecar_in_place(tmp_path, capsys):
@@ -252,21 +295,51 @@ def test_fit_stream_writes_a_fifo_sidecar_in_place(tmp_path, capsys):
     # go, not replaced by a regular file
     path, _ = sample_csv(tmp_path, "d.csv", 30)
     fresh, fifo = tmp_path / "fresh.csv", tmp_path / "scores.fifo"
-    assert run_cli(capsys, "fit-stream", "--in", path, "--scores-out", str(fresh))[0] == 0
     os.mkfifo(fifo)
-    got = []
-    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
-    reader.start()
-    assert run_cli(capsys, "fit-stream", "--in", path, "--scores-out", str(fifo))[0] == 0
-    reader.join(timeout=30)
-    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
-    assert got == [fresh.read_bytes()]
+    for flag in _OUTPUT_FLAGS:
+        assert run_cli(capsys, "fit-stream", "--in", path, flag, str(fresh))[0] == 0
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert run_cli(capsys, "fit-stream", "--in", path, flag, str(fifo))[0] == 0
+        reader.join(timeout=30)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert got == [fresh.read_bytes()], flag
+
+
+@pytest.mark.parametrize("fault", ["write", "replace"])
+def test_a_failed_snapshot_write_keeps_the_resumed_snapshot(tmp_path, capsys, monkeypatch, fault):
+    # --resume s.json --out s.json: a write that stops part-way, or a
+    # rename that fails, leaves s.json as it was and no temporary file
+    path, _ = sample_csv(tmp_path, "d.csv", 30)
+    snap = tmp_path / "s.json"
+    assert run_cli(capsys, "fit-stream", "--in", path, "--out", str(snap))[0] == 0
+    before = snap.read_bytes()
+    argv = ["fit-stream", "--in", path, "--resume", str(snap), "--out", str(snap)]
+    if fault == "write":  # a file-size limit stops the write after 10 bytes, as a full disk would
+        resource = pytest.importorskip("resource")
+        proc = subprocess.run(
+            [sys.executable, "-m", "medcov.cli", *argv], capture_output=True, text=True,
+            env=_env_importing_this_medcov(),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (10, 10)))
+        rc, out, err = proc.returncode, proc.stdout, proc.stderr
+    else:
+        def fail(src, dst):
+            raise OSError(errno.EXDEV, os.strerror(errno.EXDEV), src, None, dst)
+        monkeypatch.setattr(_bench.os, "replace", fail)
+        rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (3, "")
+    assert re.fullmatch(rf"medcov: data error: \[Errno \d+\] [^:]+: '{re.escape(str(snap))}'\n",
+                        err)
+    assert snap.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "s.json"]
 
 
 @pytest.mark.parametrize("name", ["nodir/s.csv", "sub"], ids=["missing-directory", "directory"])
 def test_an_unwritable_sidecar_is_a_data_error_naming_it(tmp_path, capsys, monkeypatch, name):
-    # the error names the sidecar, not the temporary file beside it, and
-    # comes before the first row is read
+    # the error names the output, not the temporary file beside it; the
+    # sidecar's comes before the first row is read, the snapshot's after
+    # the last
     path, _ = sample_csv(tmp_path, "d.csv", 20)
     (tmp_path / "sub").mkdir()
     files = set(tmp_path.iterdir())
@@ -274,12 +347,14 @@ def test_an_unwritable_sidecar_is_a_data_error_naming_it(tmp_path, capsys, monke
     rows = _bench.iter_csv_rows
     monkeypatch.setattr(_bench, "iter_csv_rows", lambda *a, **k: calls.append(a) or rows(*a, **k))
     sidecar = tmp_path / name
-    rc, out, err = run_cli(capsys, "fit-stream", "--in", path, "--scores-out", str(sidecar))
-    assert (rc, out) == (3, "")
-    assert re.fullmatch(rf"medcov: data error: \[Errno \d+\] [^:]+: '{re.escape(str(sidecar))}'\n",
-                        err)
-    assert set(tmp_path.iterdir()) == files
-    assert calls == []
+    for flag in _OUTPUT_FLAGS:
+        calls.clear()
+        rc, out, err = run_cli(capsys, "fit-stream", "--in", path, flag, str(sidecar))
+        assert (rc, out) == (3, ""), flag
+        assert re.fullmatch(
+            rf"medcov: data error: \[Errno \d+\] [^:]+: '{re.escape(str(sidecar))}'\n", err)
+        assert set(tmp_path.iterdir()) == files, flag
+        assert calls == ([] if flag == "--scores-out" else [(path,)]), flag
 
 
 def test_fit_stream_ragged_file_is_data_error(tmp_path, capsys):
@@ -844,13 +919,10 @@ def test_help_lists_exactly_the_table_flags(capsys, cmd):
 def test_import_does_not_load_scipy():
     # importing scipy.linalg.blas costs several times all of medcov's import;
     # the process pool's modules load only when a pool runs
-    src = str(Path(medcov.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run(
         [sys.executable, "-c", "import medcov, sys; assert not {'scipy', "
          "'concurrent.futures.process', 'multiprocessing'} & sys.modules.keys()"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_env_importing_this_medcov())
     assert proc.returncode == 0, proc.stderr
 
 

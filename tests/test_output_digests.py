@@ -22,5 +22,9 @@ def test_output_digests_runs_and_names_each_artefact_once(tmp_path):
     names = [line.split("  ")[1] for line in lines]
     assert len(names) == len(set(names)) > 100
     assert "fit-stream-q3-psd-off-resume:q3-psd-off-resumed.json" in names
+    # --resume X --out X writes the same snapshot as --out into another file
+    digest = dict(reversed(line.split("  ")) for line in lines)
+    assert (digest["fit-stream-q3-psd-off-resume-in-place:q3-psd-off-in-place.json"]
+            == digest["fit-stream-q3-psd-off-resume:q3-psd-off-resumed.json"])
     assert "bench-d300:stdout" in names  # the row MCM step at a large d
     assert list(tmp_path.iterdir()) == []  # the temporary directory is gone

@@ -35,6 +35,14 @@ medcov tree ``PYTHONPATH`` names, so it can time an older checkout too.
     PYTHONPATH=src python tools/layer_sweep.py --smoke --out sweep.json
     python tools/layer_sweep.py --check sweep.json tools/sweeps/BENCH_*.json
 
+At start the sweep pins glibc's malloc trim threshold (1 GiB) and mmap
+threshold (32 MiB) with ``mallopt``, where the C library has it, in its
+own process only.  Left dynamic, both move with every large free, so the
+d >= 400 layers would read the allocator state that earlier layers left
+behind rather than the code's own cost.  The committed files from
+before this pin ran with dynamic thresholds, so their d >= 400 layers do
+not compare with those of later sweeps.
+
 The full sweep writes ``BENCH_<commit>.json`` (the commit of the medcov
 package's checkout) into ``tools/sweeps/``; ``--check`` validates files
 against the schema of their version (1, without the two fit layers and
@@ -44,6 +52,7 @@ their ratio, or 2) and exits 1 on the first that fails.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import os
@@ -267,7 +276,18 @@ def check(doc):
     return problems
 
 
+def _pin_malloc_thresholds():
+    """Fix glibc's M_TRIM_THRESHOLD and M_MMAP_THRESHOLD for this process;
+    a no-op where the C library has no ``mallopt``."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+        mallopt(-3, 1 << 25)  # M_MMAP_THRESHOLD
+
+
 def main(argv=None):
+    _pin_malloc_thresholds()
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--smoke", action="store_true", help="d in {10, 50}, 3 repeats")
     parser.add_argument("--out", help="output path (default: tools/sweeps/BENCH_<commit>.json)")

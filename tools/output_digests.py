@@ -4,8 +4,9 @@ An artefact is a file a command writes, or the exit code, stdout or
 stderr of a run.  The runs cover ``simulate`` for every contamination
 law; ``fit-stream`` (report, snapshot and scores sidecar) for q in
 {1, 3} with PSD clipping on and off, each as one pass and as a head
-pass plus a ``--resume`` tail pass, and one pass at d=300, where the
-pipeline steps its MCM in deferred blocks; ``fit-weiszfeld``; ``bench``
+pass plus a ``--resume`` tail pass, one tail pass that resumes from a
+copy of a head snapshot and writes its ``--out`` over that copy, and one
+pass at d=300, where the pipeline steps its MCM in deferred blocks; ``fit-weiszfeld``; ``bench``
 (the report CSV, and its meta sidecar without ``wall_time_ms``) and
 ``curve`` at 1 and 2 workers, plus one ``curve`` whose last checkpoint
 is below n; one ``bench`` at d=300, whose two MCM lanes take the block
@@ -98,6 +99,12 @@ def main():
                 "--resume", f"{tag}-head.json", "--out", f"{tag}-resumed.json",
                 "--scores-out", f"{tag}-tail.scores.csv",
                 files=[f"{tag}-resumed.json", f"{tag}-tail.scores.csv"])
+    # the chain that resumes from a snapshot and writes the next one over it
+    tag = "q3-psd-off"
+    Path(f"{tag}-in-place.json").write_bytes(Path(f"{tag}-head.json").read_bytes())
+    run(f"fit-stream-{tag}-resume-in-place", "fit-stream", "--in", "tail.csv",
+        "--q", "3", "--psd-mode", "off", "--resume", f"{tag}-in-place.json",
+        "--out", f"{tag}-in-place.json", files=[f"{tag}-in-place.json"])
     run("simulate-d300", "simulate", "--d", "300", "--n", "300", "--delta", "0.05",
         "--scenario", "student_t2", "--seed", "4", "--out", "d300.csv")
     run("fit-stream-d300", "fit-stream", "--in", "d300.csv", "--q", "3", "--eigen-lag", "100",
