@@ -6,10 +6,10 @@ law; ``fit-stream`` (report, snapshot and scores sidecar) for q in
 {1, 3} with PSD clipping on and off, each as one pass and as a head
 pass plus a ``--resume`` tail pass, one tail pass that resumes from a
 copy of a head snapshot and writes its ``--out`` over that copy, and one
-pass at d=300, where the pipeline steps its MCM in deferred blocks; ``fit-weiszfeld``; ``bench``
-(the report CSV, and its meta sidecar without ``wall_time_ms``) and
-``curve`` at 1 and 2 workers, plus one ``curve`` whose last checkpoint
-is below n; one ``bench`` at d=300, whose two MCM lanes take the block
+pass at d=300, where the pipeline steps its MCM in deferred blocks;
+``fit-weiszfeld``; ``bench`` (the report CSV, and its meta sidecar
+without ``wall_time_ms``) and ``curve`` at 1 and 2 workers, plus one
+``curve`` whose last checkpoint is below n; one ``bench`` at d=300, whose two MCM lanes take the block
 fit at a large d, with a constant at which the PSD clip binds;
 every ``--help``; the ragged-row and resume-width errors; the refusals
 of a ``--scores-out`` and of an ``--out`` that name the ``--in`` file,
