@@ -294,21 +294,6 @@ _FITTERS = {"pca": _fit_pca, "mcm_w": _fit_mcm_w}
 _PSD_MODES = {"mcm_r": False, "mcm_rplus": True}
 
 
-def _fit_streams(x, cfg, names):
-    """{name: averaged MCM, or None where its fit failed} for the
-    streaming estimators ``names``, one lane each of one ``_block_fits``
-    pass.  If that pass fails, each is refitted alone, so a failure (say,
-    one lane's |V|_F^2 overflowing) excludes only its own estimator."""
-    try:
-        fits = _block_fits(x, [_PSD_MODES[name] for name in names],
-                           median_schedule=cfg.median_schedule, cov_schedule=cfg.cov_schedule)
-        return {name: vbar for name, (_, vbar, _) in zip(names, fits)}
-    except _FAIL_EXC:
-        if len(names) == 1:
-            return {names[0]: None}
-        return {name: _fit_streams(x, cfg, [name])[name] for name in names}
-
-
 def _draw(cfg, r):
     """Replication r's sample (seed ``cfg.seed + r``) and the true top-q projector."""
     scen = dataclasses.replace(cfg.scenario, seed=cfg.seed + r)
@@ -317,13 +302,19 @@ def _draw(cfg, r):
 
 def _run_replication(task):
     """Eigenspace errors (None for a failed fit) and fit times in ms, by
-    estimator.  The streaming estimators share one pass, whose time is
-    split evenly between them."""
+    estimator.  The streaming estimators are lanes of one ``_block_fits`` pass
+    and split its time evenly; a raise excludes them all, a None lane its own."""
     cfg, r = task
     x, p_true = _draw(cfg, r)
     streams = [est for est in cfg.estimators if est in _PSD_MODES]
     t0 = time.perf_counter()
-    fits = _fit_streams(x, cfg, streams) if streams else {}
+    try:
+        lanes = _block_fits(x, [_PSD_MODES[est] for est in streams],
+                            median_schedule=cfg.median_schedule,
+                            cov_schedule=cfg.cov_schedule) if streams else []
+    except _FAIL_EXC:
+        lanes = [None] * len(streams)
+    fits = {est: None if lane is None else lane[1] for est, lane in zip(streams, lanes)}
     share = (time.perf_counter() - t0) * 1000.0 / max(len(streams), 1)
     errors = {}
     times = {}
@@ -519,8 +510,10 @@ def convergence_curve(cfg, checkpoints, *, psd_mode=True, eigen_lag=None,
 # Streaming fit of a CSV file
 
 def save_snapshot(state, path):
+    """Write ``state`` as one JSON line to ``path``, or to an open text file."""
     # json.dumps runs the C encoder; json.dump streams through the Python one
-    _write_lines(path, [json.dumps(state)])
+    with nullcontext(path) if hasattr(path, "write") else _replace_on_success(path) as fh:
+        fh.write(json.dumps(state) + "\n")
 
 
 def load_snapshot(path):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -180,20 +181,22 @@ def _cmd_fit_stream(opts):
     csv_in = _require_input(opts)
     _bench._refuse_overwrite(opts["out"], csv_in, "snapshot", "input")
     _bench._refuse_overwrite(opts["out"], opts["scores_out"], "snapshot", "scores sidecar")
-    snapshot, report = _bench.fit_stream(
-        csv_in,
-        q=opts["q"],
-        median_schedule=median_schedule,
-        cov_schedule=cov_schedule,
-        psd_mode=opts["psd_mode"],
-        eigen_seed=opts["eigen_seed"],
-        eigen_lag=opts["eigen_lag"],
-        resume=opts["resume"],
-        scores_out=opts["scores_out"],
-        skip_header=opts["header"],
-    )
-    if opts["out"]:
-        _bench.save_snapshot(snapshot, opts["out"])
+    # the snapshot's file is opened before the pass, so an unwritable one fails first
+    with _bench._replace_on_success(opts["out"]) if opts["out"] else nullcontext() as out:
+        snapshot, report = _bench.fit_stream(
+            csv_in,
+            q=opts["q"],
+            median_schedule=median_schedule,
+            cov_schedule=cov_schedule,
+            psd_mode=opts["psd_mode"],
+            eigen_seed=opts["eigen_seed"],
+            eigen_lag=opts["eigen_lag"],
+            resume=opts["resume"],
+            scores_out=opts["scores_out"],
+            skip_header=opts["header"],
+        )
+        if out:
+            _bench.save_snapshot(snapshot, out)
     print(json.dumps(report))
     return 0
 

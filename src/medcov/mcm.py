@@ -134,9 +134,7 @@ class MedianCovariationSGD(RowUpdates):
             median._update(x)
             return None
         np.subtract(x, self._center, out=c)
-        su = float(np.vdot(c, c))  # vdot overflows to inf without a warning
-        # below 1e139 every |c_i| < 1e70, and no rescale is due
-        return (1.0, su) if su < 1e139 else _rescale(c, su)
+        return _rescale(c, float(np.vdot(c, c)))  # vdot overflows to inf without a warning
 
     def _update(self, x):
         scaled = self._scaled_row(x)
@@ -371,7 +369,8 @@ def _block_fits(xs, psd_modes, *, median_schedule, cov_schedule):
     share the median's steps over a block's rows, the scaled rows, their
     steps, the squared Gram and a scratch matrix; then each folds the
     block through ``_block_lane``.  A lane's bits do not depend on the
-    other lanes, and differ from the row path's within 1e-12 relative."""
+    other lanes, and differ from the row path's within 1e-12 relative.  A
+    lane whose |V|_F^2 overflows is None; any other failure raises."""
     median = GeometricMedianSGD(np.shape(xs)[-1], schedule=median_schedule)
     xs = median._checked(xs)
     if len(xs) < 2:
@@ -387,12 +386,16 @@ def _block_fits(xs, psd_modes, *, median_schedule, cov_schedule):
             median._update(x)
         np.subtract(rows, u, out=u)
         su = np.einsum("ij,ij->i", u, u).tolist()  # inf, without a warning, on overflow
-        steps = [(cov_schedule.gamma(n0 + j), 1.0, sq) if sq < 1e139  # as _scaled_row
-                 else (cov_schedule.gamma(n0 + j), *_rescale(c, sq))
+        steps = [(cov_schedule.gamma(n0 + j), *_rescale(c, sq))
                  for j, (c, sq) in enumerate(zip(u, su), start=1)]
         gram2 = np.square(u @ u.T)
-        for fit, psd in zip(fits, psd_modes):
-            fit[2] = _block_lane(u, gram2, steps, fit[2], n0 + len(u), *fit[:2], scratch, psd)
+        for i, (fit, psd) in enumerate(zip(fits, psd_modes)):
+            if fit is not None:
+                try:
+                    fit[2] = _block_lane(u, gram2, steps, fit[2], n0 + len(u), *fit[:2],
+                                         scratch, psd)
+                except NumericalError:  # this lane's |V|_F^2 overflowed: it stops here
+                    fits[i] = None
     return fits
 
 
@@ -434,9 +437,9 @@ def _aligned_zeros(k, d):
 
 
 def _rescale(c, su):
-    """``(scale, |u|^2)`` of u = c / scale, written to ``c``, for su = |c|^2
-    past 1e139: past 1e70 the step works on c / max|c_i|."""
-    mx = float(np.abs(c).max())
+    """``(scale, |u|^2)`` of u = c / scale, written to ``c``, for su = |c|^2:
+    past 1e70 the step works on c / max|c_i|."""
+    mx = float(np.abs(c).max()) if su >= 1e139 else 0.0  # below, every |c_i| < 1e70
     if mx == np.inf:
         raise NumericalError("the row minus the center overflows float64")
     if mx > _HUGE_ENTRY:

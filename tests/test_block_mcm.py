@@ -290,6 +290,18 @@ def test_block_fit_is_the_row_path_to_1e_12(d, modes):
             assert np.signbit(fits[0][0][0]).any()  # the -0s of the flat stream
 
 
+def test_a_lane_whose_norm_overflows_is_none_and_the_other_finishes():
+    # a step constant of 1e300 overflows the raw lane's |V|_F^2 on its first
+    # step; the PSD lane is still bit for bit its one-mode fit
+    x = np.random.default_rng(11).standard_t(1, (150, 4))
+    schedules = {"median_schedule": StepSchedule(), "cov_schedule": StepSchedule(1e300)}
+    raw, psd = mcm._block_fits(x, [False, True], **schedules)
+    ((v, vbar, fro2),) = per_mode_mcm_fits(x, [True], **schedules)
+    assert raw is None
+    assert np.array_equal(psd[0], v) and np.array_equal(psd[1], vbar) and psd[2] == fro2
+    assert mcm._block_fits(x, [False], **schedules) == [None]
+
+
 def test_block_fit_refreshes_the_carried_norm_where_the_row_path_does():
     x = np.random.default_rng(9).standard_t(3, (mcm._FRO2_REFRESH + 101, 3))
     schedules = {"median_schedule": StepSchedule(), "cov_schedule": StepSchedule()}

@@ -337,9 +337,8 @@ def test_a_failed_snapshot_write_keeps_the_resumed_snapshot(tmp_path, capsys, mo
 
 @pytest.mark.parametrize("name", ["nodir/s.csv", "sub"], ids=["missing-directory", "directory"])
 def test_an_unwritable_sidecar_is_a_data_error_naming_it(tmp_path, capsys, monkeypatch, name):
-    # the error names the output, not the temporary file beside it; the
-    # sidecar's comes before the first row is read, the snapshot's after
-    # the last
+    # the error names the output, not the temporary file beside it, and
+    # comes before the first row is read
     path, _ = sample_csv(tmp_path, "d.csv", 20)
     (tmp_path / "sub").mkdir()
     files = set(tmp_path.iterdir())
@@ -354,7 +353,7 @@ def test_an_unwritable_sidecar_is_a_data_error_naming_it(tmp_path, capsys, monke
         assert re.fullmatch(
             rf"medcov: data error: \[Errno \d+\] [^:]+: '{re.escape(str(sidecar))}'\n", err)
         assert set(tmp_path.iterdir()) == files, flag
-        assert calls == ([] if flag == "--scores-out" else [(path,)]), flag
+        assert calls == [], flag
 
 
 def test_fit_stream_ragged_file_is_data_error(tmp_path, capsys):

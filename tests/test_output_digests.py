@@ -27,4 +27,5 @@ def test_output_digests_runs_and_names_each_artefact_once(tmp_path):
     assert (digest["fit-stream-q3-psd-off-resume-in-place:q3-psd-off-in-place.json"]
             == digest["fit-stream-q3-psd-off-resume:q3-psd-off-resumed.json"])
     assert "bench-d300:stdout" in names  # the row MCM step at a large d
+    assert "bench-overflow:bench-overflow.csv" in names  # a lane that overflows
     assert list(tmp_path.iterdir()) == []  # the temporary directory is gone

@@ -13,9 +13,9 @@ Layers, each timed in ns per row at d in {10, 50, 100, 200, 400}:
 - ``fit_streams_row``: ``bench``'s two streaming fits (``mcm_r`` and
   ``mcm_rplus``) on the row path: one fresh one-lane estimator per PSD
   mode, stepped through ``update_many`` on each batch;
-- ``fit_streams_block``: ``bench._fit_streams(rows, cfg, ["mcm_r",
-  "mcm_rplus"])``, the same two fits as ``bench`` runs them, in exact
-  block form (null on a tree without ``mcm._block_lane``);
+- ``fit_streams_block``: ``mcm._block_fits(rows, [False, True])`` with
+  the calibrated schedules, the same two fits as ``bench`` runs them, in
+  exact block form (null on a tree without ``mcm._block_fits``);
 - ``tracker``: ``OnlineEigenTracker.step`` (q=3) against a fixed matrix;
 - ``floor``: one BLAS ``dsyr`` plus one ``dsymv`` on a Fortran-order
   matrix, the BLAS-2 cost of a rank-one step (null without scipy);
@@ -109,21 +109,20 @@ def _pipeline(d, block):
     return model
 
 
-def _fit_streams(d, block):
+def _stream_fits(d, block):
     """The fits of ``mcm_r`` and ``mcm_rplus`` on one batch: one one-lane
     ``update_many`` fit per PSD mode, or with ``block`` the tree's
-    ``bench._fit_streams`` (None where the tree has no block form)."""
-    from medcov import MedianCovariationSGD, ScenarioConfig, bench, mcm
+    ``mcm._block_fits`` (None where the tree has no block form)."""
+    from medcov import MedianCovariationSGD, bench, mcm
 
     ms, cs = bench.calibrated_schedules(d)
     if not block:
         return lambda rows: [MedianCovariationSGD(d, median_schedule=ms, cov_schedule=cs,
                                                   psd_mode=psd).update_many(rows).estimate
                              for psd in (False, True)]
-    if not hasattr(mcm, "_block_lane"):
+    if not hasattr(mcm, "_block_fits"):
         return None
-    cfg = bench.RunConfig(ScenarioConfig(d=d), n=ROWS, median_schedule=ms, cov_schedule=cs)
-    return lambda rows: bench._fit_streams(rows, cfg, ["mcm_r", "mcm_rplus"])
+    return lambda rows: mcm._block_fits(rows, [False, True], median_schedule=ms, cov_schedule=cs)
 
 
 def _layers(d):
@@ -143,7 +142,7 @@ def _layers(d):
     for name, obj in (*pipes.items(), *mcms.items()):
         out[name] = None if obj is None else (lambda rows, f=obj._update: [f(x) for x in rows])
     out.setdefault("mcm_block", None)
-    out["fit_streams_row"], out["fit_streams_block"] = (_fit_streams(d, b) for b in (False, True))
+    out["fit_streams_row"], out["fit_streams_block"] = (_stream_fits(d, b) for b in (False, True))
     out["tracker"] = lambda rows: [tracker.step(vbar) for _ in rows]
     try:
         from scipy.linalg.blas import dsymv, dsyr

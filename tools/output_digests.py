@@ -10,7 +10,9 @@ pass at d=300, where the pipeline steps its MCM in deferred blocks;
 ``fit-weiszfeld``; ``bench`` (the report CSV, and its meta sidecar
 without ``wall_time_ms``) and ``curve`` at 1 and 2 workers, plus one
 ``curve`` whose last checkpoint is below n; one ``bench`` at d=300, whose two MCM lanes take the block
-fit at a large d, with a constant at which the PSD clip binds;
+fit at a large d, with a constant at which the PSD clip binds; one
+``bench`` with a constant of 1e300, whose raw lane's |V|_F^2 overflows in
+every replication while the PSD lane finishes the same pass;
 every ``--help``; the ragged-row and resume-width errors; the refusals
 of a ``--scores-out`` and of an ``--out`` that name the ``--in`` file,
 for ``fit-stream`` and, for ``--out``, ``fit-weiszfeld``, with the
@@ -147,6 +149,10 @@ def main():
     run("bench-d300", "bench", "--d", "300", "--n", "150", "--reps", "1", "--delta", "0.05",
         "--scenario", "student_t2", "--estimators", "mcm_r,mcm_rplus", "--seed", "3",
         "--c-mcm", "2000")
+    run("bench-overflow", "bench", "--d", "8", "--n", "100", "--reps", "4", "--delta", "0.1",
+        "--scenario", "student_t1", "--seed", "5", "--c-mcm", "1e300",
+        "--estimators", "mcm_r,mcm_rplus", "--out", "bench-overflow.csv",
+        files=["bench-overflow.csv", "bench-overflow.csv.meta.json"])
 
 
 if __name__ == "__main__":
