@@ -233,28 +233,33 @@ class _BlockMCM(MedianCovariationSGD):
         V = a V0 + sum_i w_i u_i u_i^T,  n Vbar = n0 Vbar0 + A V0 + sum_i S_i u_i u_i^T
 
     over the block's k scaled rows u_i (the rows of U).  A row costs the
-    mat-vec V0 u and the Gram row U u, and the row path's ``_step`` takes
-    u^T V u = a u^T V0 u + sum_i w_i (u_i^T u)^2.  At each multiple of
+    Gram row U u and one product wu @ V0: its last row, u^T V0, gives the
+    row path's ``_step`` u^T V u = a u^T V0 u + sum_i w_i (u_i^T u)^2, and
+    its top rows serve the pipeline tracker's w Vbar.  At each multiple of
     ``_BLOCK_ROWS`` updates the block folds into V0 and Vbar0 through
     exactly symmetric Z^T Z products; reads and snapshots never fold, so
     the bits do not depend on where a stream is read or cut.
     """
-
-    __array_ufunc__ = None  # ``w @ estimate_view`` calls __rmatmul__
 
     def __init__(self, dim, **kwargs):
         super().__init__(dim, **kwargs)
         self._u = np.zeros((_BLOCK_ROWS, self._dim))
         self._w, self._s = np.zeros((2, _BLOCK_ROWS))
         self._k, self._a, self._a_sum = 0, 1.0, 0.0
-        self.shape = (self._dim, self._dim)  # of Vbar, as an operand
 
     def _update(self, x):
+        self._fused_update(x, self._c[None], self._vc[None])  # a product with no carriers
+        return self
+
+    def _fused_update(self, x, wu, wv):
+        """``_update`` with u as wu's last row and wv = wu @ V0; returns Vbar
+        as the operand of ``w @`` for the w above u, for this row only."""
         scaled = self._scaled_row(x)
         if scaled is None:
-            return self
+            return None
         c, k, v0 = self._c, self._k, self._v
-        uvu = (self._a * float(c @ np.dot(v0, c, out=self._vc))
+        wu[-1] = c
+        uvu = (self._a * float(c @ np.matmul(wu, v0, out=wv)[-1])
                + float(self._w[:k] @ np.square(self._u[:k] @ c)))
         move = _step(self.cov_schedule.gamma(self._n + 1), *scaled, uvu, self._fro2,
                      self.psd_mode)
@@ -275,7 +280,7 @@ class _BlockMCM(MedianCovariationSGD):
             self._k, self._a, self._a_sum = 0, 1.0, 0.0
         if self._n % _FRO2_REFRESH == 0:
             self._fro2 = float(np.tensordot(v0, v0))
-        return self
+        return _Operand(self, wv[:-1])
 
     def _read(self, out, *, average):
         """Write V, or Vbar, to ``out``, which may be V0 or Vbar0 itself."""
@@ -293,19 +298,8 @@ class _BlockMCM(MedianCovariationSGD):
 
     @property
     def estimate_view(self):
-        """The estimator itself, as the operand of ``w @ view`` = w Vbar."""
-        return self
-
-    def __rmatmul__(self, w):
-        k, n = self._k, self._n
-        if not k:
-            return w @ self._vbar
-        rows = self._u[:k]
-        out = w @ self._v  # first, while the step's pass over V0 is in cache
-        out *= self._a_sum / n
-        out += (w @ self._vbar) * ((n - k) / n)
-        out += ((w @ rows.T) * (self._s[:k] / n)) @ rows
-        return out
+        """Vbar as the operand of ``w @ view`` = w Vbar."""
+        return _Operand(self)
 
     def state_dict(self):
         state = super().state_dict()  # v and vbar are V0 and Vbar0
@@ -334,6 +328,26 @@ class _BlockMCM(MedianCovariationSGD):
         self._w[:k], self._s[:k], self._u[:k] = w, s, u
         with np.errstate(over="ignore", invalid="ignore"):
             return self.iterate
+
+
+class _Operand:
+    """A block MCM's live Vbar as the operand of ``w @``; ``wv0``, if given, is w V0."""
+
+    __array_ufunc__ = None  # ``w @ operand`` calls __rmatmul__
+
+    def __init__(self, mcm, wv0=None):
+        self.shape, self._mcm, self._wv0 = (mcm.dim, mcm.dim), mcm, wv0
+
+    def __rmatmul__(self, w):
+        mcm = self._mcm
+        k, n = mcm._k, mcm._n
+        if not k:  # a fold leaves Vbar0 alone
+            return w @ mcm._vbar
+        rows = mcm._u[:k]
+        out = np.multiply(w @ mcm._v if self._wv0 is None else self._wv0, mcm._a_sum / n)
+        out += (w @ mcm._vbar) * ((n - k) / n)
+        out += ((w @ rows.T) * (mcm._s[:k] / n)) @ rows
+        return out
 
 
 def _pipeline_form(dim, state=None):
@@ -370,7 +384,8 @@ def _block_fits(xs, psd_modes, *, median_schedule, cov_schedule):
     steps, the squared Gram and a scratch matrix; then each folds the
     block through ``_block_lane``.  A lane's bits do not depend on the
     other lanes, and differ from the row path's within 1e-12 relative.  A
-    lane whose |V|_F^2 overflows is None; any other failure raises."""
+    lane whose |V|_F^2 overflows is None; any other failure raises, unless
+    every lane is None: the pass stops there."""
     median = GeometricMedianSGD(np.shape(xs)[-1], schedule=median_schedule)
     xs = median._checked(xs)
     if len(xs) < 2:
@@ -379,6 +394,8 @@ def _block_fits(xs, psd_modes, *, median_schedule, cov_schedule):
     fits = [[v, vbar, 0.0] for v, vbar in zip(mats[::2], mats[1::2])]
     median._update(xs[0])
     for n0 in range(0, len(xs) - 1, _BLOCK_ROWS):
+        if not any(fits):
+            break
         rows = xs[n0 + 1:n0 + 1 + _BLOCK_ROWS]
         u = np.empty_like(rows)
         for center, x in zip(u, rows):

@@ -11,12 +11,12 @@ followed by a deflation pass (sequential Gram-Schmidt, written back into
 the carriers) that keeps the q directions from collapsing onto the top
 eigenvector.  The deflation takes each finished carrier's squared norm
 once and reuses it to project every later carrier, and the tracker keeps
-the carriers' norms from one step to the next.  One deflation routine,
-``_deflate``, serves the warm-up, the reinits and the step.  The carrier
-u_j converges to lambda_j e_j, so its norm estimates the eigenvalue and
-its direction the eigenvector.  The tracker takes Vbar as given and
-checks only its shape: the MCM owns Vbar's exact symmetry (its update
-keeps it, its loader checks it).
+the carriers' norms and units from one step to the next.  One deflation
+routine, ``_deflate``, serves the warm-up, the reinits and the step.  The
+carrier u_j converges to lambda_j e_j, so its norm estimates the
+eigenvalue and its direction the eigenvector.  The tracker takes Vbar as
+given and checks only its shape: the MCM owns Vbar's exact symmetry (its
+update keeps it, its loader checks it).
 
 :class:`StreamingRobustPCA` steps the tracker against the averaged MCM;
 its ``state_dict`` is the snapshot that ``fit-stream`` resumes from.
@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericalError
 from .geomedian import RowUpdates
 from .linalg import as_vector, load_state_part, state_field, vector_norm
-from .mcm import _pipeline_form
+from .mcm import _BlockMCM, _pipeline_form
 
 SNAPSHOT_FORMAT = "medcov-snapshot"
 SNAPSHOT_VERSION = 3
@@ -83,7 +83,7 @@ class OnlineEigenTracker:
         self._q = q
         self._seed = seed
         self._raw = np.zeros((q, d))  # carriers; warm-up fills the rows in turn
-        self._norms = None  # the carriers' norms, once ready: see _carrier_norms
+        self._norms = self._units = None  # once ready: see _normalized
         self._filled = 0
         self._n = 0
         self._rng_draws = 0
@@ -151,13 +151,11 @@ class OnlineEigenTracker:
         were, when the carriers' summed squared norms would overflow
         float64.
         """
-        norms = self._carrier_norms()
-        r = self._raw
+        w = self._normalized()[1]  # pre-step normalized carriers
         if v_bar.shape != (self._d, self._d):
             raise ValueError(f"expected a {self._d}x{self._d} matrix, got shape {v_bar.shape}")
         g = 1.0 / (self._n + 1)
-        w = r / norms[:, None]  # pre-step normalized carriers
-        r = r * (1.0 - g)  # a new array: a failed step writes nothing
+        r = self._raw * (1.0 - g)  # a new array: a failed step writes nothing
         r += g * (w @ v_bar)
         # vdot overflows to inf without a warning; deflation only shrinks
         if not np.vdot(r, r) < np.inf:
@@ -179,7 +177,7 @@ class OnlineEigenTracker:
         if not all(map(operator.ge, top, top[1:])):  # else a stable sort keeps the order
             order = np.argsort(-norms, kind="stable")
             r, norms = r[order], norms[order]
-        self._raw, self._norms = r, norms
+        self._raw, self._norms, self._units = r, norms, r / norms[:, None]
         self._n += 1
 
     def _carriers(self):
@@ -187,13 +185,14 @@ class OnlineEigenTracker:
             raise RuntimeError("tracker not initialized: warm-up incomplete")
         return self._raw
 
-    def _carrier_norms(self):
-        """The carriers' norms, kept from the last step (or computed on
-        first use); ``np.linalg.norm(raw, axis=1)`` bit for bit."""
+    def _normalized(self):
+        """The carriers' norms (``np.linalg.norm(raw, axis=1)`` bit for bit)
+        and units, kept from the last step (or computed on first use)."""
         r = self._carriers()
         if self._norms is None:
             self._norms = _row_norms(r)
-        return self._norms
+            self._units = r / self._norms[:, None]
+        return self._norms, self._units
 
     @property
     def raw(self):
@@ -203,12 +202,12 @@ class OnlineEigenTracker:
     @property
     def eigenvalues(self):
         """Eigenvalue estimates: carrier norms, non-increasing."""
-        return self._carrier_norms().copy()
+        return self._normalized()[0].copy()
 
     @property
     def basis(self):
         """Orthonormal eigenvector estimates as rows (q, d)."""
-        return self._raw / self._carrier_norms()[:, None]
+        return self._normalized()[1].copy()
 
     def projector(self):
         b = self.basis
@@ -306,6 +305,7 @@ class StreamingRobustPCA(RowUpdates):
             known_median=known_median,
         )
         self.tracker = OnlineEigenTracker(dim, q, seed=eigen_seed)
+        self._wu, self._wv = np.zeros((2, self.tracker.q + 1, self._dim))  # see _update
         lag = int(dim) if eigen_lag is None else int(eigen_lag)
         if lag < 0:
             raise ConfigError(f"eigen_lag must be >= 0, got {eigen_lag}")
@@ -318,21 +318,28 @@ class StreamingRobustPCA(RowUpdates):
         return self._rows
 
     def _update(self, x):
-        """A checked row: step the MCM, count the row, then feed the tracker."""
-        self.mcm._update(x)
+        """A checked row: step the MCM, count the row, then feed the tracker;
+        on the block path one product on V0 serves both (see ``_BlockMCM``)."""
+        steps = self.tracker.ready and self.mcm.n_updates >= self._eigen_lag  # unless a seed row
+        if isinstance(self.mcm, _BlockMCM):  # above the row: the carriers, or zeros
+            if steps:
+                self._wu[:-1] = self.tracker._normalized()[1]
+            operand = self.mcm._fused_update(x, self._wu, self._wv)
+        else:
+            operand = self.mcm._update(x).estimate_view
         self._rows += 1
         if self.mcm.n_updates < 1:
             return self
         if not self.tracker.ready:
             self.tracker._offer(x - self.mcm._center)  # a new array, of a checked row
-        elif self.mcm.n_updates > self._eigen_lag:
-            self.tracker.step(self.mcm.estimate_view)
+        elif steps:
+            self.tracker.step(operand)
         return self
 
     def _scores(self, x):
         """``tracker.scores(x, mcm.median_estimate)`` of a checked row,
         against the live center: no checks and no copies."""
-        return _pc_scores(x, self.mcm._center, self.tracker.basis)
+        return _pc_scores(x, self.mcm._center, self.tracker._normalized()[1])
 
     def state_dict(self):
         return {
@@ -371,6 +378,7 @@ class StreamingRobustPCA(RowUpdates):
         if dim != model.mcm.dim:
             raise DataError(f"tracker.dim: expected {model.mcm.dim}, got {dim}")
         model.tracker = load_state_part(state, "tracker", OnlineEigenTracker.from_state_dict)
+        model._wu, model._wv = np.zeros((2, model.tracker.q + 1, dim))
         model._eigen_lag = state_field(state, "eigen_lag", int, low=0)
         model._rows = state_field(state, "rows", int, low=0)
         return model

@@ -12,6 +12,7 @@ import pytest
 
 import medcov.mcm as mcm
 from medcov import DataError, MedianCovariationSGD, NumericalError, StepSchedule, StreamingRobustPCA
+from medcov.geomedian import GeometricMedianSGD
 from medcov.bench import calibrated_schedules
 from medcov.cli import main
 from medcov.linalg import pack_array
@@ -95,6 +96,23 @@ def test_the_view_is_the_estimate_as_an_operand(monkeypatch):
         assert _close(w @ view, w @ block.mcm.estimate)
 
 
+def test_no_product_serves_a_caller_it_was_not_made_for():
+    # the pipeline's step shares its product on V0 with the tracker only;
+    # after such a row, and after one that folds, another caller's w @ view
+    # is still w Vbar
+    d = mcm._BLOCK_MIN_DIM
+    model = StreamingRobustPCA(d, 3, eigen_lag=0)
+    w = np.random.default_rng(12).standard_normal((5, d))
+    checked = set()
+    for x in np.random.default_rng(13).standard_t(3, (2 * mcm._BLOCK_ROWS + 10, d)):
+        steps = model.tracker.n_steps
+        model.update(x)
+        if model.tracker.n_steps > steps:  # a row whose product served the tracker
+            checked.add(model.mcm._k == 0)
+            assert _close(w @ model.mcm.estimate_view, w @ model.mcm.estimate)
+    assert checked == {False, True}
+
+
 def test_the_pipeline_picks_its_mcm_by_dimension():
     d = mcm._BLOCK_MIN_DIM
     assert type(StreamingRobustPCA(d - 1, 2).mcm) is MedianCovariationSGD
@@ -141,24 +159,30 @@ def test_a_row_that_raises_mid_block_leaves_the_previous_rows_state(monkeypatch,
 @pytest.mark.parametrize("joint", [True, False], ids=["joint", "known"])
 @pytest.mark.parametrize("d", [3, 50])
 def test_resume_at_every_offset_of_a_block_is_the_one_pass_run(monkeypatch, d, joint):
+    # with a lag of 70 the tracker's first step, the first row whose product
+    # on V0 carries it, falls inside a block: some cuts come before it
     monkeypatch.setattr(mcm, "_BLOCK_MIN_DIM", 1)
     xs = np.random.default_rng(d).standard_t(3, (140, d))
+    for lag in (5, 70):
+        def fresh():
+            return StreamingRobustPCA(d, 3, eigen_lag=lag,
+                                      known_median=np.ones(d) if not joint else None)
 
-    def fresh():
-        return StreamingRobustPCA(d, 3, eigen_lag=5, known_median=np.ones(d) if not joint else None)
-
-    full = fresh().update_many(xs)
-    assert full.mcm.n_updates > 2 * mcm._BLOCK_ROWS
-    for cut in range(60, 60 + mcm._BLOCK_ROWS + 2):
-        head = fresh().update_many(xs[:cut])
-        state = json.loads(json.dumps(head.state_dict()))
-        model = StreamingRobustPCA.from_state_dict(state)
-        assert model.state_dict() == state
-        for x in xs[cut:]:
-            model.update(x)
-        assert model.state_dict() == full.state_dict(), cut
-        assert np.array_equal(model.tracker.raw, full.tracker.raw)
-        assert np.array_equal(model.mcm.estimate, full.mcm.estimate)
+        full = fresh().update_many(xs)
+        assert full.mcm.n_updates > 2 * mcm._BLOCK_ROWS
+        before = 0
+        for cut in range(60, 60 + mcm._BLOCK_ROWS + 2):
+            head = fresh().update_many(xs[:cut])
+            before += head.tracker.n_steps == 0
+            state = json.loads(json.dumps(head.state_dict()))
+            model = StreamingRobustPCA.from_state_dict(state)
+            assert model.state_dict() == state
+            for x in xs[cut:]:
+                model.update(x)
+            assert model.state_dict() == full.state_dict(), (lag, cut)
+            assert np.array_equal(model.tracker.raw, full.tracker.raw)
+            assert np.array_equal(model.mcm.estimate, full.mcm.estimate)
+        assert (0 < before < 60) if lag == 70 else before == 0
 
 
 def _v2(state):
@@ -300,6 +324,18 @@ def test_a_lane_whose_norm_overflows_is_none_and_the_other_finishes():
     assert raw is None
     assert np.array_equal(psd[0], v) and np.array_equal(psd[1], vbar) and psd[2] == fro2
     assert mcm._block_fits(x, [False], **schedules) == [None]
+
+
+def test_the_pass_stops_once_every_lane_is_none(monkeypatch):
+    # the raw lane overflows on the first block's steps: the median steps
+    # over that block's rows (and the seeding row), and no further
+    steps, update = [], GeometricMedianSGD._update
+    monkeypatch.setattr(GeometricMedianSGD, "_update",
+                        lambda self, x: steps.append(1) or update(self, x))
+    x = np.random.default_rng(11).standard_t(1, (150, 4))
+    schedules = {"median_schedule": StepSchedule(), "cov_schedule": StepSchedule(1e300)}
+    assert mcm._block_fits(x, [False], **schedules) == [None]
+    assert len(steps) == 1 + mcm._BLOCK_ROWS
 
 
 def test_block_fit_refreshes_the_carried_norm_where_the_row_path_does():

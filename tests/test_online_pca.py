@@ -226,6 +226,18 @@ def test_readouts_before_ready_are_errors():
             read()
 
 
+def test_readouts_are_fresh_arrays():
+    # the tracker keeps its norms and units between steps; a caller's
+    # write to a readout reaches neither
+    t = OnlineEigenTracker(4, 2, seed=1).force_ready()
+    t.step(np.diag([4.0, 3.0, 2.0, 1.0]))
+    before = [t.raw, t.eigenvalues, t.basis]
+    for read in (t.raw, t.eigenvalues, t.basis):
+        read[...] = 0.0
+    for kept, now in zip(before, (t.raw, t.eigenvalues, t.basis)):
+        assert np.array_equal(kept, now)
+
+
 def test_state_roundtrip_continues_identically():
     rng = np.random.default_rng(2)
     t = OnlineEigenTracker(4, 2, seed=3)

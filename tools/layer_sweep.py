@@ -22,6 +22,12 @@ Layers, each timed in ns per row at d in {10, 50, 100, 200, 400}:
 - ``np_add``: one ``np.add`` of two 10-vectors, a per-call overhead probe
   that lets every layer be read as a ratio when the host drifts.
 
+One more point, ``paper_scale``, times ``pipeline_block`` at the paper's
+d = 1440 on its contaminated Brownian stream (``student_t2`` at
+delta = 0.05): after ``pipeline_block``'s warm-up of 128 rows, 260 rows
+one at a time, in ns per row (median and quartiles over the rows).
+It runs after the interleaved layers, and ``--smoke`` skips it (null).
+
 Each repeat times one batch of 64 rows per layer and dimension, the
 batches interleaved in one process with one BLAS thread; the file holds
 the median and the quartiles over repeats.  ``derived`` holds the
@@ -46,7 +52,8 @@ not compare with those of later sweeps.
 The full sweep writes ``BENCH_<commit>.json`` (the commit of the medcov
 package's checkout) into ``tools/sweeps/``; ``--check`` validates files
 against the schema of their version (1, without the two fit layers and
-their ratio, or 2) and exits 1 on the first that fails.
+their ratio; 2; or 3, with ``paper_scale``) and exits 1 on the first that
+fails.
 """
 
 from __future__ import annotations
@@ -69,7 +76,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 FORMAT = "medcov-layer-sweep"
-VERSION = 2
+VERSION = 3
 LAYERS = ("pipeline_row", "pipeline_block", "mcm_row", "mcm_block", "fit_streams_row",
           "fit_streams_block", "tracker", "floor", "np_add")
 # what each version's files hold: its layers, the ones that may be null, its derived keys
@@ -81,6 +88,8 @@ SCHEMAS = {
         {"mcm_row_slope_100_400", "block_crossover_dim", "mcm_row_floor_ratio",
          "fit_streams_block_gain"}),
 }
+SCHEMAS[3] = SCHEMAS[2]  # and paper_scale
+PAPER_DIM, PAPER_ROWS = 1440, 260
 DIMS = (10, 50, 100, 200, 400)
 ROWS = 64  # rows per timed batch: one block of the deferred MCM
 REPEATS = 61
@@ -180,6 +189,24 @@ def sweep(dims, repeats):
     return times
 
 
+def paper_scale():
+    """ns per row of the block pipeline at d = 1440, one row at a time
+    (None on a tree without the block form)."""
+    from medcov import ScenarioConfig, draw_sample
+
+    model = _pipeline(PAPER_DIM, True)
+    if model is None:
+        return None
+    x = draw_sample(ScenarioConfig(d=PAPER_DIM, delta=0.05, contamination="student_t2"),
+                    PAPER_ROWS)
+    pc, times = time.perf_counter_ns, []
+    for row in x:
+        t0 = pc()
+        model.update(row)
+        times.append(pc() - t0)
+    return dict(_summary(times), dim=PAPER_DIM, rows=PAPER_ROWS)
+
+
 def _summary(samples):
     if not samples:
         return None
@@ -218,11 +245,12 @@ def _commit(package_dir):
     return out.stdout.strip()
 
 
-def run(dims, repeats):
+def run(dims, repeats, paper):
     import medcov
 
     start = time.perf_counter()
     times = sweep(dims, repeats)
+    point = paper_scale() if paper else None
     layers = {name: {str(d): _summary(per[d]) for d in dims} for name, per in times.items()}
     return {
         "format": FORMAT,
@@ -235,6 +263,7 @@ def run(dims, repeats):
         "rows_per_batch": ROWS,
         "layers": layers,
         "derived": _derived({n: {d: layers[n][str(d)] for d in dims} for n in LAYERS}, dims),
+        "paper_scale": point,
         "wall_s": time.perf_counter() - start,
     }
 
@@ -272,6 +301,15 @@ def check(doc):
     derived = doc.get("derived")
     if not (isinstance(derived, dict) and derived_keys <= set(derived)):
         problems.append(f"derived: expected {', '.join(sorted(derived_keys))}")
+    if doc["version"] >= 3:
+        point = doc.get("paper_scale", "missing")
+        if point is not None and not (
+                isinstance(point, dict) and sorted(point) == sorted((*STATS, "dim", "rows"))
+                and all(isinstance(v, (int, float)) for v in point.values())
+                and point["dim"] == PAPER_DIM and point["rows"] == PAPER_ROWS
+                and 0 < point["q1_ns"] <= point["median_ns"] <= point["q3_ns"] < math.inf):
+            problems.append(f"paper_scale: expected null or d = {PAPER_DIM}, "
+                            f"{PAPER_ROWS} rows and positive {', '.join(STATS)} in order")
     return problems
 
 
@@ -288,7 +326,8 @@ def _pin_malloc_thresholds():
 def main(argv=None):
     _pin_malloc_thresholds()
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--smoke", action="store_true", help="d in {10, 50}, 3 repeats")
+    parser.add_argument("--smoke", action="store_true",
+                        help="d in {10, 50}, 3 repeats, no paper_scale point")
     parser.add_argument("--out", help="output path (default: tools/sweeps/BENCH_<commit>.json)")
     parser.add_argument("--check", nargs="+", metavar="JSON", help="validate files and exit")
     args = parser.parse_args(argv)
@@ -300,7 +339,7 @@ def main(argv=None):
                 return 1
             print(f"{path}: ok")
         return 0
-    doc = run((10, 50) if args.smoke else DIMS, 3 if args.smoke else REPEATS)
+    doc = run((10, 50) if args.smoke else DIMS, 3 if args.smoke else REPEATS, not args.smoke)
     problems = check(doc)
     if problems:
         print("; ".join(problems), file=sys.stderr)
@@ -313,6 +352,9 @@ def main(argv=None):
         cells = [doc["layers"][name][str(d)] for d in doc["dims"]]
         print(f"{name:18s}" + "".join(f"{c['median_ns'] / 1e3:9.1f}" if c else "        -"
                                       for c in cells))
+    point = doc["paper_scale"]
+    if point:
+        print(f"{'paper_scale':18s}{point['median_ns'] / 1e3:9.1f}  (d = {PAPER_DIM})")
     print(f"derived: {json.dumps(doc['derived'])}; {doc['wall_s']:.0f} s; wrote {out}")
     return 0
 
