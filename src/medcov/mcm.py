@@ -521,8 +521,9 @@ def weiszfeld_mcm(points, m_hat, eps=1e-8, max_iter=1000):
     the c_i scaled by their median squared norm, and stops once a sweep
     moves the iterate by at most ``eps`` times that start's Frobenius
     norm, so the stop does not depend on the data's scale.  Each
-    weighted mean is symmetrized, so every iterate is exactly symmetric.
-    Memory is
+    weighted mean is one syrk product z^T z of the rows scaled by sqrt(w)
+    and each extrapolation combines iterates entrywise, so every iterate
+    is exactly symmetric, and every sweep's output is PSD.  Memory is
     O(n d + d^2).  A row keeps its pull until its distance overflows
     float64 (past about |c| = 1e154); then it gets weight 0, silently.
     """
@@ -532,11 +533,11 @@ def weiszfeld_mcm(points, m_hat, eps=1e-8, max_iter=1000):
         start = _sign_covariance(c, s)
 
         def dists(g):
-            return _rank_one_distances(c, s, g, float(np.tensordot(g, g)))
+            return _rank_one_distances(c, s, g, float(np.vdot(g, g)))
 
         def wmean(rows, w):
-            g = (rows * w[:, None]).T @ rows
-            return (g + g.T) / 2.0
+            z = rows * np.sqrt(w)[:, None]
+            return z.T @ z  # one syrk: exactly symmetric
 
         return weiszfeld(c, start, dists, wmean, eps, max_iter, float(np.linalg.norm(start)))
 

@@ -19,7 +19,10 @@ norm computed wherever one is used, and ``tracker_offer``,
 reinit with a Gram-Schmidt loop of their own, the bitwise reference for
 ``medcov.OnlineEigenTracker``;
 ``median_objective`` and ``mcm_objective`` are the sums the batch
-Weiszfeld solvers minimize; ``entrywise_median`` is the Weiszfeld MCM's
+Weiszfeld solvers minimize; ``plain_weiszfeld`` is their solver's loop
+of plain sweeps, Vardi-Zhang anchors included and no extrapolation, the
+reference the accelerated ``medcov.geomedian.weiszfeld`` must agree
+with; ``entrywise_median`` is the Weiszfeld MCM's
 former start, the reference its faster start must converge with;
 ``fix_signs`` is the column loop that ``medcov.linalg._fix_signs``
 vectorizes.
@@ -386,3 +389,38 @@ def mcm_objective(points, m_hat, v):
     s = np.einsum("ij,ij->i", c, c)
     fro2 = float(np.tensordot(v, v))
     return float((_rank_one_distances(c, s, v, fro2) - s).sum())
+
+
+def plain_weiszfeld(rows, x0, dists, wmean, eps, max_iter, scale=1.0):
+    """``medcov.geomedian.weiszfeld`` with plain sweeps only, as it ran
+    before it extrapolated: ``(fit, sweeps)``, where ``sweeps`` counts the
+    distance passes, one per sweep."""
+    tol = eps * scale
+    x = x0
+    disp = np.inf
+    for sweep in range(1, max_iter + 1):
+        dist = dists(x)
+        anchored = dist <= 1e-12
+        if anchored.any():
+            free = ~anchored
+            if not free.any():
+                return x, sweep
+            inv = 1.0 / dist[free]
+            pull = wmean(rows[free], inv) - float(inv.sum()) * x
+            pull_norm = float(np.linalg.norm(pull))
+            eta = float(anchored.sum())
+            if pull_norm <= eta:
+                return x, sweep
+            lam = min(1.0, eta / pull_norm)
+            x_new = (1.0 - lam) * wmean(rows[free], inv / inv.sum()) + lam * x
+        else:
+            w = 1.0 / dist
+            w /= w.sum()
+            x_new = wmean(rows, w)
+        disp = float(np.linalg.norm(x_new - x))
+        if not np.isfinite(disp):
+            raise NumericalError(f"Weiszfeld iterate overflowed (displacement {disp})")
+        x = x_new
+        if disp <= tol:
+            return x, sweep
+    raise ConvergenceError("plain Weiszfeld did not converge", last=x, residual=disp)

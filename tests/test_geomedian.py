@@ -5,15 +5,19 @@ import warnings
 import numpy as np
 import pytest
 
+import medcov.geomedian as geomedian
+import medcov.mcm as mcm
 from medcov import (
     ConvergenceError,
     GeometricMedianSGD,
     NumericalError,
+    ScenarioConfig,
     StepSchedule,
+    draw_sample,
     weiszfeld_mcm,
     weiszfeld_median,
 )
-from oracles import median_objective
+from oracles import mcm_objective, median_objective, plain_weiszfeld
 
 # Fermat point of the 3-4-5 triangle {(0,0),(4,0),(0,3)}, frozen from a
 # 1e-4 grid search plus Nelder-Mead polish (objective 6.766433; the unit
@@ -287,6 +291,13 @@ def test_weiszfeld_rotation_equivariance():
     assert np.linalg.norm(a - b) <= 1e-8
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 200, 201])
+def test_the_start_is_the_coordinate_wise_median_bit_for_bit(n):
+    pts = np.random.default_rng(n).standard_cauchy((n, 6))
+    pts[:, 0] = np.round(pts[:, 0])  # ties
+    assert np.array_equal(geomedian._coordinate_median(pts), np.median(pts, axis=0))
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_weiszfeld_median_keeps_a_far_rows_pull():
     # a far row pulls with its unit direction whatever its distance, so
@@ -311,3 +322,164 @@ def test_weiszfeld_rejects_bad_input():
         weiszfeld_median([[1.0, 2.0]], max_iter=0)
     with pytest.raises(ValueError, match="max_iter must be"):
         weiszfeld_mcm([[1.0, 2.0]], [0.0, 0.0], max_iter=0)
+
+
+# ---------------------------------------------------------------------------
+# the extrapolated solver against its plain sweeps
+
+def _sample(d, n, law, seed):
+    if law == "none":
+        return draw_sample(ScenarioConfig(d=d, seed=seed), n)
+    return draw_sample(ScenarioConfig(d=d, delta=0.1, contamination=law, seed=seed), n)
+
+
+def _plain(monkeypatch, fit, *args):
+    """``fit(*args)`` run on ``oracles.plain_weiszfeld``: (its result, the
+    reference's sweep count)."""
+    sweeps = []
+
+    def solver(*solver_args):
+        x, k = plain_weiszfeld(*solver_args)
+        sweeps.append(k)
+        return x
+
+    with monkeypatch.context() as patch:
+        patch.setattr(geomedian, "weiszfeld", solver)
+        patch.setattr(mcm, "weiszfeld", solver)
+        return fit(*args), sweeps[0]
+
+
+def _spy(monkeypatch, name):
+    """Record each call of ``geomedian.<name>`` as (args, result)."""
+    calls, real = [], getattr(geomedian, name)
+
+    def wrapper(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(geomedian, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("law", ["none", "student_t1"])
+@pytest.mark.parametrize("n", [20, 200])
+@pytest.mark.parametrize("d", [3, 10, 50])
+def test_extrapolated_weiszfeld_agrees_with_plain_sweeps(monkeypatch, d, n, law):
+    for seed in (0, 1):
+        x = _sample(d, n, law, seed)
+        m_ref, _ = _plain(monkeypatch, weiszfeld_median, x)
+        g_ref, _ = _plain(monkeypatch, weiszfeld_mcm, x, m_ref)
+        m, g = weiszfeld_median(x), weiszfeld_mcm(x, m_ref)
+        assert np.linalg.norm(m - m_ref) <= 1e-6 * np.linalg.norm(m_ref)
+        assert np.linalg.norm(g - g_ref) <= 1e-6 * np.linalg.norm(g_ref)
+
+
+def test_extrapolated_weiszfeld_takes_fewer_sweeps(monkeypatch):
+    # at the benchmark's d=50, n=200 the plain sweeps number about 21 for
+    # each solver and the extrapolated ones about 10-11
+    counts = {"median": [], "mcm": []}
+    ref = {"median": [], "mcm": []}
+    for seed in range(20):
+        x = _sample(50, 200, "student_t1", seed)
+        m, k = _plain(monkeypatch, weiszfeld_median, x)
+        ref["median"].append(k)
+        ref["mcm"].append(_plain(monkeypatch, weiszfeld_mcm, x, m)[1])
+        with monkeypatch.context() as patch:
+            calls = _spy(patch, "_sweep")
+            weiszfeld_median(x)
+            counts["median"].append(len(calls))
+            calls.clear()
+            weiszfeld_mcm(x, m)
+            counts["mcm"].append(len(calls))
+    for name in counts:
+        assert np.median(counts[name]) <= 0.7 * np.median(ref[name]), name
+
+
+@pytest.mark.parametrize("d", [10, 50])
+def test_truncated_runs_stay_monotone_at_n200(d):
+    # the acceptance gate checks truncated runs at n <= 15, d = 3; here the
+    # same harvest at the benchmark's n, where the extrapolation is taken
+    x = _sample(d, 200, "student_t1", 3)
+    m = weiszfeld_median(x)
+    runs = [(lambda k: weiszfeld_median(x, eps=1e-300, max_iter=k),
+             lambda it: median_objective(x, it)),
+            (lambda k: weiszfeld_mcm(x, m, eps=1e-300, max_iter=k),
+             lambda it: mcm_objective(x, m, it))]
+    for fit, objective in runs:
+        vals = []
+        for k in range(1, 11):
+            with pytest.raises(ConvergenceError) as err:
+                fit(k)
+            vals.append(objective(err.value.last))
+        assert all(b <= a + 1e-12 * max(1.0, abs(a)) for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.inf, np.nan, 1e307])
+@pytest.mark.parametrize("solver", ["median", "mcm"])
+def test_a_non_finite_extrapolation_falls_back_to_the_plain_sweep(monkeypatch, solver, value):
+    # an infinite or NaN point, or a finite one whose summed distance
+    # overflows (1e307 in every entry), is never taken: every sweep then
+    # starts where the plain loop's does, so the fits agree bitwise
+    x = _sample(10, 200, "student_t1", 0)
+    center = np.median(x, axis=0)
+    fit = (lambda: weiszfeld_median(x)) if solver == "median" else (
+        lambda: weiszfeld_mcm(x, center))
+    ref, sweeps = _plain(monkeypatch, lambda: fit())
+    monkeypatch.setattr(geomedian, "_extrapolate", lambda x0, x1, x2: np.full_like(x2, value))
+    calls = _spy(monkeypatch, "_sweep")
+    assert np.array_equal(fit(), ref)
+    assert len(calls) == sweeps
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_non_finite_objective_at_the_sweep_falls_back_to_the_plain_sweep(monkeypatch):
+    # a row whose distance overflows float64 has weight 0 and makes every
+    # objective infinite, so no extrapolation is taken: both fits are the
+    # plain loop's bit for bit, finite, and the MCM exactly symmetric
+    x = _sample(10, 200, "student_t1", 0)
+    wild_median = x.copy()
+    wild_median[7, :2] = 1.5e308
+    wild_mcm = x.copy()
+    wild_mcm[7] *= 1e160
+    center = np.median(x, axis=0)
+    for fit in (lambda: weiszfeld_median(wild_median), lambda: weiszfeld_mcm(wild_mcm, center)):
+        ref, _ = _plain(monkeypatch, fit)
+        got = fit()
+        assert np.array_equal(got, ref) and np.isfinite(got).all()
+    assert np.array_equal(got, got.T)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_extrapolated_anchor_takes_the_vardi_zhang_branch(monkeypatch):
+    # a data point at the geometric median of the others is the sample's
+    # own median; an extrapolation landing within 1e-12 of it is an
+    # anchor that passes the Vardi-Zhang test, so it is returned as is
+    cloud = np.random.default_rng(12).standard_normal((20, 3))
+    p = weiszfeld_median(cloud, eps=1e-14)
+    pts = np.vstack([cloud, p])
+    anchor = p + 1e-13
+    monkeypatch.setattr(geomedian, "_extrapolate", lambda x0, x1, x2: anchor.copy())
+    calls = _spy(monkeypatch, "_sweep")
+    fit = weiszfeld_median(pts)
+    assert np.array_equal(fit, anchor)
+    assert len(calls) == 3 and calls[-1][1] is None
+    assert np.linalg.norm(weiszfeld_median(cloud) - fit) <= 1e-6
+
+
+@pytest.mark.parametrize("max_iter", range(1, 7))
+def test_a_truncated_run_reports_its_last_sweep(monkeypatch, max_iter):
+    # last is the output of the last counted sweep (never the extrapolated
+    # point that the next sweep would start from) and residual that
+    # sweep's displacement
+    x = _sample(10, 200, "student_t1", 0)
+    calls = _spy(monkeypatch, "_sweep")
+    with pytest.raises(ConvergenceError) as err:
+        weiszfeld_median(x, eps=1e-300, max_iter=max_iter)
+    assert len(calls) == max_iter
+    (_, start, *_), out = calls[-1]
+    assert np.array_equal(err.value.last, out)
+    assert err.value.residual == np.linalg.norm(out - start)
+    if max_iter >= 3:  # the third sweep starts from the extrapolated point
+        assert not np.array_equal(calls[2][0][1], calls[1][1])

@@ -641,6 +641,17 @@ def test_weiszfeld_mcm_is_psd():
     assert np.linalg.eigvalsh(g)[0] >= -1e-10
 
 
+def test_weiszfeld_mcm_is_exactly_symmetric():
+    # each weighted mean is one syrk of the sqrt(w)-scaled rows and each
+    # extrapolation an entrywise combination, so no iterate is symmetrized
+    x = draw_sample(ScenarioConfig(d=50, delta=0.1, contamination="student_t1", seed=2), 200)
+    m = weiszfeld_median(x)
+    with pytest.raises(ConvergenceError) as err:
+        weiszfeld_mcm(x, m, eps=1e-300, max_iter=5)
+    for g in (weiszfeld_mcm(x, m), err.value.last):
+        assert np.array_equal(g, g.T)
+
+
 def test_weiszfeld_mcm_fixed_point():
     rng = np.random.default_rng(8)
     pts = rng.standard_normal((30, 3))

@@ -28,6 +28,13 @@ delta = 0.05): after ``pipeline_block``'s warm-up of 128 rows, 260 rows
 one at a time, in ns per row (median and quartiles over the rows).
 It runs after the interleaved layers, and ``--smoke`` skips it (null).
 
+``weiszfeld`` times the batch baseline that ``bench`` reports as
+``mcm_w``: one ``weiszfeld_median`` then ``weiszfeld_mcm`` fit of a
+sample of n = 200 rows (``student_t1`` at delta = 0.1) at d in {10, 50},
+in ns per fit (median and quartiles over repeats, the two dims
+alternating).  It goes through the public API only, so the sweep can
+time any older tree's solver; ``--smoke`` runs it with 3 repeats.
+
 Each repeat times one batch of 64 rows per layer and dimension, the
 batches interleaved in one process with one BLAS thread; the file holds
 the median and the quartiles over repeats.  ``derived`` holds the
@@ -52,8 +59,8 @@ not compare with those of later sweeps.
 The full sweep writes ``BENCH_<commit>.json`` (the commit of the medcov
 package's checkout) into ``tools/sweeps/``; ``--check`` validates files
 against the schema of their version (1, without the two fit layers and
-their ratio; 2; or 3, with ``paper_scale``) and exits 1 on the first that
-fails.
+their ratio; 2; 3, with ``paper_scale``; or 4, with ``weiszfeld`` too) and
+exits 1 on the first that fails.
 """
 
 from __future__ import annotations
@@ -76,7 +83,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 FORMAT = "medcov-layer-sweep"
-VERSION = 3
+VERSION = 4
 LAYERS = ("pipeline_row", "pipeline_block", "mcm_row", "mcm_block", "fit_streams_row",
           "fit_streams_block", "tracker", "floor", "np_add")
 # what each version's files hold: its layers, the ones that may be null, its derived keys
@@ -89,7 +96,9 @@ SCHEMAS = {
          "fit_streams_block_gain"}),
 }
 SCHEMAS[3] = SCHEMAS[2]  # and paper_scale
+SCHEMAS[4] = SCHEMAS[2]  # and paper_scale and weiszfeld
 PAPER_DIM, PAPER_ROWS = 1440, 260
+WEISZFELD_DIMS, WEISZFELD_ROWS = (10, 50), 200
 DIMS = (10, 50, 100, 200, 400)
 ROWS = 64  # rows per timed batch: one block of the deferred MCM
 REPEATS = 61
@@ -207,6 +216,22 @@ def paper_scale():
     return dict(_summary(times), dim=PAPER_DIM, rows=PAPER_ROWS)
 
 
+def weiszfeld(repeats):
+    """{d: ns per ``weiszfeld_median`` + ``weiszfeld_mcm`` fit}, the dims
+    alternating."""
+    from medcov import ScenarioConfig, draw_sample, weiszfeld_mcm, weiszfeld_median
+
+    xs = {d: draw_sample(ScenarioConfig(d=d, delta=0.1, contamination="student_t1", seed=d),
+                         WEISZFELD_ROWS) for d in WEISZFELD_DIMS}
+    pc, times = time.perf_counter_ns, {d: [] for d in WEISZFELD_DIMS}
+    for _ in range(repeats):
+        for d, x in xs.items():
+            t0 = pc()
+            weiszfeld_mcm(x, weiszfeld_median(x))
+            times[d].append(pc() - t0)
+    return {str(d): _summary(per) for d, per in times.items()}
+
+
 def _summary(samples):
     if not samples:
         return None
@@ -251,6 +276,7 @@ def run(dims, repeats, paper):
     start = time.perf_counter()
     times = sweep(dims, repeats)
     point = paper_scale() if paper else None
+    batch = weiszfeld(repeats)
     layers = {name: {str(d): _summary(per[d]) for d in dims} for name, per in times.items()}
     return {
         "format": FORMAT,
@@ -264,6 +290,7 @@ def run(dims, repeats, paper):
         "layers": layers,
         "derived": _derived({n: {d: layers[n][str(d)] for d in dims} for n in LAYERS}, dims),
         "paper_scale": point,
+        "weiszfeld": batch,
         "wall_s": time.perf_counter() - start,
     }
 
@@ -293,10 +320,7 @@ def check(doc):
         for d, stats in per.items():
             if stats is None and name in nullable:
                 continue
-            if not (isinstance(stats, dict) and sorted(stats) == sorted(STATS)
-                    and all(isinstance(v, (int, float)) and 0 < v < math.inf
-                            for v in stats.values())
-                    and stats["q1_ns"] <= stats["median_ns"] <= stats["q3_ns"]):
+            if not _valid_stats(stats):
                 problems.append(f"layers.{name}.{d}: expected positive {', '.join(STATS)} in order")
     derived = doc.get("derived")
     if not (isinstance(derived, dict) and derived_keys <= set(derived)):
@@ -310,7 +334,19 @@ def check(doc):
                 and 0 < point["q1_ns"] <= point["median_ns"] <= point["q3_ns"] < math.inf):
             problems.append(f"paper_scale: expected null or d = {PAPER_DIM}, "
                             f"{PAPER_ROWS} rows and positive {', '.join(STATS)} in order")
+    if doc["version"] >= 4:
+        fits = doc.get("weiszfeld")
+        if not (isinstance(fits, dict) and sorted(fits) == sorted(map(str, WEISZFELD_DIMS))
+                and all(_valid_stats(stats) for stats in fits.values())):
+            problems.append(f"weiszfeld: expected d = {', '.join(map(str, WEISZFELD_DIMS))} "
+                            f"with positive {', '.join(STATS)} in order")
     return problems
+
+
+def _valid_stats(stats):
+    return (isinstance(stats, dict) and sorted(stats) == sorted(STATS)
+            and all(isinstance(v, (int, float)) and 0 < v < math.inf for v in stats.values())
+            and stats["q1_ns"] <= stats["median_ns"] <= stats["q3_ns"])
 
 
 def _pin_malloc_thresholds():
@@ -327,7 +363,7 @@ def main(argv=None):
     _pin_malloc_thresholds()
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--smoke", action="store_true",
-                        help="d in {10, 50}, 3 repeats, no paper_scale point")
+                        help="d in {10, 50}, 3 repeats (weiszfeld too), no paper_scale point")
     parser.add_argument("--out", help="output path (default: tools/sweeps/BENCH_<commit>.json)")
     parser.add_argument("--check", nargs="+", metavar="JSON", help="validate files and exit")
     args = parser.parse_args(argv)
@@ -355,6 +391,9 @@ def main(argv=None):
     point = doc["paper_scale"]
     if point:
         print(f"{'paper_scale':18s}{point['median_ns'] / 1e3:9.1f}  (d = {PAPER_DIM})")
+    print(f"{'weiszfeld':18s}" + "".join(f"{doc['weiszfeld'][str(d)]['median_ns'] / 1e6:8.2f}ms"
+                                         for d in WEISZFELD_DIMS)
+          + f"  (n = {WEISZFELD_ROWS}, d = {', '.join(map(str, WEISZFELD_DIMS))})")
     print(f"derived: {json.dumps(doc['derived'])}; {doc['wall_s']:.0f} s; wrote {out}")
     return 0
 
