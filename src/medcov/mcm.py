@@ -523,7 +523,7 @@ def weiszfeld_mcm(points, m_hat, eps=1e-8, max_iter=1000):
     norm, so the stop does not depend on the data's scale.  Each
     weighted mean is one syrk product z^T z of the rows scaled by sqrt(w)
     and each extrapolation combines iterates entrywise, so every iterate
-    is exactly symmetric, and every sweep's output is PSD.  Memory is
+    is exactly symmetric and every weighted mean PSD.  Memory is
     O(n d + d^2).  A row keeps its pull until its distance overflows
     float64 (past about |c| = 1e154); then it gets weight 0, silently.
     """
