@@ -237,9 +237,9 @@ def weiszfeld(rows, x0, dists, wmean, eps, max_iter, scale=1.0):
     x, dist = x0, dists(x0)
     cycle = []
     for _ in range(max_iter):
-        x_new = _sweep(rows, x, dist, wmean)
-        if x_new is None:
-            return x
+        x_new, at_minimum = _sweep(rows, x, dist, wmean)
+        if at_minimum:
+            return x_new
         disp = float(np.linalg.norm(x_new - x))
         if not np.isfinite(disp):
             raise NumericalError(f"Weiszfeld iterate overflowed (displacement {disp})")
@@ -263,32 +263,37 @@ def weiszfeld(rows, x0, dists, wmean, eps, max_iter, scale=1.0):
 
 
 def _sweep(rows, x, dist, wmean):
-    """One Weiszfeld sweep from ``x``, whose distances are ``dist``; None
-    where ``x`` is a minimizer on a data point.
+    """One Weiszfeld sweep from ``x``, whose distances are ``dist``:
+    ``(x_new, False)``, or ``(data point, True)`` where ``x`` sits on a
+    data point that minimizes the objective.
 
     When the iterate sits on a data point (distance at most 1e-12) the
     plain weights would pin it there even if it is not the minimizer --
     which happens immediately for a 3-point set whose coordinate-wise
     median is a vertex.  Those steps use the Vardi-Zhang rule instead
-    (PNAS 2000): leave the anchor only if the unit pull of the other
-    points exceeds the anchor's multiplicity, retreating along the plain
-    step accordingly.
+    (PNAS 2000), from the data point itself: leave it only if the unit
+    pull of the other points exceeds its multiplicity, retreating along
+    the plain step accordingly.  Taking the data point, not ``x``, keeps
+    an extrapolated iterate out of the result: the MCM's rank-one
+    distance cancels to 0 some 1e-9 from a data point, where an
+    extrapolated iterate need not be PSD.
     """
     anchored = dist <= _WEISZFELD_CLAMP
     if not anchored.any():
         w = 1.0 / dist
-        return wmean(rows, w / w.sum())
+        return wmean(rows, w / w.sum()), False
+    anchor = wmean(rows[anchored][:1], np.ones(1))
     free = ~anchored
     if not free.any():
-        return None  # every point coincides with the iterate
+        return anchor, True  # every point coincides with the iterate
     inv = 1.0 / dist[free]
-    pull = wmean(rows[free], inv) - float(inv.sum()) * x
+    pull = wmean(rows[free], inv) - float(inv.sum()) * anchor
     pull_norm = float(np.linalg.norm(pull))
     eta = float(anchored.sum())
     if pull_norm <= eta:
-        return None  # the anchor satisfies the optimality condition
+        return anchor, True  # the anchor satisfies the optimality condition
     lam = min(1.0, eta / pull_norm)
-    return (1.0 - lam) * wmean(rows[free], inv / inv.sum()) + lam * x
+    return (1.0 - lam) * wmean(rows[free], inv / inv.sum()) + lam * anchor, False
 
 
 def _extrapolate(x0, x1, x2):

@@ -455,17 +455,29 @@ def test_a_non_finite_objective_at_the_sweep_falls_back_to_the_plain_sweep(monke
 def test_an_extrapolated_anchor_takes_the_vardi_zhang_branch(monkeypatch):
     # a data point at the geometric median of the others is the sample's
     # own median; an extrapolation landing within 1e-12 of it is an
-    # anchor that passes the Vardi-Zhang test, so it is returned as is
+    # anchor that passes the Vardi-Zhang test, and the data point itself
+    # is returned
     cloud = np.random.default_rng(12).standard_normal((20, 3))
     p = weiszfeld_median(cloud, eps=1e-14)
     pts = np.vstack([cloud, p])
-    anchor = p + 1e-13
-    monkeypatch.setattr(geomedian, "_extrapolate", lambda x0, x1, x2: anchor.copy())
+    monkeypatch.setattr(geomedian, "_extrapolate", lambda x0, x1, x2: p + 1e-13)
     calls = _spy(monkeypatch, "_sweep")
     fit = weiszfeld_median(pts)
-    assert np.array_equal(fit, anchor)
-    assert len(calls) == 3 and calls[-1][1] is None
-    assert np.linalg.norm(weiszfeld_median(cloud) - fit) <= 1e-6
+    assert np.array_equal(fit, p)
+    (_, start, *_), (_, at_minimum) = calls[-1]
+    assert len(calls) == 3 and at_minimum and np.array_equal(start, p + 1e-13)
+
+
+def test_an_mcm_fit_that_ends_on_a_data_point_is_that_point():
+    # half the rows coincide, so the MCM is their rank-one c c^T; the
+    # rank-one distance cancels to 0 about 1e-9 from it, where an
+    # extrapolated iterate had eigenvalues down to -1.7e-9
+    x = np.random.default_rng(13).standard_normal((12, 4))
+    x[:6] = x[0]
+    m = np.median(x, axis=0)
+    g = weiszfeld_mcm(x, m)
+    assert np.array_equal(g, np.outer(x[0] - m, x[0] - m))
+    assert np.linalg.eigvalsh(g)[0] >= -1e-15 * np.abs(g).max()
 
 
 @pytest.mark.parametrize("max_iter", range(1, 7))
@@ -478,8 +490,8 @@ def test_a_truncated_run_reports_its_last_sweep(monkeypatch, max_iter):
     with pytest.raises(ConvergenceError) as err:
         weiszfeld_median(x, eps=1e-300, max_iter=max_iter)
     assert len(calls) == max_iter
-    (_, start, *_), out = calls[-1]
+    (_, start, *_), (out, _) = calls[-1]
     assert np.array_equal(err.value.last, out)
     assert err.value.residual == np.linalg.norm(out - start)
     if max_iter >= 3:  # the third sweep starts from the extrapolated point
-        assert not np.array_equal(calls[2][0][1], calls[1][1])
+        assert not np.array_equal(calls[2][0][1], calls[1][1][0])
