@@ -271,12 +271,10 @@ def _sweep(rows, x, dist, wmean):
     plain weights would pin it there even if it is not the minimizer --
     which happens immediately for a 3-point set whose coordinate-wise
     median is a vertex.  Those steps use the Vardi-Zhang rule instead
-    (PNAS 2000), from the data point itself: leave it only if the unit
-    pull of the other points exceeds its multiplicity, retreating along
-    the plain step accordingly.  Taking the data point, not ``x``, keeps
-    an extrapolated iterate out of the result: the MCM's rank-one
-    distance cancels to 0 some 1e-9 from a data point, where an
-    extrapolated iterate need not be PSD.
+    (PNAS 2000) from the data point itself, so an extrapolated iterate
+    (not always PSD) never becomes the result: leave the point only if
+    the unit pull of the other points exceeds its multiplicity,
+    retreating along the plain step accordingly.
     """
     anchored = dist <= _WEISZFELD_CLAMP
     if not anchored.any():
