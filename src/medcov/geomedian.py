@@ -225,7 +225,7 @@ def weiszfeld(rows, x0, dists, wmean, eps, max_iter, scale=1.0):
     that sweep needs those distances anyway, so the guard costs one
     distance pass per pair.  ``max_iter`` counts sweeps.  The iteration
     returns the output of the first sweep that moves the iterate by at
-    most ``eps * scale``, or an anchor that passes the Vardi-Zhang test.
+    most ``eps * scale``, or a data point that passes the Vardi-Zhang test.
     A sweep whose displacement is not finite means the iterate overflowed
     float64; it raises :class:`NumericalError` at once.
     """
