@@ -25,6 +25,7 @@ import dataclasses
 import json
 import os
 import time
+import warnings
 from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass
 from functools import lru_cache
@@ -45,6 +46,8 @@ ESTIMATORS = ("pca", "mcm_w", "mcm_r", "mcm_rplus")
 WORKERS_ENV = "MEDCOV_MAX_WORKERS"
 
 _FAIL_EXC = (MedcovError, ValueError, ArithmeticError)
+
+_BLOCK_BYTES, _BLOCK_LINES = 1 << 18, 64  # CSV text per read, and lines per loadtxt parse
 
 
 # ---------------------------------------------------------------------------
@@ -120,30 +123,65 @@ def iter_csv_rows(path, *, skip_header=False):
 
     Raises :class:`DataError` with the offending line (and column) on
     ragged rows or cells that do not parse to a finite float, and naming
-    the file on bytes that are not UTF-8.
+    the file on bytes that are not UTF-8.  Each vector is a view of a block.
     """
+    for line_no, block in _csv_blocks(path, skip_header):
+        yield from zip(range(line_no, line_no + len(block)), block)
+
+
+def _csv_blocks(path, skip_header):
+    """Yield (first line number, float64 rows) for blocks of a CSV's
+    observation lines.  A block :func:`_parse_block` refuses is parsed line
+    by line: its good rows come first, then the DataError of its bad line."""
     with open(path, "r", encoding="utf-8") as fh:
         dim = None
+        line_no = 2 if skip_header else 1
         try:
-            for line_no, line in enumerate(fh, start=1):
-                if skip_header and line_no == 1:
-                    continue
-                cells = line.rstrip("\n").split(",")
-                if dim is None:
-                    dim = len(cells)
-                elif len(cells) != dim:
-                    raise DataError(
-                        f"{path}: line {line_no}: expected {dim} columns, got {len(cells)}"
-                    )
-                try:
-                    vec = np.array(cells, dtype=float)  # each cell as float() parses it
-                except ValueError:
-                    vec = None
-                if vec is None or not np.isfinite(vec).all():
-                    raise _cell_error(path, line_no, cells)
-                yield line_no, vec
+            if skip_header:
+                fh.readline()
+            while lines := fh.readlines(_BLOCK_BYTES):  # at least one line, however long
+                for start in range(0, len(lines), _BLOCK_LINES):
+                    part = lines[start:start + _BLOCK_LINES]
+                    dim = dim or part[0].count(",") + 1  # the first row sets the width
+                    block = _parse_block(part, dim)
+                    if block is not None:
+                        yield line_no, block
+                    else:
+                        for i, line in enumerate(part):
+                            yield line_no + i, _parse_line(path, line_no + i, line, dim)[None]
+                    line_no += len(part)
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def _parse_block(lines, dim):
+    """One np.loadtxt parse of ``lines``, or None unless it gives one
+    finite row of width ``dim`` per line as float() would: loadtxt skips
+    blank lines, and strips 0x1c-0x1f from a cell, which float() refuses."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # on a block of blank lines
+        try:
+            block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return None
+    text = "".join(lines)
+    if (block.shape == (len(lines), dim) and np.isfinite(block).all()
+            and not any(sep in text for sep in "\x1c\x1d\x1e\x1f")):
+        return block
+    return None
+
+
+def _parse_line(path, line_no, line, dim):
+    cells = line.rstrip("\n").split(",")
+    if len(cells) != dim:
+        raise DataError(f"{path}: line {line_no}: expected {dim} columns, got {len(cells)}")
+    try:
+        vec = np.array(cells, dtype=float)  # each cell as float() parses it
+    except ValueError:
+        vec = None
+    if vec is None or not np.isfinite(vec).all():
+        raise _cell_error(path, line_no, cells)
+    return vec
 
 
 def _cell_error(path, line_no, cells):
@@ -595,10 +633,10 @@ def fit_stream(csv_in, *, q=2, median_schedule=None, cov_schedule=None,
             if sidecar:
                 if model.tracker.ready:
                     scores, dist = model._scores(vec)
-                    cells = [_fmt(v) for v in scores] + [_fmt(dist)]
+                    line = ",".join(map(repr, scores.tolist())) + "," + repr(float(dist))
                 else:
-                    cells = ["nan"] * (model.tracker.q + 1)
-                sidecar.write(",".join(cells) + "\n")
+                    line = ",".join(["nan"] * (model.tracker.q + 1))
+                sidecar.write(line + "\n")
         if model is None:
             raise DataError(f"{csv_in}: file contains no observations")
     snapshot = model.state_dict()

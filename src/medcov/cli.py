@@ -158,10 +158,10 @@ def _require_input(opts):
 
 
 def _load_points(path, header):
-    vectors = [vec for _, vec in _bench.iter_csv_rows(path, skip_header=header)]
-    if not vectors:
+    blocks = [block for _, block in _bench._csv_blocks(path, header)]
+    if not blocks:
         raise DataError(f"{path}: file contains no observations")
-    return np.array(vectors)
+    return np.concatenate(blocks)
 
 
 def _cmd_simulate(opts):

@@ -494,15 +494,17 @@ def _centered(points, m_hat):
     return pts - as_vector(m_hat, dim=pts.shape[1])
 
 
-def _rank_one_distances(c, s, v, fro2):
+def _rank_one_distances(c, s, v, fro2, s2=None, far=None):
     """Frobenius distances |c_i c_i^T - V|_F for all rows at once.  Where
     |c_i|^4 overflows, the distance is taken from u = c_i / r, r = |c_i|,
     as r^2 sqrt(1 - 2 u^T V u / r^2 + |V|_F^2 / r^4), so it is inf only
-    where it passes float64 itself."""
-    s2 = s * s
+    where it passes float64 itself.  A fit passes ``s2 = s * s`` and those
+    ``far`` rows, ``np.flatnonzero(s2 == np.inf)``, once for all its calls."""
+    if s2 is None:
+        s2 = s * s
+        far = np.flatnonzero(s2 == np.inf)
     d2 = s2 - 2.0 * np.einsum("ij,ij->i", c @ v, c) + fro2
     dist = np.sqrt(np.maximum(d2, 0.0))
-    far = np.flatnonzero(s2 == np.inf)
     if far.size:
         r = np.sqrt(s[far])
         u = c[far] / r[:, None]
@@ -531,9 +533,11 @@ def weiszfeld_mcm(points, m_hat, eps=1e-8, max_iter=1000):
         c = _centered(points, m_hat)
         s = np.einsum("ij,ij->i", c, c)
         start = _sign_covariance(c, s)
+        s2 = s * s
+        far = np.flatnonzero(s2 == np.inf)
 
         def dists(g):
-            return _rank_one_distances(c, s, g, float(np.vdot(g, g)))
+            return _rank_one_distances(c, s, g, float(np.vdot(g, g)), s2, far)
 
         def wmean(rows, w):
             z = rows * np.sqrt(w)[:, None]

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import medcov.bench as bench
 from medcov import (
@@ -164,6 +166,8 @@ def test_a_write_that_fails_part_way_keeps_the_old_file(tmp_path, monkeypatch, w
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]  # no *.tmp left beside it
 
 
+_LINES_63 = "".join(f"{k}.5,-{k}e-3\n" for k in range(63))
+
 # (file text, skip_header): rows that parse in one call, and rows whose
 # error must name the same line and column as the per-cell parser.  The
 # row parser takes each cell as float() does: it accepts and rejects the
@@ -196,6 +200,21 @@ _CSV_EDGE_CASES = {
     "crlf": ("1,2\r\n3,4\r\n", False),
     "extremes": ("-0.0,5e-324,1.7976931348623157e308\n", False),
     "single-column": ("1\n2\n", False),
+    # loadtxt strips the ASCII separators 0x1c-0x1f from a cell; float() refuses them
+    "unit-separator": ("1,2\x1f\n", False),
+    "file-separator": ("1,2\n\x1c3,4\n", False),
+    # rows around the 64-line parse of the block reader
+    "bad-cell-line-64": (_LINES_63 + "1,oops\n2,3\n", False),
+    "bad-cell-line-65": (_LINES_63 + "1,2\n3,oops\n", False),
+    "ragged-opens-block-2": (_LINES_63 + "1,2\n3,4,5\n6,7\n", False),
+    "blank-in-block": ("1,2\n\n3,4\n", False),
+    "whitespace-only-in-block": ("1,2\n \t \n3,4\n", False),
+    "blank-block": (_LINES_63 + "1,2\n\n", False),
+    "blank-file": ("\n", False),
+    "nan-in-block-2": (_LINES_63 * 2 + "nan,1\n", False),
+    "line-past-byte-hint": (("1.25," * 70_000 + "2\n") * 2, False),
+    "header-then-blocks": ("x1,x2\n" + _LINES_63 * 3, True),
+    "cells-float-reads": ("1_0,+1, 1.5 \n" * 70, False),
 }
 
 
@@ -218,6 +237,52 @@ def test_iter_csv_rows_matches_the_per_cell_parser(tmp_path, text, skip_header):
     ours = _drain(iter_csv_rows(path, skip_header=skip_header))
     assert ours == _drain(csv_rows_per_cell(path, skip_header=skip_header))
     assert ours  # every case yields a row or raises
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_block_of_blank_lines_warns_nothing(tmp_path):
+    # loadtxt warns that such a block holds no data; the reader's error says it
+    path = tmp_path / "blank.csv"
+    path.write_text(_LINES_63 + "1,2\n" + "\n" * 64)
+    with pytest.raises(DataError, match=r"line 65: expected 2 columns, got 1$"):
+        list(iter_csv_rows(path))
+
+
+_CELLS = st.sampled_from(["1", "-2.5e3", " 0.5 ", "+1", "1_0", "", " ", "x", "nan", "inf",
+                          "1e999", "5e-324", "\x1c1", "\u00a07", "\uff11"])
+
+
+@seed(20150)
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(_CELLS, min_size=1, max_size=3).map(",".join), max_size=9),
+       st.booleans(), st.integers(1, 3), st.integers(1, 24))
+def test_small_blocks_drain_as_the_per_cell_parser(tmp_path_factory, lines, skip_header,
+                                                    block_lines, block_bytes):
+    # blocks of a line or a few bytes put every row at some block boundary
+    path = tmp_path_factory.mktemp("blocks") / "edge.csv"
+    path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bench, "_BLOCK_LINES", block_lines)
+        mp.setattr(bench, "_BLOCK_BYTES", block_bytes)
+        ours = _drain(iter_csv_rows(path, skip_header=skip_header))
+    assert ours == _drain(csv_rows_per_cell(path, skip_header=skip_header))
+
+
+@seed(20151)
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=400), st.integers(1, 5))
+def test_block_reader_round_trips_float64_bits(tmp_path_factory, words, d):
+    # any finite float64 written with repr comes back bit for bit, through
+    # the rows and through the blocks that fit-weiszfeld stacks
+    bits = np.array(words[: len(words) // d * d] or words[:1] * d, dtype=np.uint64)
+    data = bits.view(np.float64).reshape(-1, d)
+    data[~np.isfinite(data)] = -0.0
+    path = tmp_path_factory.mktemp("bits") / "bits.csv"
+    write_csv(path, data)
+    rows = np.array([vec for _, vec in iter_csv_rows(path)])
+    assert rows.tobytes() == data.tobytes()
+    blocks = np.concatenate([block for _, block in bench._csv_blocks(path, False)])
+    assert blocks.tobytes() == data.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -699,6 +699,20 @@ def test_fit_weiszfeld_refuses_a_result_that_is_the_input(tmp_path, capsys, monk
     assert calls == []
 
 
+def test_fit_weiszfeld_reads_blocks_only_after_the_refusal(tmp_path, capsys, monkeypatch):
+    # fit-weiszfeld reads its input through the block reader, not
+    # iter_csv_rows, and a refused --out still comes before any block
+    path = tmp_path / "a.csv"
+    assert run_cli(capsys, "simulate", "--d", "3", "--n", "20", "--out", str(path))[0] == 0
+    calls = []
+    blocks = _bench._csv_blocks
+    monkeypatch.setattr(_bench, "_csv_blocks", lambda *a: calls.append(a) or blocks(*a))
+    rc, out, _ = run_cli(capsys, "fit-weiszfeld", "--in", str(path), "--out", str(path))
+    assert (rc, out, calls) == (2, "", [])
+    rc, out, _ = run_cli(capsys, "fit-weiszfeld", "--in", str(path))
+    assert (rc, json.loads(out)["n"], calls) == (0, 20, [(str(path), False)])
+
+
 def test_memory_error_is_a_data_error(tmp_path, capsys, monkeypatch):
     # one stderr line and exit 3, not a traceback; numpy's message names
     # the allocation, and a bare MemoryError has none

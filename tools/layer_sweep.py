@@ -35,6 +35,12 @@ in ns per fit (median and quartiles over repeats, the two dims
 alternating).  It goes through the public API only, so the sweep can
 time any older tree's solver; ``--smoke`` runs it with 3 repeats.
 
+``csv_parse`` times the CSV reader behind ``fit-stream``: draining
+``iter_csv_rows`` over a temporary CSV of 256 standard normal rows,
+written by ``write_csv``, at d in {10, 50, 200, 400}, in ns per row
+(median and quartiles over repeats, the dims alternating).  It too goes
+through the public API only; ``--smoke`` runs it with 3 repeats.
+
 Each repeat times one batch of 64 rows per layer and dimension, the
 batches interleaved in one process with one BLAS thread; the file holds
 the median and the quartiles over repeats.  ``derived`` holds the
@@ -59,8 +65,8 @@ not compare with those of later sweeps.
 The full sweep writes ``BENCH_<commit>.json`` (the commit of the medcov
 package's checkout) into ``tools/sweeps/``; ``--check`` validates files
 against the schema of their version (1, without the two fit layers and
-their ratio; 2; 3, with ``paper_scale``; or 4, with ``weiszfeld`` too) and
-exits 1 on the first that fails.
+their ratio; 2; 3, with ``paper_scale``; 4, with ``weiszfeld`` too; or 5,
+with ``csv_parse`` too) and exits 1 on the first that fails.
 """
 
 from __future__ import annotations
@@ -74,6 +80,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -83,7 +90,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 FORMAT = "medcov-layer-sweep"
-VERSION = 4
+VERSION = 5
 LAYERS = ("pipeline_row", "pipeline_block", "mcm_row", "mcm_block", "fit_streams_row",
           "fit_streams_block", "tracker", "floor", "np_add")
 # what each version's files hold: its layers, the ones that may be null, its derived keys
@@ -97,8 +104,10 @@ SCHEMAS = {
 }
 SCHEMAS[3] = SCHEMAS[2]  # and paper_scale
 SCHEMAS[4] = SCHEMAS[2]  # and paper_scale and weiszfeld
+SCHEMAS[5] = SCHEMAS[2]  # and paper_scale, weiszfeld and csv_parse
 PAPER_DIM, PAPER_ROWS = 1440, 260
 WEISZFELD_DIMS, WEISZFELD_ROWS = (10, 50), 200
+CSV_DIMS, CSV_ROWS = (10, 50, 200, 400), 256
 DIMS = (10, 50, 100, 200, 400)
 ROWS = 64  # rows per timed batch: one block of the deferred MCM
 REPEATS = 61
@@ -232,6 +241,25 @@ def weiszfeld(repeats):
     return {str(d): _summary(per) for d, per in times.items()}
 
 
+def csv_parse(repeats):
+    """{d: ns per row of draining ``iter_csv_rows`` over a CSV}, the dims
+    alternating."""
+    from medcov import iter_csv_rows, write_csv
+
+    pc, times = time.perf_counter_ns, {d: [] for d in CSV_DIMS}
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {d: Path(tmp) / f"d{d}.csv" for d in CSV_DIMS}
+        for d, path in paths.items():
+            write_csv(path, np.random.default_rng(2000 + d).standard_normal((CSV_ROWS, d)))
+        for _ in range(repeats):
+            for d, path in paths.items():
+                t0 = pc()
+                for _row in iter_csv_rows(path):
+                    pass
+                times[d].append((pc() - t0) / CSV_ROWS)
+    return {str(d): _summary(per) for d, per in times.items()}
+
+
 def _summary(samples):
     if not samples:
         return None
@@ -277,6 +305,7 @@ def run(dims, repeats, paper):
     times = sweep(dims, repeats)
     point = paper_scale() if paper else None
     batch = weiszfeld(repeats)
+    parse = csv_parse(repeats)
     layers = {name: {str(d): _summary(per[d]) for d in dims} for name, per in times.items()}
     return {
         "format": FORMAT,
@@ -291,6 +320,7 @@ def run(dims, repeats, paper):
         "derived": _derived({n: {d: layers[n][str(d)] for d in dims} for n in LAYERS}, dims),
         "paper_scale": point,
         "weiszfeld": batch,
+        "csv_parse": parse,
         "wall_s": time.perf_counter() - start,
     }
 
@@ -340,6 +370,12 @@ def check(doc):
                 and all(_valid_stats(stats) for stats in fits.values())):
             problems.append(f"weiszfeld: expected d = {', '.join(map(str, WEISZFELD_DIMS))} "
                             f"with positive {', '.join(STATS)} in order")
+    if doc["version"] >= 5:
+        parse = doc.get("csv_parse")
+        if not (isinstance(parse, dict) and sorted(parse) == sorted(map(str, CSV_DIMS))
+                and all(_valid_stats(stats) for stats in parse.values())):
+            problems.append(f"csv_parse: expected d = {', '.join(map(str, CSV_DIMS))} "
+                            f"with positive {', '.join(STATS)} in order")
     return problems
 
 
@@ -363,7 +399,8 @@ def main(argv=None):
     _pin_malloc_thresholds()
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--smoke", action="store_true",
-                        help="d in {10, 50}, 3 repeats (weiszfeld too), no paper_scale point")
+                        help="d in {10, 50}, 3 repeats (weiszfeld and csv_parse too), "
+                        "no paper_scale point")
     parser.add_argument("--out", help="output path (default: tools/sweeps/BENCH_<commit>.json)")
     parser.add_argument("--check", nargs="+", metavar="JSON", help="validate files and exit")
     args = parser.parse_args(argv)
@@ -394,6 +431,9 @@ def main(argv=None):
     print(f"{'weiszfeld':18s}" + "".join(f"{doc['weiszfeld'][str(d)]['median_ns'] / 1e6:8.2f}ms"
                                          for d in WEISZFELD_DIMS)
           + f"  (n = {WEISZFELD_ROWS}, d = {', '.join(map(str, WEISZFELD_DIMS))})")
+    print(f"{'csv_parse':18s}" + "".join(f"{doc['csv_parse'][str(d)]['median_ns'] / 1e3:9.1f}"
+                                         for d in CSV_DIMS)
+          + f"  (us per row, d = {', '.join(map(str, CSV_DIMS))})")
     print(f"derived: {json.dumps(doc['derived'])}; {doc['wall_s']:.0f} s; wrote {out}")
     return 0
 

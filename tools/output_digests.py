@@ -22,8 +22,10 @@ sidecar's bytes after it.
 
 The commands run in process through ``medcov.cli.main``, inside a fresh
 temporary directory, on whichever ``medcov`` package ``PYTHONPATH``
-provides.  To check that a change keeps every output byte, run the
-script against both checkouts and compare:
+provides, with the BLAS pinned to one thread whatever the caller's
+environment says: the d=300 outputs change with the thread count.  To
+check that a change keeps every output byte, run the script against both
+checkouts and compare:
 
     PYTHONPATH=src python tools/output_digests.py > after.txt
     PYTHONPATH=../parent/src python tools/output_digests.py > before.txt
@@ -38,7 +40,10 @@ import os
 import tempfile
 from pathlib import Path
 
-from medcov import cli
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # before medcov imports numpy, which reads them once
+
+from medcov import cli  # noqa: E402
 
 
 def emit(name, data):
